@@ -29,6 +29,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,14 +38,14 @@ from .divisors import (
     Divisor,
     NotQCartier,
     canonical_divisor,
-    local_data,
     poly_contains,
     polytope,
     translated_polytope,
+    try_local_data,
 )
 from .fans import Fan, build_fan
 from .harness import (
-    BUILTIN_NAMES,
+    BUILTINS,
     CheckReport,
     Instance,
     builtin,
@@ -73,16 +74,6 @@ GLOBAL_STATEMENTS = {
 CONE_STATEMENTS = ("wall-bound", "interior-bound", "nonregular-bound")
 
 STATEMENTS = tuple(GLOBAL_STATEMENTS) + CONE_STATEMENTS
-
-BUILTIN_SIGNATURES = {
-    "projective_space": "projective_space(n[,t])",
-    "weighted_112": "weighted_112([t])",
-    "hirzebruch": "hirzebruch(a,c0,c1,c2,c3)",
-    "product_p1": "product_p1(a,b)",
-    "intro_simplex_2d": "intro_simplex_2d(t)",
-    "intro_simplex_3d": "intro_simplex_3d(t)",
-    "ew_simplex": "ew_simplex(t)",
-}
 
 
 class InputError(Exception):
@@ -183,19 +174,18 @@ def load_document(path: str) -> tuple[Fan, dict[str, Divisor]]:
     return fan, divisors
 
 
-def _pick_divisor(divisors: dict[str, Divisor], requested: str | None, role: str) -> tuple[str, Divisor]:
+def _pick_divisor(divisors: dict[str, Divisor], requested: str | None) -> tuple[str, Divisor]:
+    """The base divisor defaults to 'D', or to the file's only divisor."""
     if requested is not None:
         if requested not in divisors:
             known = ", ".join(sorted(divisors)) or "none"
             raise InputError(f"no divisor named {requested!r} (available: {known})")
         return requested, divisors[requested]
-    if role == "d":
-        if "D" in divisors:
-            return "D", divisors["D"]
-        if len(divisors) == 1:
-            return next(iter(divisors.items()))
-        raise InputError("pass --d NAME: the file does not name a divisor 'D'")
-    raise InputError(f"internal: unknown role {role}")
+    if "D" in divisors:
+        return "D", divisors["D"]
+    if len(divisors) == 1:
+        return next(iter(divisors.items()))
+    raise InputError("pass --d NAME: the file does not name a divisor 'D'")
 
 
 def _pick_dprime(fan: Fan, divisors: dict[str, Divisor], requested: str | None):
@@ -231,16 +221,9 @@ def _builtin_from_expr(expr: str) -> Instance:
         raise InputError(str(exc)) from None
 
 
-def _try_local(fan, d):
-    try:
-        return local_data(fan, d)
-    except NotQCartier:
-        return None
-
-
 def _divisor_verdicts(fan: Fan, d: Divisor, want_very_ample: bool) -> dict:
     out = {}
-    local = _try_local(fan, d)
+    local, _ = try_local_data(fan, d)
     out["q_cartier"] = local is not None
     if local is None:
         return out
@@ -251,8 +234,7 @@ def _divisor_verdicts(fan: Fan, d: Divisor, want_very_ample: bool) -> dict:
         out["basepoint_free"] = nef
         if want_very_ample:
             if nef:
-                failures, _ = generation_scan(fan, d, local)
-                out["very_ample"] = not failures
+                out["very_ample"] = not generation_scan(fan, d, local)
             else:
                 out["very_ample"] = False
     return out
@@ -342,15 +324,13 @@ def _fmt_verdicts(v: dict) -> str:
 
 def cmd_analyze(args, out) -> int:
     fan, divisors = load_document(args.input)
-    d_name, d = _pick_divisor(divisors, args.d, "d")
+    d_name, d = _pick_divisor(divisors, args.d)
     dp_name, dp, remarks = _pick_dprime(fan, divisors, args.dprime)
-    if len(dp.coeffs) != len(fan.rays):
-        raise InputError(f"divisor {dp_name!r} does not match the fan's ray count")
     total = d + dp
     remarks.append("projectivity is not certified for hand-entered fans")
-    local_d = _try_local(fan, d)
-    local_dp = _try_local(fan, dp)
-    local_sum = _try_local(fan, total)
+    local_d, _ = try_local_data(fan, d)
+    local_dp, _ = try_local_data(fan, dp)
+    local_sum, _ = try_local_data(fan, total)
     doc = {
         "command": "analyze",
         "input": args.input,
@@ -407,10 +387,8 @@ def _gather_instances(args) -> list[Instance]:
         raise InputError("pass exactly one of INPUT, --builtin, or --fuzz")
     if args.input:
         fan, divisors = load_document(args.input)
-        _, d = _pick_divisor(divisors, args.d, "d")
+        _, d = _pick_divisor(divisors, args.d)
         _, dp, _ = _pick_dprime(fan, divisors, args.dprime)
-        if len(dp.coeffs) != len(fan.rays):
-            raise InputError("perturbation does not match the fan's ray count")
         return [Instance(fan, d, dp, args.input)]
     if args.builtin:
         return [_builtin_from_expr(args.builtin)]
@@ -496,6 +474,15 @@ def cmd_verify(args, out) -> int:
             "summary: pass={pass} fail={fail} not_applicable={not_applicable}".format(**tally),
             file=out,
         )
+        rejections = Counter(
+            h["name"] for e in entries for h in e["hypotheses"] if not h["holds"]
+        )
+        if rejections:
+            print(
+                "hypothesis rejections: "
+                + ", ".join(f"{k}={v}" for k, v in sorted(rejections.items())),
+                file=out,
+            )
     return 2 if falsified else 0
 
 
@@ -515,13 +502,10 @@ def cmd_hilbert(args, out) -> int:
     }
     membership = None
     if args.d is not None:
-        name, d = _pick_divisor(divisors, args.d, "d")
-        try:
-            local = local_data(fan, d)
-        except NotQCartier as exc:
-            raise InputError(
-                f"divisor {name!r} has no local data on cone {exc.cone_index}"
-            ) from None
+        name, d = _pick_divisor(divisors, args.d)
+        local, bad = try_local_data(fan, d)
+        if local is None:
+            raise InputError(f"divisor {name!r} has no local data on cone {bad}")
         shifted = translated_polytope(polytope(fan, d), local[args.sigma])
         membership = [
             {"element": _enc_vec(b), "in_shifted_polytope": poly_contains(shifted, b)}
@@ -548,8 +532,8 @@ def _safe_name(label: str) -> str:
 
 def cmd_examples(args, out) -> int:
     if args.emit is None:
-        for name in BUILTIN_NAMES:
-            print(BUILTIN_SIGNATURES[name], file=out)
+        for entry in BUILTINS.values():
+            print(entry.signature, file=out)
         return 0
     inst = _builtin_from_expr(args.emit)
     doc = {
@@ -567,10 +551,6 @@ def cmd_examples(args, out) -> int:
         _emit(doc, fh)
     print(target, file=out)
     return 0
-
-
-def _fraction_arg(raw: str) -> str:
-    return raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--d", help="name of the base divisor (default: D)")
     pv.add_argument("--dprime", help="name of the perturbation (default: canonical)")
     pv.add_argument("--sigma", type=int, help="restrict per-cone statements to one cone")
-    pv.add_argument("--r", type=_fraction_arg, help="slack for wall-bound's local hypotheses")
+    pv.add_argument("--r", help="slack for wall-bound's local hypotheses")
     pv.add_argument(
         "--interior-bound",
         type=int,

@@ -18,7 +18,7 @@ from .linalg import (
     det_int,
     dual_ambient,
     matrix_rank,
-    nullspace_matrix,
+    nullspace,
     pair,
     perp_basis,
     primitivize,
@@ -65,13 +65,6 @@ def _sorted_vecs(vecs) -> tuple[Vec, ...]:
     return tuple(sorted(set(vecs), key=lambda v: v.coords))
 
 
-def _nullspace(rows: list[list], rank: int) -> list[tuple]:
-    """Nullspace basis, treating an empty row list as the zero map."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    return nullspace_matrix(rows)
-
-
 def _facet_normals(rays: list[Vec], eqs: list[Vec], rank: int, dim: int) -> tuple[Vec, ...]:
     """All facet-supporting normals of cone(rays), within its span.
 
@@ -85,7 +78,7 @@ def _facet_normals(rays: list[Vec], eqs: list[Vec], rank: int, dim: int) -> tupl
     found = set()
     for subset in combinations(rays, dim - 1):
         rows = [list(r.coords) for r in subset] + eq_rows
-        ns = _nullspace(rows, rank)
+        ns = nullspace(rows, rank)
         if len(ns) != 1:
             continue
         w = primitivize(Vec(ns[0], amb))
@@ -127,7 +120,7 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     extreme = []
     for g in prim:
         tight = [list(f.coords) for f in normals if pair(f, g) == 0]
-        if len(_nullspace(tight + eq_rows, rank)) == 1:
+        if len(nullspace(tight + eq_rows, rank)) == 1:
             extreme.append(g)
     return Cone(amb, rank, _sorted_vecs(extreme), normals, _sorted_vecs(eqs))
 
@@ -185,7 +178,7 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     for k in range(0, max(max_k, 0) + 1):
         for subset in combinations(ineqs, k):
             rows = [list(f.coords) for f in subset] + eq_rows
-            ns = _nullspace(rows, rank)
+            ns = nullspace(rows, rank)
             if len(ns) != 1:
                 continue
             w = primitivize(Vec(ns[0], a.ambient))

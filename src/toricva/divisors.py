@@ -73,12 +73,16 @@ def local_data(fan: Fan, d: Divisor) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def is_q_cartier(fan: Fan, d: Divisor) -> bool:
+def try_local_data(fan: Fan, d: Divisor) -> tuple[tuple[Vec, ...] | None, int | None]:
+    """(local data, None), or (None, index of the first cone without local data)."""
     try:
-        local_data(fan, d)
-        return True
-    except NotQCartier:
-        return False
+        return local_data(fan, d), None
+    except NotQCartier as exc:
+        return None, exc.cone_index
+
+
+def is_q_cartier(fan: Fan, d: Divisor) -> bool:
+    return try_local_data(fan, d)[0] is not None
 
 
 def is_cartier(fan: Fan, d: Divisor) -> bool:

@@ -15,24 +15,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
+from typing import Callable
 
 from .cones import classify, contains, dual_cone
 from .divisors import (
     Divisor,
-    NotQCartier,
     canonical_divisor,
     dprime_in_range,
     local_data,
     poly_contains,
     polytope,
     translated_polytope,
+    try_local_data,
 )
 from .fans import Fan, build_fan
 from .hulls import affine_rank, hull_facets, hull_vertices
 from .intersections import is_nef, wall_value
 from .lambdas import lambda_max, lambda_min
 from .linalg import M, N, Vec, det_int, pair, vec
-from .semigroups import generates, lattice_points
+from .semigroups import hilbert_basis
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,6 @@ def is_projective_space(fan: Fan) -> bool:
     return {tuple(sorted(c)) for c in fan.max_cones} == expected
 
 
-def _try_local(fan: Fan, d: Divisor):
-    try:
-        return local_data(fan, d), None
-    except NotQCartier as exc:
-        return None, exc.cone_index
-
-
 def _min_wall_value(fan: Fan, local) -> Fraction:
     return min(wall_value(fan, local, w) for w in fan.walls)
 
@@ -167,7 +161,7 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
                 "fan is the standard projective-space fan" if isp else "",
             )
         )
-    local_d, bad_d = _try_local(fan, inst.d)
+    local_d, bad_d = try_local_data(fan, inst.d)
     hyps.append(
         Hypothesis(
             "base_divisor_q_cartier",
@@ -175,7 +169,7 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
             "" if local_d is not None else f"no local data on cone {bad_d}",
         )
     )
-    local_dp, bad_dp = _try_local(fan, inst.dprime)
+    local_dp, bad_dp = try_local_data(fan, inst.dprime)
     hyps.append(
         Hypothesis(
             "perturbation_q_cartier",
@@ -206,26 +200,24 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
     return hyps, local_d, local_dp
 
 
-def generation_scan(fan: Fan, d: Divisor, local) -> tuple[tuple[Failure, ...], bool]:
+def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     """Test on every maximal cone whether the shifted divisor polytope's
-    lattice points generate the dual-cone semigroup.  Returns the failures
-    and whether any lattice point had to be clipped to the dual cone."""
+    lattice points generate the dual-cone semigroup.
+
+    They do exactly when the shifted polytope contains the Hilbert basis of
+    the dual cone, since the halfspaces of the cone's own rays already put
+    the shifted polytope inside the dual cone.  A failing cone reports its
+    first missing basis element in coordinate order.
+    """
     p = polytope(fan, d)
     failures = []
-    clipped = False
     for ci, u in enumerate(local):
         shifted = translated_polytope(p, u)
-        pts = lattice_points(shifted)
-        dual = dual_cone(fan.cones[ci])
-        inside = [x for x in pts if contains(dual, x)]
-        if len(inside) != len(pts):
-            clipped = True
-        res = generates(inside, dual)
-        if not res.generates:
-            failures.append(
-                Failure("cone", ci, f"missing semigroup generator {res.witness.coords}")
-            )
-    return tuple(failures), clipped
+        for h in hilbert_basis(dual_cone(fan.cones[ci])):
+            if not poly_contains(shifted, h):
+                failures.append(Failure("cone", ci, f"missing semigroup generator {h.coords}"))
+                break
+    return tuple(failures)
 
 
 def check_generation(inst: Instance) -> CheckReport:
@@ -234,14 +226,12 @@ def check_generation(inst: Instance) -> CheckReport:
     fan = inst.fan
     hyps, local_d, local_dp = _shared_hypotheses(inst, fan.rank + 1, exclude_pspace=True)
     total = inst.d + inst.dprime
-    local_sum, _ = _try_local(fan, total)
+    local_sum, _ = try_local_data(fan, total)
     conclusion = None
     failures: tuple[Failure, ...] = ()
     notes: list[str] = []
     if local_sum is not None:
-        failures, clipped = generation_scan(fan, total, local_sum)
-        if clipped:
-            notes.append("some shifted polytope points fell outside the dual cone and were ignored")
+        failures = generation_scan(fan, total, local_sum)
         conclusion = not failures
         if conclusion and all(u.is_lattice for u in local_sum):
             notes.append("combined divisor is Cartier and generates everywhere: very ample")
@@ -260,7 +250,7 @@ def _nef_report(inst: Instance, statement: str, threshold: int, exclude_pspace: 
     fan = inst.fan
     hyps, local_d, local_dp = _shared_hypotheses(inst, threshold, exclude_pspace)
     total = inst.d + inst.dprime
-    local_sum, _ = _try_local(fan, total)
+    local_sum, _ = try_local_data(fan, total)
     conclusion = None
     failures: list[Failure] = []
     if local_sum is not None:
@@ -387,7 +377,7 @@ def check_corner_containment(inst: Instance) -> CheckReport:
     fan = inst.fan
     hyps, local_d, local_dp = _shared_hypotheses(inst, fan.rank + 1, exclude_pspace=True)
     total = inst.d + inst.dprime
-    local_sum, _ = _try_local(fan, total)
+    local_sum, _ = try_local_data(fan, total)
     conclusion = None
     failures: list[Failure] = []
     if local_sum is not None:
@@ -419,7 +409,7 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
     hyps = []
-    local_dp, bad = _try_local(fan, inst.dprime)
+    local_dp, bad = try_local_data(fan, inst.dprime)
     hyps.append(
         Hypothesis(
             "perturbation_q_cartier",
@@ -481,7 +471,7 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
             "cone is regular" if cls.regular else "",
         )
     ]
-    local_dp, bad = _try_local(fan, inst.dprime)
+    local_dp, bad = try_local_data(fan, inst.dprime)
     hyps.append(
         Hypothesis(
             "perturbation_q_cartier",
@@ -674,48 +664,59 @@ def random_instance(dim: int, seed: int, cfg: RandomConfig | None = None) -> Ins
     )
 
 
-BUILTIN_NAMES = (
-    "projective_space",
-    "weighted_112",
-    "hirzebruch",
-    "product_p1",
-    "intro_simplex_2d",
-    "intro_simplex_3d",
-    "ew_simplex",
-)
+@dataclass(frozen=True)
+class Builtin:
+    """One named instance family: its signature for `toricva examples`, the
+    argument counts it accepts, its constructor and the message raised for
+    any other count."""
+
+    name: str
+    signature: str
+    arg_counts: tuple[int, ...]
+    make: Callable[..., Instance]
+    usage: str
+
+
+BUILTINS = {
+    b.name: b
+    for b in (
+        Builtin(
+            "projective_space", "projective_space(n[,t])", (1, 2), projective_space,
+            "projective_space takes (n) or (n, t)",
+        ),
+        Builtin(
+            "weighted_112", "weighted_112([t])", (0, 1), weighted_112,
+            "weighted_112 takes at most (t)",
+        ),
+        Builtin(
+            "hirzebruch", "hirzebruch(a,c0,c1,c2,c3)", (5,),
+            lambda a, *cs: hirzebruch(a, cs),
+            "hirzebruch takes (a, c0, c1, c2, c3)",
+        ),
+        Builtin("product_p1", "product_p1(a,b)", (2,), product_p1, "product_p1 takes (a, b)"),
+        Builtin(
+            "intro_simplex_2d", "intro_simplex_2d(t)", (1,),
+            lambda t: intro_simplex([(1, 0), (1, 2)], t, corner_perturbation=True),
+            "intro_simplex_2d takes (t)",
+        ),
+        Builtin(
+            "intro_simplex_3d", "intro_simplex_3d(t)", (1,),
+            lambda t: intro_simplex(
+                [(1, 0, 0), (0, 1, 0), (1, 1, 2)], t, corner_perturbation=True
+            ),
+            "intro_simplex_3d takes (t)",
+        ),
+        Builtin("ew_simplex", "ew_simplex(t)", (1,), ew_simplex, "ew_simplex takes (t)"),
+    )
+}
 
 
 def builtin(name: str, args: tuple = ()) -> Instance:
     """Instance registry used by the command line: name plus integer args."""
     args = tuple(args)
-    if name == "projective_space":
-        if len(args) not in (1, 2):
-            raise ValueError("projective_space takes (n) or (n, t)")
-        return projective_space(*args)
-    if name == "weighted_112":
-        if len(args) > 1:
-            raise ValueError("weighted_112 takes at most (t)")
-        return weighted_112(*args) if args else weighted_112()
-    if name == "hirzebruch":
-        if len(args) != 5:
-            raise ValueError("hirzebruch takes (a, c0, c1, c2, c3)")
-        return hirzebruch(args[0], args[1:])
-    if name == "product_p1":
-        if len(args) != 2:
-            raise ValueError("product_p1 takes (a, b)")
-        return product_p1(*args)
-    if name == "intro_simplex_2d":
-        if len(args) != 1:
-            raise ValueError("intro_simplex_2d takes (t)")
-        return intro_simplex([(1, 0), (1, 2)], args[0], corner_perturbation=True)
-    if name == "intro_simplex_3d":
-        if len(args) != 1:
-            raise ValueError("intro_simplex_3d takes (t)")
-        return intro_simplex(
-            [(1, 0, 0), (0, 1, 0), (1, 1, 2)], args[0], corner_perturbation=True
-        )
-    if name == "ew_simplex":
-        if len(args) != 1:
-            raise ValueError("ew_simplex takes (t)")
-        return ew_simplex(args[0])
-    raise ValueError(f"unknown builtin {name!r}")
+    entry = BUILTINS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown builtin {name!r}")
+    if len(args) not in entry.arg_counts:
+        raise ValueError(entry.usage)
+    return entry.make(*args)

@@ -5,9 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Vec, matrix_rank, pair, primitivize, dual_ambient
+from .linalg import Vec, dual_ambient, matrix_rank, nullspace, pair, primitivize
 from .lp import lp_feasible
-from .cones import _nullspace
 
 
 def affine_rank(points: list[Vec]) -> int:
@@ -36,7 +35,7 @@ def hull_facets(points: list[Vec]) -> list[tuple[Vec, Fraction]]:
     for subset in combinations(points, n):
         base = subset[0]
         rows = [list((p - base).coords) for p in subset[1:]]
-        ns = _nullspace(rows, n)
+        ns = nullspace(rows, n)
         if len(ns) != 1:
             continue
         phi = primitivize(Vec(ns[0], amb))

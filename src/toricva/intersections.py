@@ -84,25 +84,3 @@ def edge_lengths(fan: Fan, d: Divisor) -> tuple[EdgeLength, ...]:
         out.append(EdgeLength(wi, val, length))
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class ConeMinima:
-    """Per-cone wall minima for a pair of divisors.
-
-    first: the minimum intersection number of the first divisor over the
-    cone's walls.  second: the same minimum for the sum of both divisors.
-    """
-
-    first: Fraction
-    second: Fraction
-
-
-def cone_minima(fan: Fan, d: Divisor, dp: Divisor, cone_index: int) -> ConeMinima:
-    walls = fan.walls_of(cone_index)
-    if not walls:
-        raise ValueError("maximal cone has no walls")
-    local_d = local_data(fan, d)
-    local_sum = local_data(fan, d + dp)
-    t = min(wall_value(fan, local_d, w) for w in walls)
-    m = min(wall_value(fan, local_sum, w) for w in walls)
-    return ConeMinima(t, m)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import Cone, cone_from_generators, contains
+from .cones import Cone, cone_from_generators
 from .hulls import hull_facets
 from .linalg import Scalar, Vec, dual_ambient, pair, solve_matrix, vec
 from .lp import lp_solve
@@ -50,13 +50,6 @@ def lambda_min(c: Cone, x: Vec) -> LambdaValue:
 
 def lambda_max(c: Cone, x: Vec) -> LambdaValue:
     return _coefficient_sum(c, x, maximize=True)
-
-
-def m_delta_contains(c: Cone, m, x: Vec) -> bool:
-    """Membership in the truncation {x in c : lambda_min(x) <= m}."""
-    if not contains(c, x):
-        return False
-    return lambda_min(c, x).value <= Fraction(m)
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,13 @@ def nullspace_matrix(rows) -> list[tuple[Scalar, ...]]:
     return basis
 
 
+def nullspace(rows: list[list], rank: int) -> list[tuple]:
+    """Nullspace basis, treating an empty row list as the zero map."""
+    if not rows:
+        return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    return nullspace_matrix(rows)
+
+
 def perp_basis(vecs: list[Vec]) -> list[Vec]:
     """Primitive basis of the annihilator {w : <w, v> = 0 for all v}.
 

@@ -16,7 +16,6 @@ from math import ceil, floor, prod
 
 from .cones import Cone, cone_from_generators, contains
 from .divisors import Polytope, is_bounded, poly_contains
-from .lambdas import m_delta_contains
 from .linalg import Vec, diagonalize_int, pair, solve_matrix, vec
 
 
@@ -34,23 +33,6 @@ def lattice_points(p: Polytope) -> tuple[Vec, ...]:
     for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
         x = vec(coords, amb)
         if poly_contains(p, x):
-            out.append(x)
-    return tuple(out)
-
-
-def simplex_lattice_points(c: Cone, m) -> tuple[Vec, ...]:
-    """Lattice points x of c with minimum coefficient sum at most m."""
-    m = Fraction(m)
-    if m < 0:
-        return ()
-    rank = c.rank
-    corners = [vec((0,) * rank, c.ambient)] + [m * r for r in c.rays]
-    los = [min(ceil(v.coords[i]) for v in corners) for i in range(rank)]
-    his = [max(floor(v.coords[i]) for v in corners) for i in range(rank)]
-    out = []
-    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        x = vec(coords, c.ambient)
-        if m_delta_contains(c, m, x):
             out.append(x)
     return tuple(out)
 
@@ -167,31 +149,3 @@ def generates(points, c: Cone) -> GenerationResult:
             return GenerationResult(False, h)
     return GenerationResult(True, None)
 
-
-def semigroup_member(gens, target: Vec, bound: int) -> bool:
-    """Is target a sum of at most `bound` of the given lattice points?"""
-    gs = [g for g in gens if not g.is_zero]
-    for g in gs:
-        if not g.is_lattice:
-            raise ValueError("generators must be lattice points")
-    if not target.is_lattice:
-        return False
-    seen: dict[tuple, bool] = {}
-
-    def reach(t: tuple, k: int) -> bool:
-        if all(v == 0 for v in t):
-            return True
-        if k == 0:
-            return False
-        key = (t, k)
-        if key in seen:
-            return seen[key]
-        seen[key] = False
-        for g in gs:
-            rest = tuple(a - b for a, b in zip(t, g.coords))
-            if reach(rest, k - 1):
-                seen[key] = True
-                break
-        return seen[key]
-
-    return reach(tuple(target.coords), int(bound))

@@ -1,14 +1,25 @@
-"""Independent brute-force oracles used only by the test suite.
+"""Independent brute-force oracles and reference implementations used only
+by the test suite.
 
-These deliberately avoid the production code paths: the fiber-polytope
-vertex enumeration here goes through plain subset enumeration and exact
-Gaussian solves, never through the simplex tableau.
+The fiber-polytope vertex enumeration here goes through plain subset
+enumeration and exact Gaussian solves, never through the simplex tableau.
+The box scans enumerate every lattice point of a bounding box, which the
+production code no longer does.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import ceil, floor
 
-from toricva.linalg import solve_matrix
+from toricva.cones import Cone, contains, dual_cone
+from toricva.divisors import Divisor, local_data, polytope, translated_polytope
+from toricva.fans import Fan
+from toricva.harness import Failure
+from toricva.intersections import wall_value
+from toricva.lambdas import lambda_min
+from toricva.linalg import Vec, solve_matrix, vec
+from toricva.semigroups import generates, lattice_points
 
 
 def fiber_points(cols, target):
@@ -49,3 +60,104 @@ def sum_range(cols, target):
         return None
     sums = [sum(p) for p in pts]
     return min(sums), max(sums)
+
+
+def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:
+    """Reference for `harness.generation_scan` by the lattice-box scan.
+
+    On every maximal cone, enumerate the lattice points of the shifted
+    polytope's bounding box, keep those inside the dual cone, and ask
+    `generates` for a missing Hilbert-basis element.  Returns the failures
+    and whether any shifted polytope point lay outside its dual cone.
+    """
+    p = polytope(fan, d)
+    failures = []
+    clipped = False
+    for ci, u in enumerate(local):
+        pts = lattice_points(translated_polytope(p, u))
+        dual = dual_cone(fan.cones[ci])
+        inside = [x for x in pts if contains(dual, x)]
+        if len(inside) != len(pts):
+            clipped = True
+        res = generates(inside, dual)
+        if not res.generates:
+            failures.append(
+                Failure("cone", ci, f"missing semigroup generator {res.witness.coords}")
+            )
+    return tuple(failures), clipped
+
+
+def m_delta_contains(c: Cone, m, x: Vec) -> bool:
+    """Membership in the truncation {x in c : lambda_min(x) <= m}."""
+    if not contains(c, x):
+        return False
+    return lambda_min(c, x).value <= Fraction(m)
+
+
+def simplex_lattice_points(c: Cone, m) -> tuple[Vec, ...]:
+    """Lattice points x of c with minimum coefficient sum at most m."""
+    m = Fraction(m)
+    if m < 0:
+        return ()
+    rank = c.rank
+    corners = [vec((0,) * rank, c.ambient)] + [m * r for r in c.rays]
+    los = [min(ceil(v.coords[i]) for v in corners) for i in range(rank)]
+    his = [max(floor(v.coords[i]) for v in corners) for i in range(rank)]
+    out = []
+    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
+        x = vec(coords, c.ambient)
+        if m_delta_contains(c, m, x):
+            out.append(x)
+    return tuple(out)
+
+
+def semigroup_member(gens, target: Vec, bound: int) -> bool:
+    """Is target a sum of at most `bound` of the given lattice points?"""
+    gs = [g for g in gens if not g.is_zero]
+    for g in gs:
+        if not g.is_lattice:
+            raise ValueError("generators must be lattice points")
+    if not target.is_lattice:
+        return False
+    seen: dict[tuple, bool] = {}
+
+    def reach(t: tuple, k: int) -> bool:
+        if all(v == 0 for v in t):
+            return True
+        if k == 0:
+            return False
+        key = (t, k)
+        if key in seen:
+            return seen[key]
+        seen[key] = False
+        for g in gs:
+            rest = tuple(a - b for a, b in zip(t, g.coords))
+            if reach(rest, k - 1):
+                seen[key] = True
+                break
+        return seen[key]
+
+    return reach(tuple(target.coords), int(bound))
+
+
+@dataclass(frozen=True)
+class ConeMinima:
+    """Per-cone wall minima for a pair of divisors.
+
+    first: the minimum intersection number of the first divisor over the
+    cone's walls.  second: the same minimum for the sum of both divisors.
+    """
+
+    first: Fraction
+    second: Fraction
+
+
+def cone_minima(fan: Fan, d: Divisor, dp: Divisor, cone_index: int) -> ConeMinima:
+    walls = fan.walls_of(cone_index)
+    if not walls:
+        raise ValueError("maximal cone has no walls")
+    local_d = local_data(fan, d)
+    local_sum = local_data(fan, d + dp)
+    t = min(wall_value(fan, local_d, w) for w in walls)
+    m = min(wall_value(fan, local_sum, w) for w in walls)
+    return ConeMinima(t, m)

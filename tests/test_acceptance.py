@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from oracles import sum_range
+from oracles import box_scan_generation, semigroup_member, simplex_lattice_points, sum_range
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
 from toricva.divisors import Divisor, local_data, poly_contains, polytope, translated_polytope
 from toricva.harness import (
@@ -31,13 +31,7 @@ from toricva.harness import (
 from toricva.intersections import edge_lengths, is_nef, wall_value, wall_values
 from toricva.lambdas import lambda_max, lambda_min
 from toricva.linalg import M, N, vec
-from toricva.semigroups import (
-    generates,
-    hilbert_basis,
-    lattice_points,
-    semigroup_member,
-    simplex_lattice_points,
-)
+from toricva.semigroups import generates, hilbert_basis, lattice_points
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +196,32 @@ def test_criterion_07_projective_plane_sharpness():
     combined = edge.d + edge.dprime
     assert wall_values(edge.fan, combined) == (0, 0, 0)
     assert is_nef(edge.fan, combined)
-    failures, _ = generation_scan(edge.fan, combined, local_data(edge.fan, combined))
+    failures = generation_scan(edge.fan, combined, local_data(edge.fan, combined))
     assert len(failures) == 3  # nef yet not very ample, on every cone
     _ok(7, "threshold-n case hits -1 walls; threshold-n+1 case is nef but not very ample")
+
+
+def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
+    # the Hilbert-basis membership test against the lattice-box scan, on the
+    # combined divisor of the pools and of the threshold builtins
+    instances = (
+        pool2
+        + pool3
+        + [builtin("ew_simplex", (t,)) for t in range(2, 9)]
+        + [projective_space(n, t) for n in (2, 3) for t in (n, n + 1)]
+        + [weighted_112(t) for t in range(1, 5)]
+    )
+    failing = 0
+    for inst in instances:
+        combined = inst.d + inst.dprime
+        local = local_data(inst.fan, combined)
+        expected, clipped = box_scan_generation(inst.fan, combined, local)
+        # the rays' own halfspaces keep every shifted polytope in its dual cone
+        assert not clipped, inst.label
+        assert generation_scan(inst.fan, combined, local) == expected, inst.label
+        failing += bool(expected)
+    assert failing > 0
+    _ok("generation-oracle", f"{len(instances)} scans agree, {failing} with failures")
 
 
 def test_criterion_08_coefficient_sum_oracle():

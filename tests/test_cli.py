@@ -33,7 +33,7 @@ def test_examples_lists_every_builtin(capsys):
     code, out, err = run(capsys, "examples")
     assert code == 0
     names = [line.split("(")[0] for line in out.strip().splitlines()]
-    assert names == list(cli.BUILTIN_NAMES)
+    assert names == list(cli.BUILTINS)
 
 
 def test_emitted_file_roundtrips(weighted_input, capsys):

@@ -17,7 +17,7 @@ from toricva.divisors import (
     polytope,
 )
 from toricva.harness import (
-    BUILTIN_NAMES,
+    BUILTINS,
     Instance,
     builtin,
     check_corner_containment,
@@ -258,7 +258,7 @@ def test_builtin_registry():
         "intro_simplex_3d": (4,),
         "ew_simplex": (4,),
     }
-    assert set(samples) == set(BUILTIN_NAMES)
+    assert set(samples) == set(BUILTINS)
     for name, args in samples.items():
         inst = builtin(name, args)
         assert len(inst.d.coeffs) == len(inst.fan.rays)

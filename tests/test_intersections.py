@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p112_fan
+from oracles import cone_minima
 from toricva.divisors import Divisor, canonical_divisor, local_data
 from toricva.intersections import (
-    cone_minima,
     edge_lengths,
     is_nef,
     wall_value,

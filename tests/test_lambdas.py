@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import pointed_cones
-from oracles import sum_range
+from oracles import m_delta_contains, sum_range
 from toricva.cones import cone_from_generators, contains
-from toricva.lambdas import (
-    lambda_max,
-    lambda_min,
-    m_delta_contains,
-    regular_subdivision,
-)
+from toricva.lambdas import lambda_max, lambda_min, regular_subdivision
 from toricva.linalg import M, N, pair, vec
 
 

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p2_fan, pointed_cones
+from oracles import semigroup_member, simplex_lattice_points
 from toricva.cones import cone_from_generators, dual_cone
 from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
 from toricva.linalg import M, N, pair, vec
-from toricva.semigroups import (
-    generates,
-    hilbert_basis,
-    lattice_points,
-    semigroup_member,
-    simplex_lattice_points,
-)
+from toricva.semigroups import generates, hilbert_basis, lattice_points
 
 
 def ncone(*coords):
