@@ -47,6 +47,7 @@ from .fans import Fan, build_fan
 from .harness import (
     BUILTINS,
     CheckReport,
+    ConeData,
     Instance,
     builtin,
     check_corner_containment,
@@ -248,17 +249,20 @@ def _instance_json(fan: Fan) -> dict:
     }
 
 
+def _cone_json(cd: ConeData) -> dict:
+    return {
+        "index": cd.cone_index,
+        "t": _enc_opt(cd.t),
+        "m": _enc_opt(cd.m),
+        "lambda_min": _enc_opt(cd.lambda_min_dual),
+        "lambda_max": _enc_opt(cd.lambda_max_dual),
+    }
+
+
 def _cones_json(fan: Fan, local_d, local_dp) -> list[dict]:
     rows = []
-    table = cone_table(fan, local_d, local_dp)
-    for cd in table:
-        row = {
-            "index": cd.cone_index,
-            "t": _enc_opt(cd.t),
-            "m": _enc_opt(cd.m),
-            "lambda_min": _enc_opt(cd.lambda_min_dual),
-            "lambda_max": _enc_opt(cd.lambda_max_dual),
-        }
+    for cd in cone_table(fan, local_d, local_dp):
+        row = _cone_json(cd)
         if local_d is not None:
             row["u_sigma"] = _enc_vec(local_d[cd.cone_index])
         if local_dp is not None:
@@ -294,16 +298,7 @@ def _report_json(rep: CheckReport) -> dict:
             {"kind": f.kind, "index": f.index, "message": f.message}
             for f in rep.failures
         ],
-        "cones": [
-            {
-                "index": cd.cone_index,
-                "t": _enc_opt(cd.t),
-                "m": _enc_opt(cd.m),
-                "lambda_min": _enc_opt(cd.lambda_min_dual),
-                "lambda_max": _enc_opt(cd.lambda_max_dual),
-            }
-            for cd in rep.cone_data
-        ],
+        "cones": [_cone_json(cd) for cd in rep.cone_data],
         "notes": list(rep.notes),
     }
 
@@ -437,6 +432,8 @@ def cmd_verify(args, out) -> int:
             raise InputError("--r must be positive")
         if args.statement != "wall-bound":
             raise InputError("--r only applies to wall-bound")
+    if args.interior_bound < 1:
+        raise InputError("--interior-bound must be at least 1")
     instances = _gather_instances(args)
     entries = []
     tally = {"pass": 0, "fail": 0, "not_applicable": 0}
@@ -538,9 +535,7 @@ def cmd_examples(args, out) -> int:
     inst = _builtin_from_expr(args.emit)
     doc = {
         "label": inst.label,
-        "rank": inst.fan.rank,
-        "rays": [list(r.coords) for r in inst.fan.rays],
-        "max_cones": [list(c) for c in inst.fan.max_cones],
+        **_instance_json(inst.fan),
         "divisors": {
             "D": [_enc_scalar(c) for c in inst.d.coeffs],
             "Dprime": [_enc_scalar(c) for c in inst.dprime.coeffs],

@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .linalg import (
     Vec,
-    det_int,
     dual_ambient,
+    lattice_index,
     matrix_rank,
     nullspace,
     pair,
@@ -154,7 +154,7 @@ def classify(c: Cone) -> ConeClass:
     simplicial = len(c.rays) == c.rank
     regular = False
     if simplicial:
-        regular = abs(det_int([list(r.coords) for r in c.rays])) == 1
+        regular = lattice_index([r.coords for r in c.rays]) == 1
     return ConeClass(simplicial, regular)
 
 

@@ -32,7 +32,7 @@ from .fans import Fan, build_fan
 from .hulls import affine_rank, hull_facets, hull_vertices
 from .intersections import is_nef, wall_value
 from .lambdas import lambda_max, lambda_min
-from .linalg import M, N, Vec, det_int, pair, vec
+from .linalg import M, N, Vec, lattice_index, pair, vec
 from .semigroups import hilbert_basis
 
 
@@ -116,7 +116,7 @@ def is_projective_space(fan: Fan) -> bool:
     if not total.is_zero:
         return False
     for subset in combinations(range(n + 1), n):
-        if abs(det_int([fan.rays[i].coords for i in subset])) != 1:
+        if lattice_index([fan.rays[i].coords for i in subset]) != 1:
             return False
     expected = {tuple(sorted(s)) for s in combinations(range(n + 1), n)}
     return {tuple(sorted(c)) for c in fan.max_cones} == expected
@@ -126,6 +126,38 @@ def _min_wall_value(fan: Fan, local) -> Fraction:
     return min(wall_value(fan, local, w) for w in fan.walls)
 
 
+def _dual_sums(fan: Fan, local_dp, sigma: int):
+    """(dual cone of sigma, lambda_min, lambda_max) of the perturbation's
+    local point.  Both sums are None when the point lies outside the dual,
+    and all three are None without local data."""
+    if local_dp is None:
+        return None, None, None
+    dual = dual_cone(fan.cones[sigma])
+    up = local_dp[sigma]
+    if not contains(dual, up):
+        return dual, None, None
+    return dual, lambda_min(dual, up).value, lambda_max(dual, up).value
+
+
+def _perturbation_hypotheses(fan: Fan, dprime: Divisor):
+    """The perturbation's local data plus its two hypotheses: Q-Cartier, and
+    coefficients between zero and the canonical divisor."""
+    local_dp, bad = try_local_data(fan, dprime)
+    hyps = [
+        Hypothesis(
+            "perturbation_q_cartier",
+            local_dp is not None,
+            "" if local_dp is not None else f"no local data on cone {bad}",
+        ),
+        Hypothesis(
+            "perturbation_between_zero_and_canonical",
+            dprime_in_range(fan, dprime),
+            "",
+        ),
+    ]
+    return hyps, local_dp
+
+
 def cone_table(fan: Fan, local_d, local_dp) -> tuple[ConeData, ...]:
     local_sum = None
     if local_d is not None and local_dp is not None:
@@ -133,17 +165,12 @@ def cone_table(fan: Fan, local_d, local_dp) -> tuple[ConeData, ...]:
     rows = []
     for ci in range(len(fan.max_cones)):
         walls = fan.walls_of(ci)
-        t = m = lmin = lmax = None
+        t = m = None
         if local_d is not None:
             t = min(wall_value(fan, local_d, w) for w in walls)
         if local_sum is not None:
             m = min(wall_value(fan, local_sum, w) for w in walls)
-        if local_dp is not None:
-            dual = dual_cone(fan.cones[ci])
-            up = local_dp[ci]
-            if contains(dual, up):
-                lmin = lambda_min(dual, up).value
-                lmax = lambda_max(dual, up).value
+        _, lmin, lmax = _dual_sums(fan, local_dp, ci)
         rows.append(ConeData(ci, t, m, lmin, lmax))
     return tuple(rows)
 
@@ -169,21 +196,8 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
             "" if local_d is not None else f"no local data on cone {bad_d}",
         )
     )
-    local_dp, bad_dp = try_local_data(fan, inst.dprime)
-    hyps.append(
-        Hypothesis(
-            "perturbation_q_cartier",
-            local_dp is not None,
-            "" if local_dp is not None else f"no local data on cone {bad_dp}",
-        )
-    )
-    hyps.append(
-        Hypothesis(
-            "perturbation_between_zero_and_canonical",
-            dprime_in_range(fan, inst.dprime),
-            "",
-        )
-    )
+    dp_hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
+    hyps.extend(dp_hyps)
     if local_d is not None:
         mv = _min_wall_value(fan, local_d)
         hyps.append(
@@ -330,12 +344,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
             )
         )
 
-    dual = dual_cone(fan.cones[sigma])
-    up = local_dp[sigma]
-    lmin = lmax = None
-    if contains(dual, up):
-        lmin = lambda_min(dual, up).value
-        lmax = lambda_max(dual, up).value
+    _, lmin, lmax = _dual_sums(fan, local_dp, sigma)
     if lmin is None:
         hyps.append(
             Hypothesis(
@@ -408,44 +417,26 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
     fan = inst.fan
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
-    hyps = []
-    local_dp, bad = try_local_data(fan, inst.dprime)
-    hyps.append(
-        Hypothesis(
-            "perturbation_q_cartier",
-            local_dp is not None,
-            "" if local_dp is not None else f"no local data on cone {bad}",
-        )
-    )
-    hyps.append(
-        Hypothesis(
-            "perturbation_between_zero_and_canonical",
-            dprime_in_range(fan, inst.dprime),
-            "",
-        )
-    )
+    if bound < 1:
+        raise ValueError("interior-point bound must be at least 1")
+    hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
     conclusion = None
     failures: list[Failure] = []
     notes: list[str] = []
-    lmin = lmax = None
-    if local_dp is not None:
-        dual = dual_cone(fan.cones[sigma])
-        up = local_dp[sigma]
-        if contains(dual, up):
-            lmin = lambda_min(dual, up).value
-            lmax = lambda_max(dual, up).value
-            checked = 0
-            for coords in product(range(-bound, bound + 1), repeat=fan.rank):
-                x = vec(coords, M)
-                if not contains(dual, x, strict=True):
-                    continue
-                checked += 1
-                if lambda_max(dual, x).value < lmax:
-                    failures.append(
-                        Failure("cone", sigma, f"interior point {coords} has smaller maximum sum")
-                    )
-            notes.append(f"checked {checked} interior lattice points with coordinate bound {bound}")
-            conclusion = not failures
+    dual, lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    if lmax is not None:
+        checked = 0
+        for coords in product(range(-bound, bound + 1), repeat=fan.rank):
+            x = vec(coords, M)
+            if not contains(dual, x, strict=True):
+                continue
+            checked += 1
+            if lambda_max(dual, x).value < lmax:
+                failures.append(
+                    Failure("cone", sigma, f"interior point {coords} has smaller maximum sum")
+                )
+        notes.append(f"checked {checked} interior lattice points with coordinate bound {bound}")
+        conclusion = not failures
     return CheckReport(
         "interior-point-bound",
         inst.label,
@@ -471,35 +462,15 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
             "cone is regular" if cls.regular else "",
         )
     ]
-    local_dp, bad = try_local_data(fan, inst.dprime)
-    hyps.append(
-        Hypothesis(
-            "perturbation_q_cartier",
-            local_dp is not None,
-            "" if local_dp is not None else f"no local data on cone {bad}",
-        )
-    )
-    hyps.append(
-        Hypothesis(
-            "perturbation_between_zero_and_canonical",
-            dprime_in_range(fan, inst.dprime),
-            "",
-        )
-    )
+    dp_hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
+    hyps.extend(dp_hyps)
     conclusion = None
     failures: tuple[Failure, ...] = ()
-    lmin = lmax = None
-    if local_dp is not None:
-        dual = dual_cone(fan.cones[sigma])
-        up = local_dp[sigma]
-        if contains(dual, up):
-            lmin = lambda_min(dual, up).value
-            lmax = lambda_max(dual, up).value
-            conclusion = lmin <= fan.rank - 1
-            if not conclusion:
-                failures = (
-                    Failure("cone", sigma, f"lambda_min {lmin} exceeds {fan.rank - 1}"),
-                )
+    _, lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    if lmin is not None:
+        conclusion = lmin <= fan.rank - 1
+        if not conclusion:
+            failures = (Failure("cone", sigma, f"lambda_min {lmin} exceeds {fan.rank - 1}"),)
     return CheckReport(
         "nonregular-cone-bound",
         inst.label,

@@ -4,13 +4,22 @@ Everything in this package runs on arbitrary-precision rationals; floating
 point never appears.  Vectors carry an ambient tag: "N" for the lattice
 where fan rays live, "M" for its dual, where divisor polytopes live.
 Pairing two vectors from the same ambient is a bug, so it fails loudly.
+
+All elimination goes through two kernels:
+
+- `pivot`, one rational Gauss-Jordan step.  `_rref` (and through it rank,
+  solve, nullspace and `left_inverse`) and the simplex tableau in `lp` are
+  built on it.
+- `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
+  unimodular.  `lattice_index` and the parallelepiped enumeration in
+  `semigroups` are built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 N = "N"
 M = "M"
@@ -125,6 +134,17 @@ def is_primitive(v: Vec) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r so that rows[r][c] is 1,
+    then clear column c from every other row."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with the first nonzero entry as pivot.
 
@@ -140,17 +160,26 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivot(a, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return a, pivots
+
+
+def left_inverse(rows) -> list[list[Fraction]]:
+    """L with L @ W = I for a square or tall matrix W of full column rank.
+
+    The first k rows of rref([W | I]) are [I_k | L].
+    """
+    m = len(rows)
+    k = len(rows[0])
+    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    red, pivots = _rref(aug)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("matrix does not have full column rank")
+    return [row[k:] for row in red[:k]]
 
 
 def matrix_rank(rows) -> int:
@@ -249,31 +278,6 @@ def perp_basis(vecs: list[Vec]) -> list[Vec]:
     return out
 
 
-def det_int(mat) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def diagonalize_int(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Factor an integer matrix as W = P @ D @ Q with P, Q unimodular, D diagonal.
 
@@ -346,3 +350,15 @@ def diagonalize_int(mat) -> tuple[list[list[int]], list[list[int]], list[list[in
             if not dirty:
                 break
     return p, w, q
+
+
+def lattice_index(cols) -> int:
+    """Index of the lattice spanned by k <= rank integer columns in the
+    lattice points of their span: the product of |D_ii| from
+    `diagonalize_int`.
+
+    It is |det| for k = rank, so 1 exactly for a lattice basis, and 0 when
+    the columns are dependent.
+    """
+    _, d, _ = diagonalize_int([list(row) for row in zip(*cols)])
+    return prod(abs(d[i][i]) for i in range(len(cols)))

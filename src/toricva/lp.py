@@ -10,22 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import pivot
+
 
 @dataclass(frozen=True)
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     x: tuple[Fraction, ...] | None
-
-
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int):
-    pv = tab[row][col]
-    tab[row] = [a / pv for a in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
 
 
 def _optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
@@ -53,7 +45,8 @@ def _optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction])
                     leave = i
         if leave is None:
             return "unbounded"
-        _pivot(tab, basis, leave, enter)
+        pivot(tab, leave, enter)
+        basis[leave] = enter
 
 
 def lp_solve(rows, rhs, cost, maximize: bool = False) -> LPResult:
@@ -87,7 +80,8 @@ def lp_solve(rows, rhs, cost, maximize: bool = False) -> LPResult:
                 del tab[i]
                 del basis[i]
             else:
-                _pivot(tab, basis, i, col)
+                pivot(tab, i, col)
+                basis[i] = col
 
     tab = [row[:n] + [row[-1]] for row in tab]
     c = [Fraction(v) for v in cost]

@@ -4,7 +4,10 @@ The centrepiece is the Hilbert basis of a pointed cone: the unique minimal
 generating set of the semigroup of lattice points.  It is computed by
 triangulating the cone, enumerating lattice points of the half-open
 fundamental parallelepiped of every simplicial piece, and pruning the
-reducible candidates.
+reducible candidates.  The parallelepiped points come from the two linalg
+kernels: `diagonalize_int` lists one lattice point per class modulo the
+piece's generators, and `left_inverse` (rational Gauss-Jordan) reduces
+each into the parallelepiped.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import ceil, floor, prod
 
 from .cones import Cone, cone_from_generators, contains
 from .divisors import Polytope, is_bounded, poly_contains
-from .linalg import Vec, diagonalize_int, pair, solve_matrix, vec
+from .linalg import Vec, diagonalize_int, left_inverse, pair, vec
 
 
 def lattice_points(p: Polytope) -> tuple[Vec, ...]:
@@ -52,60 +55,36 @@ def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
     return out
 
 
-def _inverse(cols: list[tuple]) -> list[list[Fraction]]:
-    n = len(cols)
-    rows = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = rows[col][col]
-        rows[col] = [v / scale for v in rows[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                k = rows[r][col]
-                rows[r] = [a - k * b for a, b in zip(rows[r], rows[col])]
-                inv[r] = [a - k * b for a, b in zip(inv[r], inv[col])]
-    return inv
-
-
 def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
-    """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i."""
+    """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i.
+
+    With W = P @ D @ Q (the g_i as columns), the lattice points of the span
+    are P @ (Z^k, 0) and the g_i span P @ (D Z^k, 0), so the points
+    P @ (kappa, 0) with 0 <= kappa_i < |D_ii| meet every class once.  Taking
+    the fractional parts of each one's coordinates in the g_i moves it into
+    the parallelepiped.  Full- and lower-dimensional pieces go the same way.
+    """
     n = gens[0].rank
+    k = len(gens)
     amb = gens[0].ambient
-    if len(gens) == n:
-        w = [[g.coords[i] for g in gens] for i in range(n)]
-        p_mat, d_mat, _ = diagonalize_int(w)
-        dets = [abs(d_mat[i][i]) for i in range(n)]
-        vol = prod(dets)
-        if vol == 0:
-            raise ValueError("generators are linearly dependent")
-        w_inv = _inverse([g.coords for g in gens])
-        out = []
-        for k in product(*[range(d) for d in dets]):
-            z = [sum(p_mat[i][j] * k[j] for j in range(n)) for i in range(n)]
-            a = [sum(w_inv[i][j] * z[j] for j in range(n)) for i in range(n)]
-            frac = [ai - floor(ai) for ai in a]
-            x = [sum(f * g.coords[i] for f, g in zip(frac, gens)) for i in range(n)]
-            if any(xi.denominator != 1 for xi in map(Fraction, x)):
-                raise RuntimeError("internal: reduced representative is not a lattice point")
-            out.append(vec([int(xi) for xi in x], amb))
-        if len(set(out)) != vol:
-            raise RuntimeError("internal: parallelepiped point count is off")
-        return out
-    # Lower-dimensional pieces: scan the bounding box and solve exactly.
-    los = [sum(min(0, g.coords[i]) for g in gens) for i in range(n)]
-    his = [sum(max(0, g.coords[i]) for g in gens) for i in range(n)]
-    rows = [[g.coords[i] for g in gens] for i in range(n)]
+    w = [[g.coords[i] for g in gens] for i in range(n)]
+    p_mat, d_mat, _ = diagonalize_int(w)
+    dets = [abs(d_mat[i][i]) for i in range(k)]
+    vol = prod(dets)
+    if vol == 0:
+        raise ValueError("generators are linearly dependent")
+    w_inv = left_inverse(w)
     out = []
-    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        res = solve_matrix(rows, list(coords))
-        if res.status != "unique":
-            continue
-        if all(0 <= a < 1 for a in res.solution):
-            out.append(vec(coords, amb))
+    for kappa in product(*[range(d) for d in dets]):
+        z = [sum(p_mat[i][j] * kappa[j] for j in range(k)) for i in range(n)]
+        a = [sum(w_inv[i][j] * z[j] for j in range(n)) for i in range(k)]
+        frac = [ai - floor(ai) for ai in a]
+        x = [sum(f * g.coords[i] for f, g in zip(frac, gens)) for i in range(n)]
+        if any(xi.denominator != 1 for xi in map(Fraction, x)):
+            raise RuntimeError("internal: reduced representative is not a lattice point")
+        out.append(vec([int(xi) for xi in x], amb))
+    if len(set(out)) != vol:
+        raise RuntimeError("internal: parallelepiped point count is off")
     return out
 
 

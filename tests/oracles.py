@@ -87,6 +87,27 @@ def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:
     return tuple(failures), clipped
 
 
+def box_parallelepiped_points(gens) -> list[Vec]:
+    """Reference for `semigroups._parallelepiped_points` by a box scan.
+
+    Every lattice point of the bounding box of {sum a_i g_i : 0 <= a_i < 1}
+    is solved for its coordinates in the independent g_i and kept when they
+    are all in [0, 1).  Works for any number of generators up to the rank.
+    """
+    n = gens[0].rank
+    los = [sum(min(0, g.coords[i]) for g in gens) for i in range(n)]
+    his = [sum(max(0, g.coords[i]) for g in gens) for i in range(n)]
+    rows = [[g.coords[i] for g in gens] for i in range(n)]
+    out = []
+    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
+        res = solve_matrix(rows, list(coords))
+        if res.status != "unique":
+            continue
+        if all(0 <= a < 1 for a in res.solution):
+            out.append(vec(coords, gens[0].ambient))
+    return out
+
+
 def m_delta_contains(c: Cone, m, x: Vec) -> bool:
     """Membership in the truncation {x in c : lambda_min(x) <= m}."""
     if not contains(c, x):

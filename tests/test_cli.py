@@ -1,8 +1,10 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +250,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_nonpositive_interior_bound_is_an_input_error(weighted_input, capsys, bound):
+    code, out, err = run(capsys, "verify", "interior-bound", weighted_input, "--interior-bound", bound)
+    assert code == 1
+    assert out == ""
+    assert "input error: --interior-bound must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_verify_text_tallies_hypothesis_rejections(capsys):
+    code, out, err = run(capsys, "verify", "generation", "--builtin", "projective_space(2,2)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2] == "summary: pass=0 fail=0 not_applicable=1"
+    assert lines[-1] == (
+        "hypothesis rejections: fan_is_not_projective_space=1, wall_values_meet_threshold=1"
+    )
+    code, out, err = run(capsys, "verify", "nef", "--builtin", "ew_simplex(4)")
+    assert code == 0
+    assert "hypothesis rejections" not in out
+    code, out, err = run(capsys, "verify", "generation", "--builtin", "projective_space(2,2)", "--json")
+    assert "hypothesis rejections" not in out
+
+
+def test_sharpness_demo_script_runs():
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "sharpness_demo.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all flips where expected" in proc.stdout

@@ -318,3 +318,10 @@ def test_random_instance_contract(seed, dim):
     ok = {h.name for h in rep.hypotheses if not h.holds}
     assert ok == set()
     assert rep.status == "pass"
+
+
+def test_interior_bound_rejects_nonpositive_bound():
+    inst = ew_simplex(4)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_interior_bound(inst, 0, bound=bound)

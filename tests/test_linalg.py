@@ -9,14 +9,16 @@ from toricva.linalg import (
     N,
     LinearSolution,
     Vec,
-    det_int,
     diagonalize_int,
     dual_ambient,
     is_primitive,
+    lattice_index,
+    left_inverse,
     matrix_rank,
     nullspace_matrix,
     pair,
     perp_basis,
+    pivot,
     primitivize,
     solve_exact,
     solve_matrix,
@@ -121,11 +123,11 @@ def test_perp_basis_ambient_and_primitivity():
         assert pair(w, vec([1, 1, 2], N)) == 0
 
 
-def test_det_examples():
-    assert det_int([[1, 1], [0, -1]]) == -1
-    assert det_int([[1, 1], [-1, 1]]) == 2
-    assert det_int([[2, 0], [0, 3]]) == 6
-    assert det_int([[1, 2], [2, 4]]) == 0
+def test_lattice_index_examples():
+    assert lattice_index([[1, 1], [0, -1]]) == 1
+    assert lattice_index([[1, 1], [-1, 1]]) == 2
+    assert lattice_index([[2, 0], [0, 3]]) == 6
+    assert lattice_index([[1, 2], [2, 4]]) == 0
 
 
 def _det_permutation(mat):
@@ -158,8 +160,8 @@ def _det_permutation(mat):
         lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
     )
 )
-def test_det_matches_permutation_expansion(mat):
-    assert det_int(mat) == _det_permutation(mat)
+def test_lattice_index_matches_permutation_expansion(mat):
+    assert lattice_index(mat) == abs(_det_permutation(mat))
 
 
 @settings(max_examples=60)
@@ -171,11 +173,47 @@ def test_det_matches_permutation_expansion(mat):
 def test_diagonalize_reconstructs(mat):
     p, d, q = diagonalize_int(mat)
     n = len(mat)
-    assert abs(det_int(p)) == 1
-    assert abs(det_int(q)) == 1
+    assert abs(_det_permutation(p)) == 1
+    assert abs(_det_permutation(q)) == 1
     for i in range(n):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0
             got = sum(p[i][k] * d[k][l] * q[l][j] for k in range(n) for l in range(n))
             assert got == mat[i][j]
+
+
+def test_lattice_index_of_fewer_columns():
+    # (1, 1, 0) and (1, -1, 0) span an index-2 sublattice of Z^2 x 0
+    assert lattice_index([[1, 1, 0], [1, -1, 0]]) == 2
+    assert lattice_index([[1, 0, 0], [0, 3, 0]]) == 3
+    assert lattice_index([[1, 2, 3], [2, 4, 6]]) == 0
+
+
+def test_pivot_scales_and_clears():
+    rows = [[Fraction(2), Fraction(4), Fraction(6)], [Fraction(1), Fraction(3), Fraction(5)]]
+    pivot(rows, 0, 0)
+    assert rows == [[1, 2, 3], [0, 1, 2]]
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.integers(min_value=k, max_value=4),
+            st.lists(st.lists(ints, min_size=k, max_size=k), min_size=4, max_size=4),
+        )
+    )
+)
+def test_left_inverse_of_full_column_rank(data):
+    m, rows = data
+    rows = rows[:m]
+    k = len(rows[0])
+    if matrix_rank(rows) < k:
+        with pytest.raises(ValueError):
+            left_inverse(rows)
+        return
+    inv = left_inverse(rows)
+    for i in range(k):
+        for j in range(k):
+            assert sum(inv[i][l] * rows[l][j] for l in range(m)) == int(i == j)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p2_fan, pointed_cones
-from oracles import semigroup_member, simplex_lattice_points
-from toricva.cones import cone_from_generators, dual_cone
+from oracles import box_parallelepiped_points, semigroup_member, simplex_lattice_points
+from toricva.cones import cone_from_generators, contains, dual_cone
 from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
-from toricva.linalg import M, N, pair, vec
-from toricva.semigroups import generates, hilbert_basis, lattice_points
+from toricva.linalg import M, N, matrix_rank, pair, vec
+from toricva.semigroups import _parallelepiped_points, generates, hilbert_basis, lattice_points
 
 
 def ncone(*coords):
@@ -198,3 +199,33 @@ def test_generates_agrees_with_exhaustive_search():
                 assert not semigroup_member(
                     pts, res.witness, saturation_budget(c, res.witness)
                 )
+
+
+def test_hilbert_basis_of_lower_dimensional_cone():
+    c = ncone((1, 0, 0, 0), (1, 3, 0, 0), (1, 1, 2, 0))
+    assert not c.is_full_dim
+    basis = hilbert_basis(c)
+    assert len(basis) == 7
+    assert all(h.coords[3] == 0 and contains(c, h) for h in basis)
+
+
+def independent_generator_sets(seed, count):
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+        if matrix_rank(gens) == k:
+            sets.append(tuple(vec(g, N) for g in gens))
+    return sets
+
+
+def test_parallelepiped_points_match_box_scan_oracle():
+    sets = independent_generator_sets(0, 100)
+    kinds = {(gens[0].rank, len(gens) == gens[0].rank) for gens in sets}
+    assert kinds == {(n, full) for n in (2, 3, 4) for full in (True, False)}
+    for gens in sets:
+        got = _parallelepiped_points(gens)
+        assert len(got) == len(set(got))
+        assert set(got) == set(box_parallelepiped_points(gens)), gens
