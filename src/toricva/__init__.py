@@ -20,7 +20,6 @@ from .fans import Fan, Wall, build_fan
 from .harness import (
     CheckReport,
     Instance,
-    RandomConfig,
     builtin,
     check_corner_containment,
     check_generation,
@@ -56,7 +55,6 @@ __all__ = [
     "build_fan",
     "CheckReport",
     "Instance",
-    "RandomConfig",
     "builtin",
     "check_corner_containment",
     "check_generation",

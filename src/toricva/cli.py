@@ -46,17 +46,12 @@ from .divisors import (
 from .fans import Fan, build_fan
 from .harness import (
     BUILTINS,
+    STATEMENTS,
     CheckReport,
     ConeData,
     Instance,
+    Statement,
     builtin,
-    check_corner_containment,
-    check_generation,
-    check_interior_bound,
-    check_nef_excluding_pspace,
-    check_nef_threshold,
-    check_nonregular_bound,
-    check_wall_bound,
     cone_table,
     generation_scan,
     random_instance,
@@ -64,17 +59,6 @@ from .harness import (
 from .intersections import wall_value
 from .linalg import N, vec
 from .semigroups import hilbert_basis
-
-GLOBAL_STATEMENTS = {
-    "generation": check_generation,
-    "nef-sharp": check_nef_excluding_pspace,
-    "nef": check_nef_threshold,
-    "corners": check_corner_containment,
-}
-
-CONE_STATEMENTS = ("wall-bound", "interior-bound", "nonregular-bound")
-
-STATEMENTS = tuple(GLOBAL_STATEMENTS) + CONE_STATEMENTS
 
 
 class InputError(Exception):
@@ -222,10 +206,9 @@ def _builtin_from_expr(expr: str) -> Instance:
         raise InputError(str(exc)) from None
 
 
-def _divisor_verdicts(fan: Fan, d: Divisor, want_very_ample: bool) -> dict:
-    out = {}
-    local, _ = try_local_data(fan, d)
-    out["q_cartier"] = local is not None
+def _divisor_verdicts(fan: Fan, d: Divisor, local, want_very_ample: bool) -> dict:
+    """Positivity verdicts of d from its local data (None when not Q-Cartier)."""
+    out = {"q_cartier": local is not None}
     if local is None:
         return out
     out["cartier"] = all(u.is_lattice for u in local)
@@ -339,9 +322,9 @@ def cmd_analyze(args, out) -> int:
             "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
         },
         "verdicts": {
-            "d": _divisor_verdicts(fan, d, args.very_ample),
-            "perturbation": _divisor_verdicts(fan, dp, False),
-            "combined": _divisor_verdicts(fan, total, args.very_ample),
+            "d": _divisor_verdicts(fan, d, local_d, args.very_ample),
+            "perturbation": _divisor_verdicts(fan, dp, local_dp, False),
+            "combined": _divisor_verdicts(fan, total, local_sum, args.very_ample),
         },
         "cones": _cones_json(fan, local_d, local_dp),
         "walls": _walls_json(fan, local_d, local_sum),
@@ -396,33 +379,33 @@ def _gather_instances(args) -> list[Instance]:
         raise InputError(str(exc)) from None
 
 
-def _run_statement(inst: Instance, args) -> list[CheckReport]:
-    name = args.statement
-    if name in GLOBAL_STATEMENTS:
-        return [GLOBAL_STATEMENTS[name](inst)]
-    cones = [args.sigma] if args.sigma is not None else range(len(inst.fan.max_cones))
-    reports = []
-    for ci in cones:
-        if not 0 <= ci < len(inst.fan.max_cones):
-            raise InputError(f"no maximal cone with index {ci}")
-        if name == "wall-bound":
-            r = Fraction(args.r) if args.r is not None else None
-            try:
-                reports.append(check_wall_bound(inst, ci, r))
-            except NotQCartier as exc:
-                raise InputError(
-                    f"{inst.label}: divisor has no local data on cone {exc.cone_index}"
-                ) from None
-            except ValueError as exc:
-                raise InputError(f"{inst.label}: {exc}") from None
-        elif name == "interior-bound":
-            reports.append(check_interior_bound(inst, ci, args.interior_bound))
-        else:
-            reports.append(check_nonregular_bound(inst, ci))
-    return reports
+def _run_statement(inst: Instance, statement: Statement, args) -> list[CheckReport]:
+    """Run the statement's check on the instance, once per maximal cone (or
+    on --sigma alone) for a per-cone statement, passing its other options."""
+    calls = [()]
+    if statement.per_cone:
+        ncones = len(inst.fan.max_cones)
+        if args.sigma is not None and not 0 <= args.sigma < ncones:
+            raise InputError(f"no maximal cone with index {args.sigma}")
+        cones = [args.sigma] if args.sigma is not None else range(ncones)
+        rest = [getattr(args, o) for o in statement.options[1:] if getattr(args, o) is not None]
+        calls = [(ci, *rest) for ci in cones]
+    try:
+        return [statement.check(inst, *call) for call in calls]
+    except NotQCartier as exc:
+        raise InputError(
+            f"{inst.label}: divisor has no local data on cone {exc.cone_index}"
+        ) from None
+    except ValueError as exc:
+        raise InputError(f"{inst.label}: {exc}") from None
 
 
 def cmd_verify(args, out) -> int:
+    statement = STATEMENTS[args.statement]
+    for option in ("sigma", "r", "interior_bound"):
+        if getattr(args, option) is not None and option not in statement.options:
+            flag = "--" + option.replace("_", "-")
+            raise InputError(f"{flag} does not apply to {args.statement}")
     if args.r is not None:
         try:
             r = Fraction(args.r)
@@ -430,15 +413,13 @@ def cmd_verify(args, out) -> int:
             raise InputError(f"--r: {args.r!r} is not a rational") from None
         if r <= 0:
             raise InputError("--r must be positive")
-        if args.statement != "wall-bound":
-            raise InputError("--r only applies to wall-bound")
-    if args.interior_bound < 1:
+    if args.interior_bound is not None and args.interior_bound < 1:
         raise InputError("--interior-bound must be at least 1")
     instances = _gather_instances(args)
     entries = []
     tally = {"pass": 0, "fail": 0, "not_applicable": 0}
     for inst in instances:
-        for rep in _run_statement(inst, args):
+        for rep in _run_statement(inst, statement, args):
             tally[rep.status] += 1
             entries.append(_report_json(rep))
     falsified = tally["fail"] > 0
@@ -457,7 +438,7 @@ def cmd_verify(args, out) -> int:
         print(f"statement: {args.statement}", file=out)
         for e in entries:
             cone_ids = [c["index"] for c in e["cones"]]
-            where = f" cone {cone_ids[0]}" if len(cone_ids) == 1 and args.statement in CONE_STATEMENTS else ""
+            where = f" cone {cone_ids[0]}" if len(cone_ids) == 1 and statement.per_cone else ""
             print(f"  {e['label']}{where}: {e['status']}", file=out)
             for h in e["hypotheses"]:
                 if not h["holds"]:
@@ -560,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--json", action="store_true", help="emit a JSON report")
 
     pv = sub.add_parser("verify", help="run one statement check")
-    pv.add_argument("statement", choices=STATEMENTS)
+    pv.add_argument("statement", choices=list(STATEMENTS))
     pv.add_argument("input", nargs="?", help="JSON input file")
     pv.add_argument("--builtin", help="builtin instance, e.g. 'ew_simplex(4)'")
     pv.add_argument(
@@ -577,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--interior-bound",
         type=int,
-        default=5,
         metavar="B",
         help="coordinate bound for interior-bound enumeration (default 5)",
     )

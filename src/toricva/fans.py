@@ -55,9 +55,6 @@ class Fan:
                 out.append(self.flip(w))
         return out
 
-    def neighbours(self, cone_index: int) -> list[int]:
-        return [w.tau for w in self.walls_of(cone_index)]
-
 
 def build_fan(rays, max_cones, rank: int) -> Fan:
     """Validate and assemble a complete fan.

@@ -6,6 +6,13 @@ alongside.  A failed hypothesis never aborts anything: the report is
 tagged not-applicable while still carrying whatever quantities were
 computable, so sharpness experiments can inspect conclusions on instances
 just outside a statement's reach.
+
+`STATEMENTS` declares each statement once: its command-line name, its check
+and the options the check takes.  The four global checks share one report
+skeleton and differ only in their threshold, the projective-space exclusion
+and the conclusion they draw from the combined divisor's local data; the
+three per-cone checks take a cone index.  `BUILTINS` is the table of named
+instance families.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .divisors import (
     try_local_data,
 )
 from .fans import Fan, build_fan
-from .hulls import affine_rank, hull_facets, hull_vertices
+from .hulls import affine_rank, convex_hull
 from .intersections import is_nef, wall_value
 from .lambdas import lambda_max, lambda_min
 from .linalg import M, N, Vec, lattice_index, pair, vec
@@ -234,23 +241,23 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     return tuple(failures)
 
 
-def check_generation(inst: Instance) -> CheckReport:
-    """Wall threshold n+1 (projective space excluded) forces the shifted
-    polytope of the perturbed divisor to generate every dual-cone semigroup."""
+def _global_report(
+    inst: Instance, statement: str, threshold: int, exclude_pspace: bool, conclude
+) -> CheckReport:
+    """The report skeleton of the global statements: shared hypotheses, then
+    conclude(fan, D+D', local data of D+D') -> (failures, notes) when D+D'
+    has local data, then the cone table.  The conclusion holds when nothing
+    failed."""
     fan = inst.fan
-    hyps, local_d, local_dp = _shared_hypotheses(inst, fan.rank + 1, exclude_pspace=True)
+    hyps, local_d, local_dp = _shared_hypotheses(inst, threshold, exclude_pspace)
     total = inst.d + inst.dprime
     local_sum, _ = try_local_data(fan, total)
-    conclusion = None
-    failures: tuple[Failure, ...] = ()
-    notes: list[str] = []
+    conclusion, failures, notes = None, (), ()
     if local_sum is not None:
-        failures = generation_scan(fan, total, local_sum)
+        failures, notes = conclude(fan, total, local_sum)
         conclusion = not failures
-        if conclusion and all(u.is_lattice for u in local_sum):
-            notes.append("combined divisor is Cartier and generates everywhere: very ample")
     return CheckReport(
-        "adjoint-generation",
+        statement,
         inst.label,
         tuple(hyps),
         conclusion,
@@ -260,39 +267,60 @@ def check_generation(inst: Instance) -> CheckReport:
     )
 
 
-def _nef_report(inst: Instance, statement: str, threshold: int, exclude_pspace: bool) -> CheckReport:
-    fan = inst.fan
-    hyps, local_d, local_dp = _shared_hypotheses(inst, threshold, exclude_pspace)
-    total = inst.d + inst.dprime
-    local_sum, _ = try_local_data(fan, total)
-    conclusion = None
-    failures: list[Failure] = []
-    if local_sum is not None:
-        for wi, w in enumerate(fan.walls):
-            val = wall_value(fan, local_sum, w)
-            if val < 0:
-                failures.append(Failure("wall", wi, f"combined divisor meets curve at {val}"))
-        conclusion = is_nef(fan, total)
-        if conclusion != (not failures):
-            raise RuntimeError("internal: nef verdict disagrees with wall scan")
-    return CheckReport(
-        statement,
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        tuple(failures),
-        cone_table(fan, local_d, local_dp),
+def _generation_conclusion(fan: Fan, total: Divisor, local_sum):
+    failures = generation_scan(fan, total, local_sum)
+    if not failures and all(u.is_lattice for u in local_sum):
+        return failures, ("combined divisor is Cartier and generates everywhere: very ample",)
+    return failures, ()
+
+
+def _nef_conclusion(fan: Fan, total: Divisor, local_sum):
+    failures = []
+    for wi, w in enumerate(fan.walls):
+        val = wall_value(fan, local_sum, w)
+        if val < 0:
+            failures.append(Failure("wall", wi, f"combined divisor meets curve at {val}"))
+    if is_nef(fan, total) != (not failures):
+        raise RuntimeError("internal: nef verdict disagrees with wall scan")
+    return failures, ()
+
+
+def _corner_conclusion(fan: Fan, total: Divisor, local_sum):
+    p = polytope(fan, total)
+    zero = vec((0,) * fan.rank, M)
+    failures = []
+    for ci, u in enumerate(local_sum):
+        shifted = translated_polytope(p, u)
+        for target in (zero, *dual_cone(fan.cones[ci]).rays):
+            if not poly_contains(shifted, target):
+                failures.append(Failure("cone", ci, f"shifted polytope misses {target.coords}"))
+    return failures, ()
+
+
+def check_generation(inst: Instance) -> CheckReport:
+    """Wall threshold n+1 (projective space excluded) forces the shifted
+    polytope of the perturbed divisor to generate every dual-cone semigroup."""
+    return _global_report(
+        inst, "adjoint-generation", inst.fan.rank + 1, True, _generation_conclusion
     )
 
 
 def check_nef_excluding_pspace(inst: Instance) -> CheckReport:
     """Wall threshold n, projective space excluded: the perturbed divisor is nef."""
-    return _nef_report(inst, "adjoint-nef-sharp", inst.fan.rank, exclude_pspace=True)
+    return _global_report(inst, "adjoint-nef-sharp", inst.fan.rank, True, _nef_conclusion)
 
 
 def check_nef_threshold(inst: Instance) -> CheckReport:
     """Wall threshold n+1, no exclusion: the perturbed divisor is nef."""
-    return _nef_report(inst, "adjoint-nef", inst.fan.rank + 1, exclude_pspace=False)
+    return _global_report(inst, "adjoint-nef", inst.fan.rank + 1, False, _nef_conclusion)
+
+
+def check_corner_containment(inst: Instance) -> CheckReport:
+    """Under the generation hypotheses, each shifted polytope contains the
+    origin and every primitive generator of its dual cone."""
+    return _global_report(
+        inst, "corner-containment", inst.fan.rank + 1, True, _corner_conclusion
+    )
 
 
 def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
@@ -380,37 +408,6 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     )
 
 
-def check_corner_containment(inst: Instance) -> CheckReport:
-    """Under the generation hypotheses, each shifted polytope contains the
-    origin and every primitive generator of its dual cone."""
-    fan = inst.fan
-    hyps, local_d, local_dp = _shared_hypotheses(inst, fan.rank + 1, exclude_pspace=True)
-    total = inst.d + inst.dprime
-    local_sum, _ = try_local_data(fan, total)
-    conclusion = None
-    failures: list[Failure] = []
-    if local_sum is not None:
-        p = polytope(fan, total)
-        for ci, u in enumerate(local_sum):
-            shifted = translated_polytope(p, u)
-            dual = dual_cone(fan.cones[ci])
-            zero = vec((0,) * fan.rank, M)
-            for target in (zero, *dual.rays):
-                if not poly_contains(shifted, target):
-                    failures.append(
-                        Failure("cone", ci, f"shifted polytope misses {target.coords}")
-                    )
-        conclusion = not failures
-    return CheckReport(
-        "corner-containment",
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        tuple(failures),
-        cone_table(fan, local_d, local_dp),
-    )
-
-
 def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckReport:
     """lambda_max of the perturbation's local point is at most lambda_max of
     every interior lattice point of the dual cone (coordinates up to `bound`)."""
@@ -481,6 +478,35 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
     )
 
 
+@dataclass(frozen=True)
+class Statement:
+    """One checked statement: its command-line name, its check, and the
+    options the check takes after the instance, in order.  A statement that
+    takes `sigma` is checked once per maximal cone."""
+
+    name: str
+    check: Callable[..., CheckReport]
+    options: tuple[str, ...] = ()
+
+    @property
+    def per_cone(self) -> bool:
+        return "sigma" in self.options
+
+
+STATEMENTS = {
+    s.name: s
+    for s in (
+        Statement("generation", check_generation),
+        Statement("nef-sharp", check_nef_excluding_pspace),
+        Statement("nef", check_nef_threshold),
+        Statement("corners", check_corner_containment),
+        Statement("wall-bound", check_wall_bound, ("sigma", "r")),
+        Statement("interior-bound", check_interior_bound, ("sigma", "interior_bound")),
+        Statement("nonregular-bound", check_nonregular_bound, ("sigma",)),
+    )
+}
+
+
 def polytope_fan(points) -> tuple[Fan, Divisor]:
     """Normal fan of a full-dimensional lattice polytope plus its support divisor.
 
@@ -488,15 +514,13 @@ def polytope_fan(points) -> tuple[Fan, Divisor]:
     returned fan, so every wall value is a positive edge length.
     """
     pts = [p if isinstance(p, Vec) else vec(p, M) for p in points]
-    facets = hull_facets(pts)
+    facets, vertices = convex_hull(pts)
     rays = [phi for phi, _ in facets]
     coeffs = tuple(-level for _, level in facets)
-    cones = []
-    for v in hull_vertices(pts):
-        tight = tuple(
-            i for i, (phi, level) in enumerate(facets) if pair(phi, v) == level
-        )
-        cones.append(tight)
+    cones = [
+        tuple(i for i, (phi, level) in enumerate(facets) if pair(phi, v) == level)
+        for v in vertices
+    ]
     fan = build_fan(rays, sorted(cones), pts[0].rank)
     return fan, Divisor(coeffs)
 
@@ -574,28 +598,17 @@ def ew_simplex(t: int) -> Instance:
     return Instance(inst.fan, inst.d, inst.dprime, f"ew_simplex(t={t})")
 
 
-@dataclass(frozen=True)
-class RandomConfig:
-    max_points: int = 6
-    box: int = 4
-    target_t: int = 3
-    max_denominator: int = 2
-    retries: int = 60
+# Sampling constants of random_instance: points per polytope, coordinate box
+# per dimension, perturbation denominators, and draws before giving up.
+_MAX_POINTS = 6
+_BOX = {2: 4, 3: 2}
+_MAX_DENOMINATOR = 2
+_RETRIES = 60
 
 
-def default_config(dim: int) -> RandomConfig:
-    return RandomConfig(
-        max_points=6,
-        box=4 if dim == 2 else 2,
-        target_t=dim + 1,
-        max_denominator=2,
-        retries=60,
-    )
-
-
-def random_instance(dim: int, seed: int, cfg: RandomConfig | None = None) -> Instance:
+def random_instance(dim: int, seed: int) -> Instance:
     """Deterministic random instance: normal fan of a random lattice polytope,
-    support divisor scaled until every wall value reaches cfg.target_t, and a
+    support divisor scaled until every wall value reaches dim + 1, and a
     random perturbation with coefficients in [-1, 0].
 
     Samples are rejected until every maximal cone is simplicial, so the random
@@ -603,15 +616,12 @@ def random_instance(dim: int, seed: int, cfg: RandomConfig | None = None) -> Ins
     """
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    cfg = cfg if cfg is not None else default_config(dim)
     rng = _random.Random(f"toricva:{dim}:{seed}")
+    box = _BOX[dim]
     fan = base = None
-    for _ in range(cfg.retries):
-        count = rng.randint(dim + 1, max(dim + 1, cfg.max_points))
-        raw = [
-            tuple(rng.randint(-cfg.box, cfg.box) for _ in range(dim))
-            for _ in range(count)
-        ]
+    for _ in range(_RETRIES):
+        count = rng.randint(dim + 1, max(dim + 1, _MAX_POINTS))
+        raw = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(count)]
         pts = [vec(p, M) for p in sorted(set(raw))]
         if len(pts) <= dim or affine_rank(pts) < dim:
             continue
@@ -621,13 +631,13 @@ def random_instance(dim: int, seed: int, cfg: RandomConfig | None = None) -> Ins
         fan, base = cand_fan, cand_base
         break
     if fan is None:
-        raise ValueError(f"no full-dimensional sample after {cfg.retries} retries")
+        raise ValueError(f"no full-dimensional sample after {_RETRIES} retries")
     local = local_data(fan, base)
     minv = _min_wall_value(fan, local)
-    scale = max(1, ceil(Fraction(cfg.target_t) / minv))
+    scale = max(1, ceil(Fraction(dim + 1) / minv))
     coeffs = []
     for _ in fan.rays:
-        den = rng.randint(1, cfg.max_denominator)
+        den = rng.randint(1, _MAX_DENOMINATOR)
         num = rng.randint(-den, 0)
         coeffs.append(Fraction(num, den))
     return Instance(

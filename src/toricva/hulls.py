@@ -1,12 +1,14 @@
-"""Convex hull helpers for small point sets, exact throughout."""
+"""Convex hulls of small lattice point sets, exact throughout.
+
+The hull of points p_1..p_k is read off the cone over the lifted points
+(1, p_i), built by the cone kernel: its rays are (1, v) for the vertices v,
+and each facet normal (-level, phi) is a facet <phi, x> >= level.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-
-from .linalg import Vec, dual_ambient, matrix_rank, nullspace, pair, primitivize
-from .lp import lp_feasible
+from .cones import cone_from_generators
+from .linalg import Scalar, Vec, matrix_rank
 
 
 def affine_rank(points: list[Vec]) -> int:
@@ -20,46 +22,22 @@ def affine_rank(points: list[Vec]) -> int:
     return matrix_rank(diffs)
 
 
-def hull_facets(points: list[Vec]) -> list[tuple[Vec, Fraction]]:
-    """Facets of a full-dimensional polytope given by its points.
+def convex_hull(points: list[Vec]) -> tuple[list[tuple[Vec, Scalar]], list[Vec]]:
+    """Facets and vertices of a full-dimensional lattice polytope given by its points.
 
-    Returns inner-oriented pairs (phi, level): <phi, p> >= level holds for
-    every input point, with equality exactly on the facet.  phi is a
-    primitive vector in the dual ambient.
+    Facets are inner-oriented pairs (phi, level), sorted: <phi, p> >= level
+    holds for every input point, with equality exactly on the facet, and
+    phi is a primitive vector in the dual ambient.  Vertices are sorted by
+    coordinates.
     """
-    n = points[0].rank
-    if affine_rank(points) != n:
+    if not all(p.is_lattice for p in points):
+        raise ValueError("hull points must be lattice points")
+    amb = points[0].ambient
+    lifted = cone_from_generators([Vec((1, *p.coords), amb) for p in points])
+    if not lifted.is_full_dim:
         raise ValueError("points do not span the ambient space")
-    amb = dual_ambient(points[0].ambient)
-    found = {}
-    for subset in combinations(points, n):
-        base = subset[0]
-        rows = [list((p - base).coords) for p in subset[1:]]
-        ns = nullspace(rows, n)
-        if len(ns) != 1:
-            continue
-        phi = primitivize(Vec(ns[0], amb))
-        level = pair(phi, base)
-        values = [pair(phi, q) for q in points]
-        if all(v >= level for v in values):
-            found[(phi.coords, level)] = (phi, level)
-        elif all(v <= level for v in values):
-            found[((-phi).coords, -level)] = (-phi, -level)
-    return [found[k] for k in sorted(found)]
-
-
-def hull_vertices(points: list[Vec]) -> list[Vec]:
-    """Vertices of conv(points): the points not in the hull of the others."""
-    pts = sorted(set(points), key=lambda p: p.coords)
-    out = []
-    for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not others:
-            out.append(p)
-            continue
-        rows = [[Fraction(q.coords[k]) for q in others] for k in range(p.rank)]
-        rows.append([Fraction(1)] * len(others))
-        rhs = [Fraction(c) for c in p.coords] + [Fraction(1)]
-        if lp_feasible(rows, rhs) is None:
-            out.append(p)
-    return out
+    facets = sorted(
+        ((Vec(w.coords[1:], w.ambient), -w.coords[0]) for w in lifted.facet_normals),
+        key=lambda f: (f[0].coords, f[1]),
+    )
+    return facets, [Vec(r.coords[1:], amb) for r in lifted.rays]

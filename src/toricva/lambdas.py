@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import Cone, cone_from_generators
-from .hulls import hull_facets
+from .hulls import convex_hull
 from .linalg import Scalar, Vec, dual_ambient, pair, solve_matrix, vec
 from .lp import lp_solve
 
@@ -102,7 +102,8 @@ def regular_subdivision(c: Cone) -> Subdivision:
         return Subdivision(c, (c,), (gens,), ((w, 1),))
 
     cells, cell_gens, functionals = [], [], []
-    for phi, beta in hull_facets(list(gens)):
+    facets, _ = convex_hull(list(gens))
+    for phi, beta in facets:
         if beta <= 0:
             continue
         tight = tuple(g for g in gens if pair(phi, g) == beta)

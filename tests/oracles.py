@@ -4,7 +4,9 @@ by the test suite.
 The fiber-polytope vertex enumeration here goes through plain subset
 enumeration and exact Gaussian solves, never through the simplex tableau.
 The box scans enumerate every lattice point of a bounding box, which the
-production code no longer does.
+production code no longer does.  The hull oracles find facets by a subset
+scan over the points and vertices by one LP per point, where production
+code builds one cone over the lifted points.
 """
 
 from dataclasses import dataclass
@@ -16,9 +18,11 @@ from toricva.cones import Cone, contains, dual_cone
 from toricva.divisors import Divisor, local_data, polytope, translated_polytope
 from toricva.fans import Fan
 from toricva.harness import Failure
+from toricva.hulls import affine_rank
 from toricva.intersections import wall_value
 from toricva.lambdas import lambda_min
-from toricva.linalg import Vec, solve_matrix, vec
+from toricva.linalg import Vec, dual_ambient, nullspace, pair, primitivize, solve_matrix, vec
+from toricva.lp import lp_feasible
 from toricva.semigroups import generates, lattice_points
 
 
@@ -105,6 +109,51 @@ def box_parallelepiped_points(gens) -> list[Vec]:
             continue
         if all(0 <= a < 1 for a in res.solution):
             out.append(vec(coords, gens[0].ambient))
+    return out
+
+
+def subset_hull_facets(points: list[Vec]) -> list[tuple[Vec, Fraction]]:
+    """Reference for the facets of `hulls.convex_hull` by a subset scan.
+
+    Every n-subset of the points whose affine span is a hyperplane gives a
+    candidate (phi, level), kept when all points lie on one side of it.
+    """
+    n = points[0].rank
+    if affine_rank(points) != n:
+        raise ValueError("points do not span the ambient space")
+    amb = dual_ambient(points[0].ambient)
+    found = {}
+    for subset in combinations(points, n):
+        base = subset[0]
+        rows = [list((p - base).coords) for p in subset[1:]]
+        ns = nullspace(rows, n)
+        if len(ns) != 1:
+            continue
+        phi = primitivize(Vec(ns[0], amb))
+        level = pair(phi, base)
+        values = [pair(phi, q) for q in points]
+        if all(v >= level for v in values):
+            found[(phi.coords, level)] = (phi, level)
+        elif all(v <= level for v in values):
+            found[((-phi).coords, -level)] = (-phi, -level)
+    return [found[k] for k in sorted(found)]
+
+
+def lp_hull_vertices(points: list[Vec]) -> list[Vec]:
+    """Reference for the vertices of `hulls.convex_hull`: the points that no
+    LP writes as a convex combination of the others."""
+    pts = sorted(set(points), key=lambda p: p.coords)
+    out = []
+    for i, p in enumerate(pts):
+        others = [q for j, q in enumerate(pts) if j != i]
+        if not others:
+            out.append(p)
+            continue
+        rows = [[Fraction(q.coords[k]) for q in others] for k in range(p.rank)]
+        rows.append([Fraction(1)] * len(others))
+        rhs = [Fraction(c) for c in p.coords] + [Fraction(1)]
+        if lp_feasible(rows, rhs) is None:
+            out.append(p)
     return out
 
 

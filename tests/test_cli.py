@@ -1,5 +1,6 @@
 """Command line behavior: formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from toricva import cli
-from toricva.harness import CheckReport, Hypothesis
+from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 
 
 def run(capsys, *argv):
@@ -146,7 +147,7 @@ def test_falsified_statement_exits_two(capsys, monkeypatch):
             (),
         )
 
-    monkeypatch.setitem(cli.GLOBAL_STATEMENTS, "nef", fake)
+    monkeypatch.setitem(STATEMENTS, "nef", dataclasses.replace(STATEMENTS["nef"], check=fake))
     code, doc = run_json(capsys, "verify", "nef", "--builtin", "weighted_112", "--json")
     assert code == 2
     assert doc["exit_status"] == 2
@@ -157,7 +158,7 @@ def test_internal_invariant_exits_two(capsys, monkeypatch):
     def boom(inst):
         raise RuntimeError("wall scan disagreement")
 
-    monkeypatch.setitem(cli.GLOBAL_STATEMENTS, "nef", boom)
+    monkeypatch.setitem(STATEMENTS, "nef", dataclasses.replace(STATEMENTS["nef"], check=boom))
     code, out, err = run(capsys, "verify", "nef", "--builtin", "weighted_112")
     assert code == 2
     assert "internal invariant" in err
@@ -259,6 +260,47 @@ def test_nonpositive_interior_bound_is_an_input_error(weighted_input, capsys, bo
     assert out == ""
     assert "input error: --interior-bound must be at least 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "statement, flag, value",
+    [
+        (name, flag, value)
+        for name in STATEMENTS
+        for flag, option, value in (
+            ("--sigma", "sigma", "1"),
+            ("--r", "r", "1"),
+            ("--interior-bound", "interior_bound", "3"),
+        )
+        if option not in STATEMENTS[name].options
+    ],
+)
+def test_option_a_statement_does_not_take_is_an_input_error(capsys, statement, flag, value):
+    code, out, err = run(capsys, "verify", statement, "--builtin", "weighted_112", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {flag} does not apply to {statement}" in err
+    assert "Traceback" not in err
+
+
+def test_options_are_checked_before_any_instance_is_built(capsys):
+    code, out, err = run(capsys, "verify", "nef", "--builtin", "no_such_builtin", "--sigma", "0")
+    assert code == 1
+    assert "input error: --sigma does not apply to nef" in err
+
+
+def test_interior_bound_defaults_to_five(capsys):
+    code, out, err = run(capsys, "verify", "interior-bound", "--builtin", "weighted_112", "--sigma", "0")
+    assert code == 0
+    assert "coordinate bound 5" in out
+
+
+def test_verify_choices_follow_the_statement_table():
+    verify = next(
+        a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction)
+    ).choices["verify"]
+    (statement,) = [a for a in verify._actions if a.dest == "statement"]
+    assert statement.choices == list(STATEMENTS)
 
 
 def test_verify_text_tallies_hypothesis_rejections(capsys):

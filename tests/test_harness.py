@@ -27,7 +27,6 @@ from toricva.harness import (
     check_nef_threshold,
     check_nonregular_bound,
     check_wall_bound,
-    default_config,
     ew_simplex,
     hirzebruch,
     intro_simplex,
@@ -312,7 +311,7 @@ def test_random_instance_contract(seed, dim):
     assert all(classify(c).simplicial for c in fan.cones)
     assert dprime_in_range(fan, inst.dprime)
     local = local_data(fan, inst.d)
-    target = default_config(dim).target_t
+    target = dim + 1
     assert min(wall_value(fan, local, w) for w in fan.walls) >= target
     rep = check_nef_threshold(inst)
     ok = {h.name for h in rep.hypotheses if not h.holds}
