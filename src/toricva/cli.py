@@ -523,8 +523,11 @@ def cmd_examples(args, out) -> int:
         },
     }
     target = Path(args.dir) / f"{_safe_name(inst.label)}.json"
-    with open(target, "w", encoding="utf-8") as fh:
-        _emit(doc, fh)
+    try:
+        with open(target, "w", encoding="utf-8") as fh:
+            _emit(doc, fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc.strerror or exc}") from None
     print(target, file=out)
     return 0
 
@@ -577,7 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills verify's optional INPUT only from positionals before the options.
+    if args.command == "verify" and args.input is None and extra and not extra[0].startswith("-"):
+        args.input = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     handlers = {
         "analyze": cmd_analyze,
         "verify": cmd_verify,

@@ -3,9 +3,11 @@
 A Cone eagerly stores both its primitive extreme rays and its primitive
 inner facet normals.  Cones of lower dimension than the ambient lattice
 additionally carry span equations, so membership tests stay a matter of
-evaluating pairings.  All enumeration is subset-based: fine at desk scale
-(rank <= 6, a couple dozen rays), which is the regime everything here
-operates in.
+evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
+into generators: facet normals (the dual's rays, which also decide
+pointedness without an LP), intersections, and in `divisors` polytope
+vertices and boundedness.  It is fine at desk scale (rank <= 6, a couple
+dozen rays), which is the regime everything here operates in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     perp_basis,
     primitivize,
 )
-from .lp import lp_feasible
 
 
 @dataclass(frozen=True)
@@ -65,24 +66,29 @@ def _sorted_vecs(vecs) -> tuple[Vec, ...]:
     return tuple(sorted(set(vecs), key=lambda v: v.coords))
 
 
-def _facet_normals(rays: list[Vec], eqs: list[Vec], rank: int, dim: int) -> tuple[Vec, ...]:
-    """All facet-supporting normals of cone(rays), within its span.
+def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
+    """Sorted primitive extreme rays of the cone
+    {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}, x in `ambient`.
 
-    A facet of a dim-dimensional cone contains dim-1 independent
-    generators, so scanning (dim-1)-subsets finds every facet.  The span
-    equations pin the normal's component transverse to the span, making
-    the choice deterministic.
+    Rows are vectors of one rank, paired with x by their coordinates.  An
+    extreme ray is the one-dimensional nullspace of eqs and of
+    rank - 1 - rank(eqs) inequalities tight on it, so scanning those subsets
+    finds every ray.  A cone containing a line has no extreme ray; the scan
+    then returns nothing or one vector of that line.
     """
-    amb = dual_ambient(rays[0].ambient)
+    ineq_rows = [list(f.coords) for f in ineqs]
     eq_rows = [list(e.coords) for e in eqs]
+    rank = len((ineq_rows or eq_rows)[0])
+    k = rank - 1 - matrix_rank(eq_rows)
+    if k < 0:
+        return ()
     found = set()
-    for subset in combinations(rays, dim - 1):
-        rows = [list(r.coords) for r in subset] + eq_rows
-        ns = nullspace(rows, rank)
+    for subset in combinations(ineq_rows, k):
+        ns = nullspace(list(subset) + eq_rows, rank)
         if len(ns) != 1:
             continue
-        w = primitivize(Vec(ns[0], amb))
-        values = [pair(w, r) for r in rays]
+        w = primitivize(Vec(ns[0], ambient))
+        values = [sum(a * b for a, b in zip(f, w.coords)) for f in ineq_rows]
         if all(v >= 0 for v in values):
             found.add(w)
         elif all(v <= 0 for v in values):
@@ -90,11 +96,15 @@ def _facet_normals(rays: list[Vec], eqs: list[Vec], rank: int, dim: int) -> tupl
     return _sorted_vecs(found)
 
 
+class NotPointed(ValueError):
+    """Raised when generators span a cone that contains a line."""
+
+
 def cone_from_generators(gens: list[Vec]) -> Cone:
     """Build a pointed cone, discarding redundant generators.
 
-    Raises ValueError on an empty list, a zero generator, or a non-pointed
-    generating set.
+    Raises ValueError on an empty list or a zero generator, and NotPointed
+    on a non-pointed generating set.
     """
     gens = list(gens)
     if not gens:
@@ -107,14 +117,12 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
         raise ValueError("zero generator")
     prim = sorted({primitivize(g) for g in gens}, key=lambda v: v.coords)
 
-    # Pointed iff 0 is not a convex combination of the generators.
-    aug_rows = [[g.coords[i] for g in prim] for i in range(rank)] + [[1] * len(prim)]
-    if lp_feasible(aug_rows, [0] * rank + [1]) is not None:
-        raise ValueError("not pointed")
-
+    # The facet normals are the rays of the dual, taken orthogonal to the
+    # span equations; the cone is pointed iff they span that complement.
     eqs = perp_basis(prim)
-    dim = rank - len(eqs)
-    normals = _facet_normals(prim, eqs, rank, dim)
+    normals = extreme_rays(prim, eqs, dual_ambient(amb))
+    if matrix_rank([list(f.coords) for f in normals]) != rank - len(eqs):
+        raise NotPointed("not pointed")
 
     eq_rows = [list(e.coords) for e in eqs]
     extreme = []
@@ -162,33 +170,14 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     """Intersection of two pointed cones sharing an ambient lattice."""
     if a.ambient != b.ambient or a.rank != b.rank:
         raise ValueError("cones live in different ambients")
-    rank = a.rank
-    ineqs = list(dict.fromkeys(list(a.facet_normals) + list(b.facet_normals)))
-    eq_rows = [list(e.coords) for e in a.span_equations] + [
-        list(e.coords) for e in b.span_equations
-    ]
-
-    def ok(v: Vec) -> bool:
-        return all(pair(f, v) >= 0 for f in ineqs) and all(
-            sum(e[i] * v.coords[i] for i in range(rank)) == 0 for e in eq_rows
-        )
-
-    found = set()
-    max_k = rank - 1 - matrix_rank(eq_rows) if eq_rows else rank - 1
-    for k in range(0, max(max_k, 0) + 1):
-        for subset in combinations(ineqs, k):
-            rows = [list(f.coords) for f in subset] + eq_rows
-            ns = nullspace(rows, rank)
-            if len(ns) != 1:
-                continue
-            w = primitivize(Vec(ns[0], a.ambient))
-            if ok(w):
-                found.add(w)
-            if ok(-w):
-                found.add(-w)
-    if not found:
-        return zero_cone(rank, a.ambient)
-    return cone_from_generators(sorted(found, key=lambda v: v.coords))
+    rays = extreme_rays(
+        dict.fromkeys(a.facet_normals + b.facet_normals),
+        a.span_equations + b.span_equations,
+        a.ambient,
+    )
+    if not rays:
+        return zero_cone(a.rank, a.ambient)
+    return cone_from_generators(list(rays))
 
 
 def is_face(face_rays, c: Cone) -> bool:

@@ -3,18 +3,20 @@
 A divisor is a coefficient per global ray.  The central objects are the
 local data u_sigma (the unique dual vector with <u_sigma, v_i> = -d_i on
 each maximal cone, when it exists) and the rational polytope
-P = {u : <u, v_i> >= -d_i}.
+P = {u : <u, v_i> >= -d_i}.  A Polytope holds only its halfspaces; its
+vertices are read on first access off the cone over P (Cox-Little-Schenck,
+Toric Varieties, 4.3) by the cone kernel's `extreme_rays`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 
+from .cones import extreme_rays
 from .fans import Fan
-from .linalg import Scalar, Vec, _norm_coord, dual_ambient, pair, solve_exact
-from .lp import in_nonneg_span
+from .linalg import Scalar, Vec, _norm_coord, dual_ambient, matrix_rank, pair, solve_exact
 
 
 @dataclass(frozen=True)
@@ -103,37 +105,37 @@ def dprime_in_range(fan: Fan, dp: Divisor) -> bool:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Rational polytope {u : <u, normal_i> >= -offset_i} with cached vertices."""
+    """Rational polytope {u : <u, normal_i> >= -offset_i}."""
 
     halfspaces: tuple[tuple[Vec, Scalar], ...]
-    vertices: tuple[Vec, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        """Sorted vertices, computed on first access: the rays (t, u) with
+        t > 0 of the cone {t >= 0, offset_i t + <u, normal_i> >= 0}, scaled
+        to t = 1.  Empty when the polytope is empty or contains a line."""
+        normal, _ = self.halfspaces[0]
+        rows = [Vec((1,) + (0,) * normal.rank, normal.ambient)] + [
+            Vec((d, *v.coords), v.ambient) for v, d in self.halfspaces
+        ]
+        amb = dual_ambient(normal.ambient)
+        verts = (
+            Vec(r.coords[1:], amb).scale(Fraction(1, r.coords[0]))
+            for r in extreme_rays(rows, (), amb)
+            if r.coords[0] > 0
+        )
+        return tuple(sorted(verts, key=lambda v: v.coords))
 
 
 def poly_contains(p: Polytope, x: Vec) -> bool:
     return all(pair(x, v) >= -d for v, d in p.halfspaces)
 
 
-def _vertex_enumeration(halfspaces) -> tuple[Vec, ...]:
-    if not halfspaces:
-        raise ValueError("a polytope needs at least one halfspace")
-    rank = halfspaces[0][0].rank
-    amb = dual_ambient(halfspaces[0][0].ambient)
-    verts = set()
-    for subset in combinations(halfspaces, rank):
-        rows = [v for v, _ in subset]
-        rhs = [-d for _, d in subset]
-        res = solve_exact(rows, rhs, ambient=amb)
-        if res.status != "unique":
-            continue
-        u = res.solution
-        if all(pair(u, v) >= -d for v, d in halfspaces):
-            verts.add(u)
-    return tuple(sorted(verts, key=lambda v: v.coords))
-
-
 def polytope_from_halfspaces(halfspaces) -> Polytope:
     hs = tuple((v, _norm_coord(d)) for v, d in halfspaces)
-    return Polytope(hs, _vertex_enumeration(hs))
+    if not hs:
+        raise ValueError("a polytope needs at least one halfspace")
+    return Polytope(hs)
 
 
 def polytope(fan: Fan, d: Divisor) -> Polytope:
@@ -148,24 +150,13 @@ def polytope(fan: Fan, d: Divisor) -> Polytope:
 
 def translated_polytope(p: Polytope, u: Vec) -> Polytope:
     """The polytope shifted by -u, so that u becomes the origin."""
-    hs = tuple((v, _norm_coord(d + pair(u, v))) for v, d in p.halfspaces)
-    return Polytope(hs, tuple(w - u for w in p.vertices))
+    return Polytope(tuple((v, _norm_coord(d + pair(u, v))) for v, d in p.halfspaces))
 
 
 def is_bounded(p: Polytope) -> bool:
-    """True when the recession cone is trivial.
-
-    Equivalent to the halfspace normals positively spanning the dual space.
-    """
+    """True when the recession cone {u : <u, normal_i> >= 0} is trivial: the
+    normals span, so that cone is pointed, and it has no extreme ray."""
     normals = [v for v, _ in p.halfspaces]
-    if not normals:
+    if matrix_rank([v.coords for v in normals]) < normals[0].rank:
         return False
-    rank = normals[0].rank
-    cols = [n.coords for n in normals]
-    for i in range(rank):
-        for sign in (1, -1):
-            target = [0] * rank
-            target[i] = sign
-            if not in_nonneg_span(cols, target):
-                return False
-    return True
+    return not extreme_rays(normals, (), dual_ambient(normals[0].ambient))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, cone_from_generators, intersect_cones, is_face
+from .cones import Cone, NotPointed, cone_from_generators, intersect_cones, is_face
 from .linalg import Vec, is_primitive, pair
 
 
@@ -81,7 +81,10 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         idxs = tuple(sorted(set(idxs)))
         if any(i < 0 or i >= len(rays) for i in idxs):
             raise ValueError(f"not a fan: cone {ci} names an unknown ray")
-        c = cone_from_generators([rays[i] for i in idxs])
+        try:
+            c = cone_from_generators([rays[i] for i in idxs])
+        except NotPointed:
+            raise ValueError(f"not a fan: cone {ci} is not pointed") from None
         if not c.is_full_dim:
             raise ValueError(f"not a fan: cone {ci} is not full-dimensional")
         if set(c.rays) != {rays[i] for i in idxs}:

@@ -507,6 +507,16 @@ STATEMENTS = {
 }
 
 
+def _normal_fan_data(pts: list[Vec]) -> tuple[list[Vec], list[tuple[int, ...]], Divisor]:
+    """Rays, sorted maximal-cone index sets and support divisor of the normal
+    fan of conv(pts), read off one hull without building the fan."""
+    facets, vertices = convex_hull(pts)
+    cones = [
+        tuple(i for i, (phi, lvl) in enumerate(facets) if pair(phi, v) == lvl) for v in vertices
+    ]
+    return [phi for phi, _ in facets], sorted(cones), Divisor(tuple(-lvl for _, lvl in facets))
+
+
 def polytope_fan(points) -> tuple[Fan, Divisor]:
     """Normal fan of a full-dimensional lattice polytope plus its support divisor.
 
@@ -514,15 +524,8 @@ def polytope_fan(points) -> tuple[Fan, Divisor]:
     returned fan, so every wall value is a positive edge length.
     """
     pts = [p if isinstance(p, Vec) else vec(p, M) for p in points]
-    facets, vertices = convex_hull(pts)
-    rays = [phi for phi, _ in facets]
-    coeffs = tuple(-level for _, level in facets)
-    cones = [
-        tuple(i for i, (phi, level) in enumerate(facets) if pair(phi, v) == level)
-        for v in vertices
-    ]
-    fan = build_fan(rays, sorted(cones), pts[0].rank)
-    return fan, Divisor(coeffs)
+    rays, cones, base = _normal_fan_data(pts)
+    return build_fan(rays, cones, pts[0].rank), base
 
 
 def projective_space(n: int, t: int | None = None) -> Instance:
@@ -612,24 +615,24 @@ def random_instance(dim: int, seed: int) -> Instance:
     random perturbation with coefficients in [-1, 0].
 
     Samples are rejected until every maximal cone is simplicial, so the random
-    perturbation always has local data.
+    perturbation always has local data; a cone is simplicial when its vertex
+    lies on dim facets, so draws are judged before their fan is built.
     """
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     rng = _random.Random(f"toricva:{dim}:{seed}")
     box = _BOX[dim]
-    fan = base = None
+    fan = None
     for _ in range(_RETRIES):
         count = rng.randint(dim + 1, max(dim + 1, _MAX_POINTS))
         raw = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(count)]
         pts = [vec(p, M) for p in sorted(set(raw))]
         if len(pts) <= dim or affine_rank(pts) < dim:
             continue
-        cand_fan, cand_base = polytope_fan(pts)
-        if any(not classify(c).simplicial for c in cand_fan.cones):
-            continue
-        fan, base = cand_fan, cand_base
-        break
+        rays, cones, base = _normal_fan_data(pts)
+        if all(len(c) == dim for c in cones):
+            fan = build_fan(rays, cones, dim)
+            break
     if fan is None:
         raise ValueError(f"no full-dimensional sample after {_RETRIES} retries")
     local = local_data(fan, base)

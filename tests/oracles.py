@@ -6,7 +6,9 @@ enumeration and exact Gaussian solves, never through the simplex tableau.
 The box scans enumerate every lattice point of a bounding box, which the
 production code no longer does.  The hull oracles find facets by a subset
 scan over the points and vertices by one LP per point, where production
-code builds one cone over the lifted points.
+code builds one cone over the lifted points.  Pointedness and boundedness
+are decided by LPs and polytope vertices by exact solves of every square
+subsystem, where production code reads all three off `cones.extreme_rays`.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,16 @@ from toricva.harness import Failure
 from toricva.hulls import affine_rank
 from toricva.intersections import wall_value
 from toricva.lambdas import lambda_min
-from toricva.linalg import Vec, dual_ambient, nullspace, pair, primitivize, solve_matrix, vec
+from toricva.linalg import (
+    Vec,
+    dual_ambient,
+    nullspace,
+    pair,
+    primitivize,
+    solve_exact,
+    solve_matrix,
+    vec,
+)
 from toricva.lp import lp_feasible
 from toricva.semigroups import generates, lattice_points
 
@@ -155,6 +166,45 @@ def lp_hull_vertices(points: list[Vec]) -> list[Vec]:
         if lp_feasible(rows, rhs) is None:
             out.append(p)
     return out
+
+
+def lp_pointed(gens: list[Vec]) -> bool:
+    """Reference for the pointedness test of `cones.cone_from_generators`:
+    nonzero generators span a pointed cone iff 0 is not a convex
+    combination of them."""
+    rank = gens[0].rank
+    rows = [[g.coords[i] for g in gens] for i in range(rank)] + [[1] * len(gens)]
+    return lp_feasible(rows, [0] * rank + [1]) is None
+
+
+def lp_bounded(halfspaces) -> bool:
+    """Reference for `divisors.is_bounded`: the normals positively span the
+    space: every unit vector and its negative is a nonnegative
+    combination of them, decided by one LP each."""
+    cols = [v.coords for v, _ in halfspaces]
+    rank = len(cols[0])
+    for i in range(rank):
+        for sign in (1, -1):
+            target = [sign * int(j == i) for j in range(rank)]
+            if lp_feasible([[c[k] for c in cols] for k in range(rank)], target) is None:
+                return False
+    return True
+
+
+def subset_vertices(halfspaces) -> tuple[Vec, ...]:
+    """Reference for `divisors.Polytope.vertices`: the feasible unique
+    solutions of every rank-sized subsystem of <u, v> = -d, sorted."""
+    rank = halfspaces[0][0].rank
+    amb = dual_ambient(halfspaces[0][0].ambient)
+    verts = set()
+    for subset in combinations(halfspaces, rank):
+        res = solve_exact([v for v, _ in subset], [-d for _, d in subset], ambient=amb)
+        if res.status != "unique":
+            continue
+        u = res.solution
+        if all(pair(u, v) >= -d for v, d in halfspaces):
+            verts.add(u)
+    return tuple(sorted(verts, key=lambda v: v.coords))
 
 
 def m_delta_contains(c: Cone, m, x: Vec) -> bool:

@@ -197,6 +197,10 @@ def test_input_validation_messages(tmp_path, capsys):
         ),
         ({"rank": 1, "rays": [[1]], "max_cones": [[0]]}, "rank"),
         (
+            {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1, 2]]},
+            "not a fan: cone 0 is not pointed",
+        ),
+        (
             {
                 "rank": 2,
                 "rays": [[1, 1], [-1, 1], [0, -1]],
@@ -223,6 +227,31 @@ def test_input_validation_messages(tmp_path, capsys):
         assert needle in err, (needle, err)
 
 
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_examples_unwritable_dir_is_an_input_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "deeper"
+    if where == "file":
+        target = tmp_path / "plain.txt"
+        target.write_text("")
+    code, out, err = run(capsys, "examples", "--emit", "ew_simplex(4)", "--dir", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"toricva: input error: cannot write {target}")
+
+
+@pytest.mark.parametrize("options", [["--json"], ["--sigma", "1"]])
+def test_verify_input_may_follow_options(weighted_input, capsys, options):
+    statement = "nef" if options == ["--json"] else "wall-bound"
+    before = run(capsys, "verify", statement, weighted_input, *options)
+    after = run(capsys, "verify", statement, *options, weighted_input)
+    assert before[0] == 0
+    assert after == before
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", statement, *options, weighted_input, "extra"])
+    assert exc.value.code == 1
+    assert "input error: unrecognized arguments: extra" in capsys.readouterr().err
+
+
 def test_missing_divisor_name(weighted_input, capsys):
     code, out, err = run(capsys, "analyze", weighted_input, "--d", "nope")
     assert code == 1
@@ -244,10 +273,12 @@ def test_rational_coefficients_accepted(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "toricva.cli", "verify", "nef", "--builtin", "ew_simplex(4)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout

@@ -1,10 +1,14 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import lp_pointed
 from toricva.cones import (
+    NotPointed,
     classify,
     cone_from_generators,
     contains,
@@ -13,7 +17,7 @@ from toricva.cones import (
     is_face,
     zero_cone,
 )
-from toricva.linalg import M, N, matrix_rank, pair, vec
+from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
 from toricva.lp import in_nonneg_span
 
 
@@ -155,3 +159,74 @@ def test_facets_match_rays_of_dual(c):
         assert all(pair(f, r) >= 0 for r in c.rays)
         tight = [r for r in c.rays if pair(f, r) == 0]
         assert matrix_rank([list(r.coords) for r in tight]) == c.rank - 1
+
+
+def random_generators(rng, rank, span=None):
+    """1..rank+2 nonzero integer vectors drawn from a random span of
+    dimension `span` (random when not given), so that full-dimensional,
+    lower-dimensional and non-pointed sets all occur."""
+    span = span or rng.randint(1, rank)
+    basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(span)]
+    count = rng.randint(1, rank + 2)
+    gens = []
+    while len(gens) < count:
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        g = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(rank)]
+        if any(g):
+            gens.append(vec(g, N))
+    return gens
+
+
+def sample_points(rng, rank, gens, count=8):
+    """Random points plus small combinations of gens with one coefficient
+    possibly negative, so points inside and just outside the span occur."""
+    pts = [vec([rng.randint(-3, 3) for _ in range(rank)], N) for _ in range(2)]
+    while len(pts) < count:
+        coeffs = [rng.randint(0, 2) for _ in gens]
+        coeffs[rng.randrange(len(gens))] -= rng.randint(0, 1)
+        x = [sum(c * g.coords[i] for c, g in zip(coeffs, gens)) for i in range(rank)]
+        pts.append(vec(x, N))
+    return pts
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_cone_from_generators_matches_lp_oracles(rank):
+    rng = random.Random(f"cone_from_generators:{rank}")
+    kinds = Counter()
+    for _ in range(60):
+        gens = random_generators(rng, rank)
+        if not lp_pointed(gens):
+            with pytest.raises(NotPointed):
+                cone_from_generators(gens)
+            kinds["not pointed"] += 1
+            continue
+        c = cone_from_generators(gens)
+        kinds["full" if c.is_full_dim else "lower"] += 1
+        prim = {primitivize(g) for g in gens}
+        extreme = {
+            g for g in prim if not in_nonneg_span([h.coords for h in prim if h != g], g.coords)
+        }
+        assert set(c.rays) == extreme, gens
+        for x in sample_points(rng, rank, gens):
+            assert contains(c, x) == in_nonneg_span([g.coords for g in gens], x.coords), (gens, x)
+    assert kinds["not pointed"] and kinds["full"] and kinds["lower"], kinds
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_intersect_cones_matches_membership(rank):
+    rng = random.Random(f"intersect_cones:{rank}")
+    pool = []
+    while len(pool) < rank + 3:
+        pool += random_generators(rng, rank, span=rank)
+    pairs = lower = 0
+    while pairs < 40:
+        try:
+            a, b = (cone_from_generators(rng.sample(pool, rng.randint(1, rank + 1))) for _ in "ab")
+        except NotPointed:
+            continue
+        pairs += 1
+        f = intersect_cones(a, b)
+        lower += not f.is_full_dim
+        for x in sample_points(rng, rank, list(a.rays + b.rays), count=12):
+            assert contains(f, x) == (contains(a, x) and contains(b, x)), (a, b, x)
+    assert lower, "expected some lower-dimensional intersections"

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import p2_fan, p3_fan, p112_fan, quadric3_fan
+from oracles import lp_bounded, subset_vertices
 from toricva.divisors import (
     Divisor,
     NotQCartier,
@@ -143,3 +146,26 @@ def test_polytope_vertices_lie_in_every_halfspace(cs):
     p = polytope(fan, Divisor(tuple(cs)))
     for v in p.vertices:
         assert poly_contains(p, v)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_vertices_and_boundedness_match_oracles(rank):
+    rng = random.Random(f"vertices:{rank}")
+    kinds = Counter()
+    for _ in range(60):
+        # Half the systems contain the normals of a simplex, so they are bounded or empty.
+        normals = [[-1] * rank] + [[int(i == j) for j in range(rank)] for i in range(rank)]
+        normals = normals[: rng.choice((0, rank + 1))]
+        count = rng.randint(rank, rank + 3)
+        while len(normals) < count:
+            normal = [rng.randint(-2, 2) for _ in range(rank)]
+            if any(normal):
+                normals.append(normal)
+        halfspaces = [
+            (vec(v, N), Fraction(rng.randint(-4, 6), rng.randint(1, 2))) for v in normals
+        ]
+        p = polytope_from_halfspaces(halfspaces)
+        assert p.vertices == subset_vertices(p.halfspaces), halfspaces
+        assert is_bounded(p) == lp_bounded(p.halfspaces), halfspaces
+        kinds["unbounded" if not is_bounded(p) else "bounded" if p.vertices else "empty"] += 1
+    assert kinds["bounded"] and kinds["unbounded"] and kinds["empty"], kinds

@@ -102,3 +102,9 @@ def test_lower_dim_cone_rejected():
     rays = nvecs((1, 0), (-1, 0))
     with pytest.raises(ValueError, match="full-dimensional"):
         build_fan(rays, [(0,), (1,)], 2)
+
+
+def test_non_pointed_cone_named():
+    rays = nvecs((1, 0), (0, 1), (-1, -1))
+    with pytest.raises(ValueError, match="not a fan: cone 1 is not pointed"):
+        build_fan(rays, [(0, 1), (0, 1, 2)], 2)
