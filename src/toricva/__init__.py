@@ -33,7 +33,7 @@ from .harness import (
     random_instance,
 )
 from .intersections import edge_lengths, is_nef, wall_value, wall_values
-from .lambdas import lambda_max, lambda_min, regular_subdivision
+from .lambdas import CoefficientSums, lambda_max, lambda_min, regular_subdivision
 from .linalg import M, N, Vec, vec
 from .semigroups import generates, hilbert_basis, lattice_points
 
@@ -70,6 +70,7 @@ __all__ = [
     "is_nef",
     "wall_value",
     "wall_values",
+    "CoefficientSums",
     "lambda_max",
     "lambda_min",
     "regular_subdivision",

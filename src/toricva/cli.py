@@ -33,7 +33,6 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .cones import dual_cone
 from .divisors import (
     Divisor,
     NotQCartier,
@@ -468,7 +467,7 @@ def cmd_hilbert(args, out) -> int:
     fan, divisors = load_document(args.input)
     if not 0 <= args.sigma < len(fan.max_cones):
         raise InputError(f"no maximal cone with index {args.sigma}")
-    dual = dual_cone(fan.cones[args.sigma])
+    dual = fan.duals[args.sigma]
     basis = hilbert_basis(dual)
     doc = {
         "command": "hilbert",

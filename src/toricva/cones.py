@@ -7,7 +7,9 @@ evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
 into generators: facet normals (the dual's rays, which also decide
 pointedness without an LP), intersections, and in `divisors` polytope
 vertices and boundedness.  It is fine at desk scale (rank <= 6, a couple
-dozen rays), which is the regime everything here operates in.
+dozen rays), which is the regime everything here operates in.  `triangulate`
+splits a cone into simplicial cones on its own rays, for Hilbert bases and
+for the witnesses of coefficient sums.
 """
 
 from __future__ import annotations
@@ -154,6 +156,21 @@ def dual_cone(c: Cone) -> Cone:
     if set(d.facet_normals) != set(c.rays):
         raise RuntimeError("internal: biduality check failed")
     return d
+
+
+def triangulate(c: Cone) -> list[tuple[Vec, ...]]:
+    """Split a pointed cone into simplicial cones on the same ray set."""
+    if len(c.rays) == c.dim:
+        return [c.rays]
+    pivot = c.rays[0]
+    out = []
+    for f in c.facet_normals:
+        if pair(f, pivot) == 0:
+            continue
+        tight = [r for r in c.rays if pair(f, r) == 0]
+        for simplex in triangulate(cone_from_generators(tight)):
+            out.append(simplex + (pivot,))
+    return out
 
 
 def classify(c: Cone) -> ConeClass:

@@ -17,8 +17,10 @@ candidate test rays for wall-crossing computations; all of them are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cones import Cone, NotPointed, cone_from_generators, intersect_cones, is_face
+from .cones import Cone, NotPointed, cone_from_generators, dual_cone, intersect_cones, is_face
+from .lambdas import CoefficientSums
 from .linalg import Vec, is_primitive, pair
 
 
@@ -38,6 +40,19 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
     cones: tuple[Cone, ...]
     walls: tuple[Wall, ...]
+
+    # Derived per-cone data, built on first use and kept for the fan's
+    # lifetime; cached properties are not fields, so equality and hashing
+    # ignore them.
+    @cached_property
+    def duals(self) -> tuple[Cone, ...]:
+        """The dual of each maximal cone, biduality-checked once per fan."""
+        return tuple(dual_cone(c) for c in self.cones)
+
+    @cached_property
+    def coefficient_sums(self) -> tuple[CoefficientSums, ...]:
+        """lambda_min and lambda_max on each maximal cone's dual."""
+        return tuple(CoefficientSums(d) for d in self.duals)
 
     def flip(self, wall: Wall) -> Wall:
         """The same wall viewed from the other side."""
@@ -79,6 +94,8 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     used = set()
     for ci, idxs in enumerate(max_cones):
         idxs = tuple(sorted(set(idxs)))
+        if not idxs:
+            raise ValueError(f"not a fan: cone {ci} has no rays")
         if any(i < 0 or i >= len(rays) for i in idxs):
             raise ValueError(f"not a fan: cone {ci} names an unknown ray")
         try:

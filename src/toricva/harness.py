@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import ceil
 from typing import Callable
 
-from .cones import classify, contains, dual_cone
+from .cones import classify, contains
 from .divisors import (
     Divisor,
     canonical_divisor,
@@ -38,7 +38,6 @@ from .divisors import (
 from .fans import Fan, build_fan
 from .hulls import affine_rank, convex_hull
 from .intersections import is_nef, wall_value
-from .lambdas import lambda_max, lambda_min
 from .linalg import M, N, Vec, lattice_index, pair, vec
 from .semigroups import hilbert_basis
 
@@ -134,16 +133,12 @@ def _min_wall_value(fan: Fan, local) -> Fraction:
 
 
 def _dual_sums(fan: Fan, local_dp, sigma: int):
-    """(dual cone of sigma, lambda_min, lambda_max) of the perturbation's
-    local point.  Both sums are None when the point lies outside the dual,
-    and all three are None without local data."""
-    if local_dp is None:
-        return None, None, None
-    dual = dual_cone(fan.cones[sigma])
-    up = local_dp[sigma]
-    if not contains(dual, up):
-        return dual, None, None
-    return dual, lambda_min(dual, up).value, lambda_max(dual, up).value
+    """(lambda_min, lambda_max) of the perturbation's local point in the dual
+    of sigma; both None without local data or outside the dual."""
+    if local_dp is None or not contains(fan.duals[sigma], local_dp[sigma]):
+        return None, None
+    sums, up = fan.coefficient_sums[sigma], local_dp[sigma]
+    return sums.minimum(up).value, sums.maximum(up).value
 
 
 def _perturbation_hypotheses(fan: Fan, dprime: Divisor):
@@ -177,7 +172,7 @@ def cone_table(fan: Fan, local_d, local_dp) -> tuple[ConeData, ...]:
             t = min(wall_value(fan, local_d, w) for w in walls)
         if local_sum is not None:
             m = min(wall_value(fan, local_sum, w) for w in walls)
-        _, lmin, lmax = _dual_sums(fan, local_dp, ci)
+        lmin, lmax = _dual_sums(fan, local_dp, ci)
         rows.append(ConeData(ci, t, m, lmin, lmax))
     return tuple(rows)
 
@@ -234,7 +229,7 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     failures = []
     for ci, u in enumerate(local):
         shifted = translated_polytope(p, u)
-        for h in hilbert_basis(dual_cone(fan.cones[ci])):
+        for h in hilbert_basis(fan.duals[ci]):
             if not poly_contains(shifted, h):
                 failures.append(Failure("cone", ci, f"missing semigroup generator {h.coords}"))
                 break
@@ -291,7 +286,7 @@ def _corner_conclusion(fan: Fan, total: Divisor, local_sum):
     failures = []
     for ci, u in enumerate(local_sum):
         shifted = translated_polytope(p, u)
-        for target in (zero, *dual_cone(fan.cones[ci]).rays):
+        for target in (zero, *fan.duals[ci].rays):
             if not poly_contains(shifted, target):
                 failures.append(Failure("cone", ci, f"shifted polytope misses {target.coords}"))
     return failures, ()
@@ -372,7 +367,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
             )
         )
 
-    _, lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = _dual_sums(fan, local_dp, sigma)
     if lmin is None:
         hyps.append(
             Hypothesis(
@@ -408,6 +403,11 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     )
 
 
+# The most lattice points of the box [-B, B]^rank that check_interior_bound
+# enumerates; a larger box is refused before any work starts.
+MAX_BOX_POINTS = 1_000_000
+
+
 def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckReport:
     """lambda_max of the perturbation's local point is at most lambda_max of
     every interior lattice point of the dual cone (coordinates up to `bound`)."""
@@ -416,19 +416,26 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
         raise ValueError("no such maximal cone")
     if bound < 1:
         raise ValueError("interior-point bound must be at least 1")
+    box = (2 * bound + 1) ** fan.rank
+    if box > MAX_BOX_POINTS:
+        raise ValueError(
+            f"interior-point bound {bound} asks for {box} box points in rank {fan.rank}, "
+            f"more than {MAX_BOX_POINTS}"
+        )
     hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
     conclusion = None
     failures: list[Failure] = []
     notes: list[str] = []
-    dual, lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = _dual_sums(fan, local_dp, sigma)
     if lmax is not None:
+        dual, sums = fan.duals[sigma], fan.coefficient_sums[sigma]
         checked = 0
         for coords in product(range(-bound, bound + 1), repeat=fan.rank):
             x = vec(coords, M)
             if not contains(dual, x, strict=True):
                 continue
             checked += 1
-            if lambda_max(dual, x).value < lmax:
+            if sums.maximum(x).value < lmax:
                 failures.append(
                     Failure("cone", sigma, f"interior point {coords} has smaller maximum sum")
                 )
@@ -463,7 +470,7 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
     hyps.extend(dp_hyps)
     conclusion = None
     failures: tuple[Failure, ...] = ()
-    _, lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = _dual_sums(fan, local_dp, sigma)
     if lmin is not None:
         conclusion = lmin <= fan.rank - 1
         if not conclusion:

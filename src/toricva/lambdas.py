@@ -1,21 +1,40 @@
-"""Coefficient-sum functionals on pointed cones.
+"""Coefficient sums on pointed cones, in closed form.
 
-For a pointed cone with primitive generators u_1..u_s, every point x of the
-cone is a nonnegative combination x = sum a_i u_i.  The minimum and maximum
-of sum a_i over all such expressions are exact piecewise-linear functions of
-x; the pieces come from the regular subdivision induced by the heights 1 on
-the generators.
+For a full-dimensional pointed cone with primitive extreme rays g_1..g_s,
+lambda_max(x) and lambda_min(x) are the largest and smallest sum a_i over
+the expressions x = sum a_i g_i with a >= 0.  By LP duality (Schrijver,
+Theory of Linear and Integer Programming, 1986, ch. 7) lambda_max(x) is
+min{<y, x> : <y, g_i> >= 1}.  The constraints' recession cone is the dual
+cone, pointed and nonnegative on x, so the minimum sits at a vertex y, and
+the generators tight at y span the space and lie on <y, .> = 1: that is a
+facet <phi, g> >= beta of conv(g_1..g_s) with beta > 0 and y = phi / beta.
+The same argument on max{<y, x> : <y, g_i> <= 1} takes the facets with
+beta < 0, so
+
+    lambda_max(x) = min <phi, x> / beta over the facets with beta > 0,
+    lambda_min(x) = max <phi, x> / beta over the facets with beta < 0.
+
+When every generator lies on one hyperplane <w, g> = 1 (a simplicial cone,
+for one), sum a_i = <w, x> for every expression and both sums are <w, x>.
+
+By complementary slackness an optimal expression uses only generators on
+an optimal facet, so x lies in the cone over them, that facet's cell.  Each
+cell is split once into simplicial pieces, and the witness is x's
+coefficients in a piece holding it, checked in integer arithmetic to be
+nonnegative, to reproduce x and to sum to <phi, x> / beta: a feasible
+expression whose sum meets a feasible dual value certifies both optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .cones import Cone, cone_from_generators
+from .cones import Cone, cone_from_generators, contains, triangulate
 from .hulls import convex_hull
-from .linalg import Scalar, Vec, dual_ambient, pair, solve_matrix, vec
-from .lp import lp_solve
+from .linalg import Scalar, Vec, dual_ambient, left_inverse, solve_matrix
 
 
 @dataclass(frozen=True)
@@ -26,30 +45,106 @@ class LambdaValue:
     witness: tuple[Fraction, ...]
 
 
-def _coefficient_sum(c: Cone, x: Vec, maximize: bool) -> LambdaValue:
-    if x.ambient != c.ambient:
-        raise ValueError("point and cone live in different spaces")
-    if x.rank != c.rank:
-        raise ValueError("point and cone have different ranks")
-    cols = [r.coords for r in c.rays]
-    rows = [[col[i] for col in cols] for i in range(c.rank)]
-    res = lp_solve(rows, list(x.coords), [1] * len(cols), maximize=maximize)
-    if res.status == "infeasible":
-        raise ValueError("point outside cone")
-    if res.status != "optimal":
-        raise RuntimeError("internal: coefficient sum unbounded on a pointed cone")
-    recon = [sum(a * col[i] for a, col in zip(res.x, cols)) for i in range(c.rank)]
-    if tuple(recon) != tuple(Fraction(v) for v in x.coords):
-        raise RuntimeError("internal: optimizer witness does not reproduce the point")
-    return LambdaValue(res.value, res.x)
+def _dot(a, b) -> Scalar:
+    return sum(map(mul, a, b))
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """The cone over the generators on <phi, g> = beta > 0, where the sum is
+    <phi, x> / beta.  Each piece is (positions of its generators in the
+    parent's rays, their coordinates, den * the inverse of the matrix with
+    them as columns, den), the scaled inverse being an integer matrix."""
+
+    phi: tuple[int, ...]
+    beta: int
+    cone: Cone
+    pieces: tuple[tuple, ...]
+
+
+def _cell(rays, cell_cone: Cone, phi=None, beta=None) -> _Cell:
+    """A cell and its pieces; without phi, the hyperplane through all of
+    its generators, read off the first piece's inverse as column sums."""
+    pieces = []
+    for simplex in triangulate(cell_cone):
+        gens = tuple(g.coords for g in simplex)
+        inv = left_inverse([list(row) for row in zip(*gens)])
+        den = lcm(*(Fraction(v).denominator for row in inv for v in row))
+        scaled = tuple(tuple(int(v * den) for v in row) for row in inv)
+        pieces.append((tuple(rays.index(g) for g in simplex), gens, scaled, den))
+    if phi is None:
+        phi, beta = tuple(map(sum, zip(*pieces[0][2]))), pieces[0][3]
+    return _Cell(tuple(phi), beta, cell_cone, tuple(pieces))
+
+
+class CoefficientSums:
+    """lambda_min and lambda_max on one full-dimensional pointed cone: the
+    facet tables are read once, then each point costs pairings only."""
+
+    def __init__(self, c: Cone):
+        if not c.is_full_dim:
+            raise ValueError("coefficient sums need a full-dimensional cone")
+        self.cone = c
+        rays = c.rays
+        if len(rays) == c.rank or (
+            solve_matrix([g.coords for g in rays], [1] * len(rays)).status != "inconsistent"
+        ):
+            self._max_cells = self._min_cells = (_cell(rays, c),)
+        else:
+            min_cells, max_cells = [], []
+            for phi, beta in convex_hull(list(rays))[0]:
+                if beta != 0:
+                    side = 1 if beta > 0 else -1
+                    tight = [g for g in rays if _dot(phi.coords, g.coords) == beta]
+                    coords = tuple(side * v for v in phi.coords)
+                    (max_cells if beta > 0 else min_cells).append(
+                        _cell(rays, cone_from_generators(tight), coords, side * beta)
+                    )
+            self._min_cells, self._max_cells = tuple(min_cells), tuple(max_cells)
+        # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
+        for g in rays:
+            if not self.minimum(g).value == 1 == self.maximum(g).value:
+                raise RuntimeError("internal: a generator's coefficient sums are not 1")
+
+    def minimum(self, x: Vec) -> LambdaValue:
+        return self._evaluate(self._min_cells, x, 1)
+
+    def maximum(self, x: Vec) -> LambdaValue:
+        return self._evaluate(self._max_cells, x, -1)
+
+    def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
+        """<phi, x> / beta on the cell where sign times it is largest, with a
+        certified witness."""
+        c = self.cone
+        if x.ambient != c.ambient:
+            raise ValueError("point and cone live in different spaces")
+        if not contains(c, x):
+            raise ValueError("point outside cone")
+        xs = x.coords
+        value, cell = max(
+            ((Fraction(_dot(k.phi, xs), k.beta), k) for k in cells), key=lambda vk: sign * vk[0]
+        )
+        for positions, gens, inverse, den in cell.pieces:
+            a = [_dot(row, xs) for row in inverse]
+            if min(a) >= 0:
+                break
+        else:
+            raise RuntimeError("internal: no piece of the optimal cell holds the point")
+        recon = [_dot(a, col) for col in zip(*gens)]
+        if recon != [den * v for v in xs] or Fraction(sum(a), den) != value:
+            raise RuntimeError("internal: witness does not certify the coefficient sum")
+        witness = [Fraction(0)] * len(c.rays)
+        for i, ai in zip(positions, a):
+            witness[i] = Fraction(ai, den)
+        return LambdaValue(value, tuple(witness))
 
 
 def lambda_min(c: Cone, x: Vec) -> LambdaValue:
-    return _coefficient_sum(c, x, maximize=False)
+    return CoefficientSums(c).minimum(x)
 
 
 def lambda_max(c: Cone, x: Vec) -> LambdaValue:
-    return _coefficient_sum(c, x, maximize=True)
+    return CoefficientSums(c).maximum(x)
 
 
 @dataclass(frozen=True)
@@ -72,48 +167,15 @@ class Subdivision:
         return len(self.cells) == 1
 
 
-def _verify_cell_formula(cell_gens, phi: Vec, beta, parent: Cone):
-    for g in cell_gens:
-        if Fraction(pair(phi, g)) / beta != lambda_max(parent, g).value:
-            raise RuntimeError("internal: cell formula fails on a generator")
-    for i, g in enumerate(cell_gens):
-        for h in cell_gens[i + 1 :]:
-            mid = Fraction(1, 2) * (g + h)
-            if Fraction(pair(phi, mid)) / beta != lambda_max(parent, mid).value:
-                raise RuntimeError("internal: cell formula fails on a midpoint")
-
-
 def regular_subdivision(c: Cone) -> Subdivision:
-    """Subdivide a full-dimensional pointed cone into linearity cells.
-
-    The cells are the cones over the faces of conv(generators) visible from
-    the origin.  Each cell's functional is checked against the optimizer on
-    generators and pairwise midpoints before the subdivision is returned.
-    """
-    if not c.is_full_dim:
-        raise ValueError("subdivision requires a full-dimensional cone")
-    gens = c.rays
-    heights = solve_matrix([g.coords for g in gens], [1] * len(gens))
-    if heights.status != "inconsistent":
-        if heights.status != "unique":
-            raise RuntimeError("internal: full-dimensional cone gave an underdetermined solve")
-        w = vec(heights.solution, dual_ambient(c.ambient))
-        _verify_cell_formula(gens, w, 1, c)
-        return Subdivision(c, (c,), (gens,), ((w, 1),))
-
-    cells, cell_gens, functionals = [], [], []
-    facets, _ = convex_hull(list(gens))
-    for phi, beta in facets:
-        if beta <= 0:
-            continue
-        tight = tuple(g for g in gens if pair(phi, g) == beta)
-        _verify_cell_formula(tight, phi, beta, c)
-        cells.append(cone_from_generators(list(tight)))
-        cell_gens.append(tight)
-        functionals.append((phi, beta))
-    if not cells:
-        raise RuntimeError("internal: no cell of the subdivision faces the origin")
-    covered = {g for gs in cell_gens for g in gs}
-    if covered != set(gens):
-        raise RuntimeError("internal: subdivision does not reach every generator")
-    return Subdivision(c, tuple(cells), tuple(cell_gens), tuple(functionals))
+    """The linearity cells of lambda_max on a full-dimensional pointed cone:
+    the cones over the facets of conv(generators) with beta > 0, or one cell
+    with functional (w, 1) when every generator lies on <w, g> = 1."""
+    cells = CoefficientSums(c)._max_cells
+    amb = dual_ambient(c.ambient)
+    functionals = tuple((Vec(k.phi, amb), k.beta) for k in cells)
+    if len(cells) == 1:
+        functionals = ((Vec(tuple(Fraction(v, cells[0].beta) for v in cells[0].phi), amb), 1),)
+    return Subdivision(
+        c, tuple(k.cone for k in cells), tuple(k.cone.rays for k in cells), functionals
+    )

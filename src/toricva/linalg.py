@@ -8,8 +8,8 @@ Pairing two vectors from the same ambient is a bug, so it fails loudly.
 All elimination goes through two kernels:
 
 - `pivot`, one rational Gauss-Jordan step.  `_rref` (and through it rank,
-  solve, nullspace and `left_inverse`) and the simplex tableau in `lp` are
-  built on it.
+  solve, nullspace and `left_inverse`) is built on it, and so is the
+  simplex tableau of the test suite's LP oracle.
 - `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
   unimodular.  `lattice_index` and the parallelepiped enumeration in
   `semigroups` are built on it.

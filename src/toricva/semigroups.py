@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor, prod
 
-from .cones import Cone, cone_from_generators, contains
+from .cones import Cone, contains, triangulate
 from .divisors import Polytope, is_bounded, poly_contains
-from .linalg import Vec, diagonalize_int, left_inverse, pair, vec
+from .linalg import Vec, diagonalize_int, left_inverse, vec
 
 
 def lattice_points(p: Polytope) -> tuple[Vec, ...]:
@@ -38,21 +38,6 @@ def lattice_points(p: Polytope) -> tuple[Vec, ...]:
         if poly_contains(p, x):
             out.append(x)
     return tuple(out)
-
-
-def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
-    """Split a pointed cone into simplicial cones on the same ray set."""
-    if len(c.rays) == c.dim:
-        return [c.rays]
-    pivot = c.rays[0]
-    out = []
-    for f in c.facet_normals:
-        if pair(f, pivot) == 0:
-            continue
-        tight = [r for r in c.rays if pair(f, r) == 0]
-        for simplex in _triangulate(cone_from_generators(tight)):
-            out.append(simplex + (pivot,))
-    return out
 
 
 def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
@@ -91,7 +76,7 @@ def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
 def hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     """Minimal generating set of the lattice points of a pointed cone."""
     cands = set(c.rays)
-    for simplex in _triangulate(c):
+    for simplex in triangulate(c):
         for x in _parallelepiped_points(simplex):
             if not x.is_zero:
                 cands.add(x)

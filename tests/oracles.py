@@ -3,12 +3,15 @@ by the test suite.
 
 The fiber-polytope vertex enumeration here goes through plain subset
 enumeration and exact Gaussian solves, never through the simplex tableau.
-The box scans enumerate every lattice point of a bounding box, which the
-production code no longer does.  The hull oracles find facets by a subset
-scan over the points and vertices by one LP per point, where production
-code builds one cone over the lifted points.  Pointedness and boundedness
-are decided by LPs and polytope vertices by exact solves of every square
-subsystem, where production code reads all three off `cones.extreme_rays`.
+The exact simplex (`lp_solve`, with `lp_feasible` and `in_nonneg_span`)
+lives here too: production code decides coefficient sums in closed form
+from hull facets, pointedness and boundedness from `cones.extreme_rays`,
+so the LP is a reference, not a layer.  The box scans enumerate every
+lattice point of a bounding box, which the production code no longer does.
+The hull oracles find facets by a subset scan over the points and vertices
+by one LP per point, where production code builds one cone over the lifted
+points.  Polytope vertices come from exact solves of every square
+subsystem.
 """
 
 from dataclasses import dataclass
@@ -22,18 +25,18 @@ from toricva.fans import Fan
 from toricva.harness import Failure
 from toricva.hulls import affine_rank
 from toricva.intersections import wall_value
-from toricva.lambdas import lambda_min
+from toricva.lambdas import LambdaValue, lambda_min
 from toricva.linalg import (
     Vec,
     dual_ambient,
     nullspace,
     pair,
+    pivot,
     primitivize,
     solve_exact,
     solve_matrix,
     vec,
 )
-from toricva.lp import lp_feasible
 from toricva.semigroups import generates, lattice_points
 
 
@@ -75,6 +78,154 @@ def sum_range(cols, target):
         return None
     sums = [sum(p) for p in pts]
     return min(sums), max(sums)
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    value: Fraction | None
+    x: tuple[Fraction, ...] | None
+
+
+def _optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> str:
+    """Run Bland-rule simplex to optimality on a feasible canonical tableau."""
+    m = len(tab)
+    ncols = len(tab[0]) - 1
+    while True:
+        enter = None
+        for j in range(ncols):
+            if j in basis:
+                continue
+            rc = cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
+            if rc < 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+def lp_solve(rows, rhs, cost, maximize: bool = False) -> LPResult:
+    """Optimize cost . x over {x >= 0 : rows @ x = rhs} with Fraction
+    arithmetic and Bland's rule, so every answer is exact and termination is
+    guaranteed."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    if not a or len(a) != len(b):
+        raise ValueError("malformed LP")
+    n = len(a[0])
+    m = len(a)
+    if len(list(cost)) != n:
+        raise ValueError("cost length does not match column count")
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+
+    # Phase I: artificial identity basis.
+    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    art_cost = [Fraction(0)] * n + [Fraction(1)] * m
+    _optimize(tab, basis, art_cost)
+    if sum(art_cost[basis[i]] * tab[i][-1] for i in range(len(tab))) > 0:
+        return LPResult("infeasible", None, None)
+
+    # Drive leftover artificials out of the basis, dropping redundant rows.
+    for i in reversed(range(len(tab))):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i]
+                del basis[i]
+            else:
+                pivot(tab, i, col)
+                basis[i] = col
+
+    tab = [row[:n] + [row[-1]] for row in tab]
+    c = [Fraction(v) for v in cost]
+    if maximize:
+        c = [-v for v in c]
+    if not tab:
+        # Every constraint was redundant with 0 = 0: feasible region is x >= 0.
+        if any(v < 0 for v in c):
+            return LPResult("unbounded", None, None)
+        return LPResult("optimal", Fraction(0), (Fraction(0),) * n)
+    status = _optimize(tab, basis, c)
+    if status == "unbounded":
+        return LPResult("unbounded", None, None)
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    value = sum(Fraction(v) * xi for v, xi in zip(cost, x))
+    return LPResult("optimal", value, tuple(x))
+
+
+def lp_feasible(rows, rhs) -> tuple[Fraction, ...] | None:
+    """A point of {x >= 0 : rows @ x = rhs}, or None if the set is empty."""
+    res = lp_solve(rows, rhs, [0] * len(list(rows[0])))
+    return res.x if res.status == "optimal" else None
+
+
+def in_nonneg_span(cols, target) -> bool:
+    """Is target a nonnegative rational combination of the given columns?"""
+    dim = len(target)
+    rows = [[col[i] for col in cols] for i in range(dim)]
+    if not cols:
+        return all(t == 0 for t in target)
+    return lp_feasible(rows, target) is not None
+
+
+def _lp_coefficient_sum(c: Cone, x: Vec, maximize: bool) -> LambdaValue:
+    cols = [r.coords for r in c.rays]
+    rows = [[col[i] for col in cols] for i in range(c.rank)]
+    res = lp_solve(rows, list(x.coords), [1] * len(cols), maximize=maximize)
+    if res.status != "optimal":
+        raise ValueError(f"coefficient-sum LP is {res.status}")
+    return LambdaValue(res.value, res.x)
+
+
+def lp_lambda_min(c: Cone, x: Vec) -> LambdaValue:
+    """Reference for `lambdas.lambda_min`: one simplex run, witness aligned
+    to c.rays."""
+    return _lp_coefficient_sum(c, x, maximize=False)
+
+
+def lp_lambda_max(c: Cone, x: Vec) -> LambdaValue:
+    """Reference for `lambdas.lambda_max`: one simplex run, witness aligned
+    to c.rays."""
+    return _lp_coefficient_sum(c, x, maximize=True)
+
+
+def is_certificate(c: Cone, x: Vec, lv: LambdaValue) -> bool:
+    """Is lv.witness a nonnegative expression of x in c.rays that sums to
+    lv.value?"""
+    recon = [sum(a * r.coords[i] for a, r in zip(lv.witness, c.rays)) for i in range(c.rank)]
+    return (
+        all(a >= 0 for a in lv.witness)
+        and recon == list(x.coords)
+        and sum(lv.witness) == lv.value
+    )
+
+
+def matches_lp_oracle(sums, x: Vec) -> bool:
+    """Do a `CoefficientSums`' values at x equal the LP optima, each with a
+    certified witness?"""
+    c = sums.cone
+    pairs = ((sums.minimum(x), lp_lambda_min(c, x)), (sums.maximum(x), lp_lambda_max(c, x)))
+    return all(
+        closed.value == lp.value and is_certificate(c, x, closed) for closed, lp in pairs
+    )
 
 
 def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:

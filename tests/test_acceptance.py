@@ -11,9 +11,22 @@ from itertools import product
 
 import pytest
 
-from oracles import box_scan_generation, semigroup_member, simplex_lattice_points, sum_range
+from oracles import (
+    box_scan_generation,
+    matches_lp_oracle,
+    semigroup_member,
+    simplex_lattice_points,
+    sum_range,
+)
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
-from toricva.divisors import Divisor, local_data, poly_contains, polytope, translated_polytope
+from toricva.divisors import (
+    Divisor,
+    local_data,
+    poly_contains,
+    polytope,
+    translated_polytope,
+    try_local_data,
+)
 from toricva.harness import (
     builtin,
     check_corner_containment,
@@ -201,16 +214,18 @@ def test_criterion_07_projective_plane_sharpness():
     _ok(7, "threshold-n case hits -1 walls; threshold-n+1 case is nef but not very ample")
 
 
-def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
-    # the Hilbert-basis membership test against the lattice-box scan, on the
-    # combined divisor of the pools and of the threshold builtins
-    instances = (
-        pool2
-        + pool3
-        + [builtin("ew_simplex", (t,)) for t in range(2, 9)]
+def _threshold_builtins():
+    return (
+        [builtin("ew_simplex", (t,)) for t in range(2, 9)]
         + [projective_space(n, t) for n in (2, 3) for t in (n, n + 1)]
         + [weighted_112(t) for t in range(1, 5)]
     )
+
+
+def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
+    # the Hilbert-basis membership test against the lattice-box scan, on the
+    # combined divisor of the pools and of the threshold builtins
+    instances = pool2 + pool3 + _threshold_builtins()
     failing = 0
     for inst in instances:
         combined = inst.d + inst.dprime
@@ -263,6 +278,24 @@ def test_criterion_08_coefficient_sum_oracle():
         assert lambda_max(c, x + y).value >= lambda_max(c, x).value + lambda_max(c, y).value
         pairs += 1
     _ok(8, f"{pairs} cone/point pairs agree with the enumeration oracle")
+
+
+def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
+    # each dual cone of the pools and threshold builtins, at the perturbation's
+    # local point and at the interior lattice points of the box [-2, 2]^n
+    points = 0
+    for inst in pool2 + pool3 + _threshold_builtins():
+        fan = inst.fan
+        local_dp, _ = try_local_data(fan, inst.dprime)
+        box = [vec(p, M) for p in product(range(-2, 3), repeat=fan.rank)]
+        for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
+            xs = [x for x in box if contains(dual, x, strict=True)]
+            if local_dp is not None and contains(dual, local_dp[ci]):
+                xs.append(local_dp[ci])
+            for x in xs:
+                assert matches_lp_oracle(sums, x), (inst.label, ci, x)
+            points += len(xs)
+    _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
 
 
 def test_criterion_09_containment_and_bound_suites(pool2, pool3):

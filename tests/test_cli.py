@@ -201,6 +201,10 @@ def test_input_validation_messages(tmp_path, capsys):
             "not a fan: cone 0 is not pointed",
         ),
         (
+            {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], []]},
+            "input error: not a fan: cone 1 has no rays",
+        ),
+        (
             {
                 "rank": 2,
                 "rays": [[1, 1], [-1, 1], [0, -1]],
@@ -290,6 +294,16 @@ def test_nonpositive_interior_bound_is_an_input_error(weighted_input, capsys, bo
     assert code == 1
     assert out == ""
     assert "input error: --interior-bound must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_interior_bound_over_the_box_cap_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "interior-bound", "--builtin", "ew_simplex(4)", "--interior-bound", "1000"
+    )
+    assert code == 1
+    assert out == ""
+    assert "input error: ew_simplex(t=4): interior-point bound 1000 asks for" in err
     assert "Traceback" not in err
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_pointed
+from oracles import in_nonneg_span, lp_pointed
 from toricva.cones import (
     NotPointed,
     classify,
@@ -18,7 +18,6 @@ from toricva.cones import (
     zero_cone,
 )
 from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
-from toricva.lp import in_nonneg_span
 
 
 def nvecs(*coords):

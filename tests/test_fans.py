@@ -1,5 +1,6 @@
 import pytest
 
+from toricva.cones import dual_cone
 from toricva.fans import build_fan
 from toricva.linalg import N, pair, vec
 
@@ -102,6 +103,25 @@ def test_lower_dim_cone_rejected():
     rays = nvecs((1, 0), (-1, 0))
     with pytest.raises(ValueError, match="full-dimensional"):
         build_fan(rays, [(0,), (1,)], 2)
+
+
+def test_empty_cone_named():
+    rays = nvecs((1, 0), (0, 1), (-1, -1))
+    with pytest.raises(ValueError, match="not a fan: cone 0 has no rays"):
+        build_fan(rays, [[]], 2)
+    with pytest.raises(ValueError, match="not a fan: cone 2 has no rays"):
+        build_fan(rays, [(0, 1), (1, 2), ()], 2)
+
+
+def test_cached_duals_leave_equality_and_hash_alone():
+    fan, twin = quadric3_fan(), quadric3_fan()
+    before = hash(fan)
+    duals, sums = fan.duals, fan.coefficient_sums
+    assert fan.duals is duals and fan.coefficient_sums is sums
+    assert [d.rays for d in duals] == [dual_cone(c).rays for c in fan.cones]
+    assert [s.cone for s in sums] == list(duals)
+    assert fan == twin and hash(fan) == before == hash(twin)
+    assert "duals" not in repr(fan)
 
 
 def test_non_pointed_cone_named():

@@ -18,6 +18,7 @@ from toricva.divisors import (
 )
 from toricva.harness import (
     BUILTINS,
+    MAX_BOX_POINTS,
     Instance,
     builtin,
     check_corner_containment,
@@ -324,3 +325,13 @@ def test_interior_bound_rejects_nonpositive_bound():
     for bound in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             check_interior_bound(inst, 0, bound=bound)
+
+
+def test_interior_bound_refuses_a_box_over_the_cap():
+    inst = ew_simplex(4)  # rank 3
+    assert (2 * 49 + 1) ** 3 < MAX_BOX_POINTS < (2 * 50 + 1) ** 3
+    message = f"asks for 1030301 box points in rank 3, more than {MAX_BOX_POINTS}"
+    with pytest.raises(ValueError, match=message):
+        check_interior_bound(inst, 0, bound=50)
+    with pytest.raises(ValueError, match="box points"):
+        check_interior_bound(inst, 0, bound=10**12)

@@ -1,14 +1,17 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import pointed_cones
-from oracles import m_delta_contains, sum_range
+from oracles import lp_lambda_max, m_delta_contains, matches_lp_oracle, sum_range
 from toricva.cones import cone_from_generators, contains
-from toricva.lambdas import lambda_max, lambda_min, regular_subdivision
-from toricva.linalg import M, N, pair, vec
+from toricva.lambdas import CoefficientSums, lambda_max, lambda_min, regular_subdivision
+from toricva.linalg import M, N, pair, solve_matrix, vec
 
 
 def ncone(*coords):
@@ -147,3 +150,68 @@ def test_subdivision_cells_compute_lambda_max(c, ks):
     for i in hit:
         phi, beta = sub.functionals[i]
         assert Fraction(pair(phi, x)) / beta == target
+
+
+def _seeded_cones():
+    """Two named cones over polytopes (a square, a triangular prism) and
+    seeded cones in ranks 2-4: over random generators, and over random
+    lifted points (p, 1), whose generators all lie on one hyperplane."""
+    rng = random.Random("lambdas:closed-form")
+    cones = [
+        mcone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)),
+        ncone((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1)),
+    ]
+    while len(cones) < 120:
+        rank = rng.choice((2, 3, 4))
+        count = rng.randint(rank, rank + 3)
+        if rng.random() < 0.3:
+            gens = [tuple(rng.randint(-2, 2) for _ in range(rank - 1)) + (1,) for _ in range(count)]
+        else:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(count)]
+        try:
+            c = cone_from_generators([vec(g, N) for g in gens])
+        except ValueError:
+            continue
+        if c.is_full_dim:
+            cones.append(c)
+    return cones
+
+
+def _on_one_hyperplane(c):
+    return solve_matrix([r.coords for r in c.rays], [1] * len(c.rays)).status != "inconsistent"
+
+
+def test_closed_form_matches_lp_oracle_on_seeded_cones():
+    rng = random.Random("lambdas:points")
+    kinds = Counter()
+    for c in _seeded_cones():
+        sums = CoefficientSums(c)
+        simplicial = len(c.rays) == c.rank
+        kinds[(c.rank, simplicial, _on_one_hyperplane(c))] += 1
+        points = list(c.rays) + [combo(c, [1] * len(c.rays))]
+        for _ in range(4):
+            ks = [Fraction(rng.randint(0, 6), rng.randint(1, 2)) for _ in c.rays]
+            points.append(combo(c, ks))
+        for x in points:
+            assert matches_lp_oracle(sums, x), (c, x)
+    assert sum(kinds.values()) == 120
+    assert {rank for rank, _, _ in kinds} == {2, 3, 4}
+    # non-simplicial cones over a polytope, and ones whose generators need the hull
+    assert sum(n for (_, simp, flat), n in kinds.items() if not simp and flat) >= 10
+    assert sum(n for (_, simp, flat), n in kinds.items() if not simp and not flat) >= 20
+
+
+def test_subdivision_cells_match_lp_oracle():
+    # each cell's formula is lambda_max on its generators and their midpoints
+    checked = 0
+    for c in _seeded_cones():
+        if len(c.rays) == c.rank:
+            continue
+        sub = regular_subdivision(c)
+        for gens, (phi, beta) in zip(sub.cell_generators, sub.functionals):
+            points = list(gens) + [Fraction(1, 2) * (g + h) for g, h in combinations(gens, 2)]
+            for x in points:
+                assert Fraction(pair(phi, x)) / beta == lp_lambda_max(c, x).value, (c, x)
+        assert {g for gs in sub.cell_generators for g in gs} == set(c.rays)
+        checked += 1
+    assert checked >= 30

@@ -3,8 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fiber_points, sum_range
-from toricva.lp import in_nonneg_span, lp_feasible, lp_solve
+from oracles import fiber_points, in_nonneg_span, lp_feasible, lp_solve, sum_range
 
 ints = st.integers(min_value=-6, max_value=6)
 
