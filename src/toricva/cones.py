@@ -5,11 +5,11 @@ inner facet normals.  Cones of lower dimension than the ambient lattice
 additionally carry span equations, so membership tests stay a matter of
 evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
 into generators: facet normals (the dual's rays, which also decide
-pointedness without an LP), intersections, and in `divisors` polytope
-vertices and boundedness.  It is fine at desk scale (rank <= 6, a couple
-dozen rays), which is the regime everything here operates in.  `triangulate`
-splits a cone into simplicial cones on its own rays, for Hilbert bases and
-for the witnesses of coefficient sums.
+pointedness without an LP), and in `divisors` polytope vertices and
+boundedness.  It is fine at desk scale (rank <= 6, a couple dozen rays),
+which is the regime everything here operates in.  `triangulate` splits a
+cone into simplicial cones on its own rays, for Hilbert bases and for the
+witnesses of coefficient sums.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ class Cone:
 class ConeClass:
     simplicial: bool
     regular: bool
-
-
-def zero_cone(rank: int, ambient: str) -> Cone:
-    eqs = tuple(
-        Vec(tuple(1 if j == i else 0 for j in range(rank)), dual_ambient(ambient))
-        for i in range(rank)
-    )
-    return Cone(ambient, rank, (), (), eqs)
 
 
 def _sorted_vecs(vecs) -> tuple[Vec, ...]:
@@ -181,25 +173,3 @@ def classify(c: Cone) -> ConeClass:
     if simplicial:
         regular = lattice_index([r.coords for r in c.rays]) == 1
     return ConeClass(simplicial, regular)
-
-
-def intersect_cones(a: Cone, b: Cone) -> Cone:
-    """Intersection of two pointed cones sharing an ambient lattice."""
-    if a.ambient != b.ambient or a.rank != b.rank:
-        raise ValueError("cones live in different ambients")
-    rays = extreme_rays(
-        dict.fromkeys(a.facet_normals + b.facet_normals),
-        a.span_equations + b.span_equations,
-        a.ambient,
-    )
-    if not rays:
-        return zero_cone(a.rank, a.ambient)
-    return cone_from_generators(list(rays))
-
-
-def is_face(face_rays, c: Cone) -> bool:
-    """Is cone(face_rays) a face of c?  face_rays must be a set of Vecs."""
-    face_rays = set(face_rays)
-    tight = [f for f in c.facet_normals if all(pair(f, r) == 0 for r in face_rays)]
-    generated = {r for r in c.rays if all(pair(f, r) == 0 for f in tight)}
-    return generated == face_rays

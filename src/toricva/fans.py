@@ -2,16 +2,53 @@
 
 A fan is built from a global ray list and index sets naming each maximal
 cone's extreme rays.  Construction validates everything the rest of the
-package relies on: cones are full-dimensional and pointed, every pair of
-cones meets in a common face, every facet of every maximal cone is shared
-with exactly one neighbour (completeness), and the adjacency graph is
-connected.
+package relies on: cones are full-dimensional and pointed, each facet of a
+maximal cone is a whole facet of exactly one neighbour on its other side,
+and the cones cover space exactly once, which makes them meet face to face.
 
 Each shared facet becomes a Wall.  Viewed from the cone sigma, a wall
 carries the primitive vector u in the dual lattice that vanishes on the
 wall, is nonnegative on sigma, and is strictly negative on the rays of the
 neighbour tau that are not on the wall.  Those far-side rays are the
 candidate test rays for wall-crossing computations; all of them are kept.
+
+One point decides the covering: the pseudo-manifold characterisation of
+triangulations (De Loera, Rambau, Santos, *Triangulations*, 2010).  Let the
+cones be full-dimensional and pointed in R^n, n >= 2, with facets matched
+as above, and for x on no cone's boundary let deg(x) count the cones whose
+interior holds x.
+
+1. deg is constant.  Take y on no codimension-2 face.  A cone with y on its
+   boundary is, near y, the closed half-space of the one facet holding y in
+   its relative interior, and its partner across that facet is the other
+   half-space: these cones pair off, each pair counting once near y, so deg
+   is locally constant there.  The codimension-2 faces are finitely many
+   cones of dimension at most n - 2, which do not disconnect R^n, so deg is
+   one number d >= 1.
+2. p, the sum of cone 0's rays, is interior to cone 0.  If d >= 2, points
+   arbitrarily near p are interior to cone 0 and to another cone, so some
+   cone j != 0 holds p: "cones 0 and j overlap".  If d = 1, step 3 makes
+   the cones a fan; cone 0 meets every other cone in a proper face (else
+   the two would be one cone), and no proper face holds p.
+3. d = 1 gives a complete fan.  The union of the closed cones is dense, so
+   it is R^n.  Let F be a face of a cone sigma and S_F the cones reached
+   from sigma across facets that contain F; each has F as a face.  Modulo
+   span F they are pointed, full-dimensional and matched along their
+   facets through F, so step 1 in dimension n - dim F (plainly for 0 or 1)
+   has them cover each point near relint F off the boundaries equally
+   often, hence once.  A cone tau through q in relint F has interior points
+   near q, which S_F covers already; as d = 1, tau is in S_F and F is a
+   face of tau.  For cones sigma and tau take q in relint(sigma & tau) and
+   F the face of sigma with q in relint F.  A face holding a point of the
+   relative interior of a convex set holds the set, so sigma & tau lies in
+   F, and F lies in tau: sigma & tau = F, a face of both.
+
+Each wall-connected component has a degree of its own by step 1, so d = 1
+also makes the wall graph connected.  A facet without partner lies on the
+boundary of the support unless the sum of its rays lies in another cone,
+which in a fan would share the whole facet; that is reported as an
+overlap.  In rank 1 a pointed cone is a half-line with facet {0}, and
+matching leaves exactly the two half-lines.
 """
 
 from __future__ import annotations
@@ -19,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cones import Cone, NotPointed, cone_from_generators, dual_cone, intersect_cones, is_face
+from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
 from .linalg import Vec, is_primitive, pair
 
@@ -71,12 +108,21 @@ class Fan:
         return out
 
 
+def _refuse_overlap(rays, cones, i: int, idxs: tuple[int, ...]) -> None:
+    """Reject the fan if a maximal cone other than cone i holds the sum of
+    the rays idxs (a relative-interior point of the face they span)."""
+    point = sum((rays[k] for k in idxs), rays[0].scale(0))
+    for j, c in enumerate(cones):
+        if j != i and contains(c, point):
+            raise ValueError(f"not a fan: cones {min(i, j)} and {max(i, j)} overlap")
+
+
 def build_fan(rays, max_cones, rank: int) -> Fan:
     """Validate and assemble a complete fan.
 
     Raises ValueError("not a fan: ...") when cones overlap or fail face
     compatibility, and ValueError("fan not complete: ...") when some facet
-    has no neighbour or the support is disconnected.
+    has no neighbour.
     """
     rays = tuple(rays)
     if not rays:
@@ -117,15 +163,6 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     if len(set(index_sets)) != len(index_sets):
         raise ValueError("not a fan: duplicate maximal cones")
 
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            common = intersect_cones(cones[i], cones[j])
-            shared = set(common.rays)
-            if not (is_face(shared, cones[i]) and is_face(shared, cones[j])):
-                raise ValueError(
-                    f"not a fan: cones {i} and {j} do not intersect in a common face"
-                )
-
     # Facet matching: every facet of every maximal cone must be shared with
     # exactly one other maximal cone, with opposite inner normals.
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
@@ -137,6 +174,7 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     walls = []
     for wall_rays, owners in sorted(facets.items()):
         if len(owners) == 1:
+            _refuse_overlap(rays, cones, owners[0][0], wall_rays)
             raise ValueError("fan not complete: a boundary facet has no neighbour")
         if len(owners) > 2:
             raise ValueError("not a fan: a facet is shared by more than two cones")
@@ -146,26 +184,14 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         if ci > cj:
             ci, cj, fi = cj, ci, fj
         outside = tuple(k for k in index_sets[cj] if k not in wall_rays)
-        for k in outside:
-            if pair(fi, rays[k]) >= 0:
-                raise RuntimeError("internal: wall normal not negative beyond the wall")
+        if any(pair(fi, rays[k]) >= 0 for k in outside):
+            raise RuntimeError(
+                f"internal: wall {wall_rays} of cones {ci} and {cj}: "
+                "normal not negative beyond the wall"
+            )
         walls.append(Wall(ci, cj, wall_rays, fi, outside))
 
-    # Connectivity of the wall-adjacency graph.
-    adj: dict[int, set[int]] = {i: set() for i in range(len(cones))}
-    for w in walls:
-        adj[w.sigma].add(w.tau)
-        adj[w.tau].add(w.sigma)
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(cones):
-        raise ValueError("fan not complete: support is disconnected")
-
+    # Covering degree 1 (module docstring): cone 0's ray sum is in no other cone.
+    _refuse_overlap(rays, cones, 0, index_sets[0])
     walls.sort(key=lambda w: (w.sigma, w.tau, w.rays))
     return Fan(rank, rays, tuple(index_sets), tuple(cones), tuple(walls))

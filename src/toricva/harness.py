@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
+from operator import mul
 from typing import Callable
 
 from .cones import classify, contains
@@ -428,14 +429,16 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
     notes: list[str] = []
     lmin, lmax = _dual_sums(fan, local_dp, sigma)
     if lmax is not None:
-        dual, sums = fan.duals[sigma], fan.coefficient_sums[sigma]
+        sums = fan.coefficient_sums[sigma]
+        # The dual's integer facet normals meet the raw box coordinates; only
+        # strictly interior points become vectors.
+        normals = [f.coords for f in fan.duals[sigma].facet_normals]
         checked = 0
         for coords in product(range(-bound, bound + 1), repeat=fan.rank):
-            x = vec(coords, M)
-            if not contains(dual, x, strict=True):
+            if any(sum(map(mul, f, coords)) <= 0 for f in normals):
                 continue
             checked += 1
-            if sums.maximum(x).value < lmax:
+            if sums.maximum(vec(coords, M)).value < lmax:
                 failures.append(
                     Failure("cone", sigma, f"interior point {coords} has smaller maximum sum")
                 )

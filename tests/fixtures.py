@@ -9,6 +9,15 @@ from toricva.linalg import N, matrix_rank, vec
 
 small = st.integers(min_value=-4, max_value=4)
 
+# Five rays whose consecutive cones wind twice around the origin: every ray
+# lies in exactly two cones, on opposite sides, yet the cones cover the
+# plane twice.
+DOUBLE_WOUND_RAYS = ((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
+DOUBLE_WOUND_CONES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
+# Its suspension: every facet matched, covering degree 2.
+SUSPENDED_RAYS = tuple((x, y, 0) for x, y in DOUBLE_WOUND_RAYS) + ((0, 0, 1), (0, 0, -1))
+SUSPENDED_CONES = tuple((i, (i + 1) % 5, pole) for pole in (5, 6) for i in range(5))
+
 
 @st.composite
 def pointed_cones(draw, rank=None):

@@ -11,7 +11,9 @@ lattice point of a bounding box, which the production code no longer does.
 The hull oracles find facets by a subset scan over the points and vertices
 by one LP per point, where production code builds one cone over the lifted
 points.  Polytope vertices come from exact solves of every square
-subsystem.
+subsystem.  The fan reference intersects every pair of maximal cones and
+asks for a common face, where `fans.build_fan` reads the covering degree
+off one point.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from toricva.cones import Cone, contains, dual_cone
+from toricva.cones import (
+    Cone,
+    NotPointed,
+    cone_from_generators,
+    contains,
+    dual_cone,
+    extreme_rays,
+)
 from toricva.divisors import Divisor, local_data, polytope, translated_polytope
 from toricva.fans import Fan
 from toricva.harness import Failure
@@ -29,6 +38,7 @@ from toricva.lambdas import LambdaValue, lambda_min
 from toricva.linalg import (
     Vec,
     dual_ambient,
+    is_primitive,
     nullspace,
     pair,
     pivot,
@@ -356,6 +366,89 @@ def subset_vertices(halfspaces) -> tuple[Vec, ...]:
         if all(pair(u, v) >= -d for v, d in halfspaces):
             verts.add(u)
     return tuple(sorted(verts, key=lambda v: v.coords))
+
+
+def zero_cone(rank: int, ambient: str) -> Cone:
+    eqs = tuple(
+        Vec(tuple(1 if j == i else 0 for j in range(rank)), dual_ambient(ambient))
+        for i in range(rank)
+    )
+    return Cone(ambient, rank, (), (), eqs)
+
+
+def intersect_cones(a: Cone, b: Cone) -> Cone:
+    """Intersection of two pointed cones sharing an ambient lattice."""
+    if a.ambient != b.ambient or a.rank != b.rank:
+        raise ValueError("cones live in different ambients")
+    rays = extreme_rays(
+        dict.fromkeys(a.facet_normals + b.facet_normals),
+        a.span_equations + b.span_equations,
+        a.ambient,
+    )
+    if not rays:
+        return zero_cone(a.rank, a.ambient)
+    return cone_from_generators(list(rays))
+
+
+def is_face(face_rays, c: Cone) -> bool:
+    """Is cone(face_rays) a face of c?  face_rays must be a set of Vecs."""
+    face_rays = set(face_rays)
+    tight = [f for f in c.facet_normals if all(pair(f, r) == 0 for r in face_rays)]
+    generated = {r for r in c.rays if all(pair(f, r) == 0 for f in tight)}
+    return generated == face_rays
+
+
+def pairwise_face_check(fan_or_cones) -> tuple[int, int] | None:
+    """Reference for the face-to-face part of `fans.build_fan`: the first
+    pair of maximal cones (a Fan's, or a list of Cones) whose intersection
+    is not a face of both, or None."""
+    cones = fan_or_cones.cones if isinstance(fan_or_cones, Fan) else list(fan_or_cones)
+    for i, j in combinations(range(len(cones)), 2):
+        shared = set(intersect_cones(cones[i], cones[j]).rays)
+        if not (is_face(shared, cones[i]) and is_face(shared, cones[j])):
+            return i, j
+    return None
+
+
+def reference_fan_check(rays, max_cones, rank: int) -> str | None:
+    """Reference for the verdict of `fans.build_fan`, without its covering
+    degree: None for a complete fan, otherwise a reason.
+
+    Each cone must be pointed and full-dimensional on extreme rays, every
+    pair must meet in a common face, and then the fan is complete when the
+    relative-interior point of each facet lies in exactly two cones.
+    """
+    rays = list(rays)
+    index_sets = [frozenset(idxs) for idxs in max_cones]
+    if (
+        not rays
+        or any(r.rank != rank or not is_primitive(r) for r in rays)
+        or len(set(rays)) != len(rays)
+    ):
+        return "not a fan: bad ray list"
+    if not index_sets or len(set(index_sets)) != len(index_sets):
+        return "not a fan: no cones or a duplicate cone"
+    if set().union(*index_sets) != set(range(len(rays))):
+        return "not a fan: a ray outside every cone or an unknown ray"
+    cones = []
+    for idxs in index_sets:
+        gens = [rays[i] for i in idxs]
+        try:
+            c = cone_from_generators(gens) if gens else None
+        except NotPointed:
+            c = None
+        if c is None or not c.is_full_dim or set(c.rays) != set(gens):
+            return "not a fan: a cone is empty, not pointed, lower-dimensional or redundant"
+        cones.append(c)
+    bad = pairwise_face_check(cones)
+    if bad is not None:
+        return f"not a fan: cones {bad[0]} and {bad[1]} do not intersect in a common face"
+    for c in cones:
+        for f in c.facet_normals:
+            point = sum((r for r in c.rays if pair(f, r) == 0), rays[0].scale(0))
+            if sum(contains(d, point) for d in cones) != 2:
+                return "fan not complete: a facet lies in no other cone"
+    return None
 
 
 def m_delta_contains(c: Cone, m, x: Vec) -> bool:

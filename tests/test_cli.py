@@ -12,6 +12,8 @@ import pytest
 from toricva import cli
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 
+from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -229,6 +231,20 @@ def test_input_validation_messages(tmp_path, capsys):
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 1
         assert needle in err, (needle, err)
+
+
+@pytest.mark.parametrize(
+    "rank, rays, cones",
+    [(2, DOUBLE_WOUND_RAYS, DOUBLE_WOUND_CONES), (3, SUSPENDED_RAYS, SUSPENDED_CONES)],
+    ids=["double-wound", "suspended"],
+)
+def test_doubly_covering_fan_is_an_input_error(tmp_path, capsys, rank, rays, cones):
+    path = tmp_path / "wound.json"
+    path.write_text(json.dumps({"rank": rank, "rays": rays, "max_cones": cones}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "input error: not a fan: cones 0 and 3 overlap" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("where", ["missing", "file"])

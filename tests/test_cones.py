@@ -6,17 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import in_nonneg_span, lp_pointed
-from toricva.cones import (
-    NotPointed,
-    classify,
-    cone_from_generators,
-    contains,
-    dual_cone,
-    intersect_cones,
-    is_face,
-    zero_cone,
-)
+from oracles import in_nonneg_span, intersect_cones, is_face, lp_pointed
+from toricva.cones import NotPointed, classify, cone_from_generators, contains, dual_cone
 from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
 
 

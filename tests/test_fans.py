@@ -1,10 +1,26 @@
+import dataclasses
+import random
+
 import pytest
 
-from toricva.cones import dual_cone
+from oracles import pairwise_face_check, reference_fan_check
+from toricva import fans
+from toricva.cones import cone_from_generators, dual_cone
 from toricva.fans import build_fan
-from toricva.linalg import N, pair, vec
+from toricva.harness import BUILTINS, builtin, random_instance
+from toricva.linalg import N, pair, primitivize, vec
 
-from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
+from fixtures import (
+    DOUBLE_WOUND_CONES,
+    DOUBLE_WOUND_RAYS,
+    SUSPENDED_CONES,
+    SUSPENDED_RAYS,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+    quadric3_fan,
+)
 
 
 def nvecs(*coords):
@@ -128,3 +144,135 @@ def test_non_pointed_cone_named():
     rays = nvecs((1, 0), (0, 1), (-1, -1))
     with pytest.raises(ValueError, match="not a fan: cone 1 is not pointed"):
         build_fan(rays, [(0, 1), (0, 1, 2)], 2)
+
+
+def test_overlapping_cones_named():
+    # The facet of cone 0 on (0, 1) has no partner, and (0, 1) lies in cone 1.
+    rays = nvecs((1, 0), (0, 1), (1, 1), (-1, 1), (-1, -1), (1, -1))
+    cones = [(0, 1), (2, 3), (3, 4), (4, 5), (5, 0)]
+    with pytest.raises(ValueError, match="^not a fan: cones 0 and 1 overlap$"):
+        build_fan(rays, cones, 2)
+
+
+def test_double_wound_fan_has_covering_degree_two():
+    rays = nvecs(*DOUBLE_WOUND_RAYS)
+    with pytest.raises(ValueError, match="^not a fan: cones 0 and 3 overlap$"):
+        build_fan(rays, DOUBLE_WOUND_CONES, 2)
+    cones = [cone_from_generators([rays[i] for i in c]) for c in DOUBLE_WOUND_CONES]
+    assert pairwise_face_check(cones) == (0, 2)
+
+
+def test_suspended_double_wound_fan_has_covering_degree_two():
+    rays = nvecs(*SUSPENDED_RAYS)
+    with pytest.raises(ValueError, match="^not a fan: cones 0 and 3 overlap$"):
+        build_fan(rays, SUSPENDED_CONES, 3)
+    assert reference_fan_check(rays, SUSPENDED_CONES, 3) is not None
+
+
+def test_disconnected_wall_graph_is_an_overlap():
+    # Two complete fans on disjoint rays: every facet matched, two wall
+    # components, each covering the plane once.
+    rays = nvecs((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+    cones = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    with pytest.raises(ValueError, match="^not a fan: cones 0 and 4 overlap$"):
+        build_fan(rays, cones, 2)
+
+
+def test_internal_wall_error_names_its_wall(monkeypatch):
+    # Outer instead of inner facet normals leave the facets matched but put
+    # every far-side ray on the wrong side of the wall normal.
+    real = fans.cone_from_generators
+
+    def outward(gens):
+        c = real(gens)
+        return dataclasses.replace(c, facet_normals=tuple(-f for f in c.facet_normals))
+
+    monkeypatch.setattr(fans, "cone_from_generators", outward)
+    with pytest.raises(RuntimeError, match=r"^internal: wall \(0,\) of cones 1 and 2: normal"):
+        p2_fan()
+
+
+# Arguments for one instance of every builtin family.
+_BUILTIN_ARGS = {
+    "projective_space": [(2,), (3,)],
+    "weighted_112": [()],
+    "hirzebruch": [(0, 1, 1, 1, 1), (3, 1, 0, 1, 0)],
+    "product_p1": [(1, 2)],
+    "intro_simplex_2d": [(2,)],
+    "intro_simplex_3d": [(2,)],
+    "ew_simplex": [(3,)],
+}
+
+
+def _cyclic_order(fan):
+    """The rays of a rank-2 fan in the order its cones meet them."""
+    order = list(fan.max_cones[0])
+    while len(order) < len(fan.rays):
+        a, b = next(c for c in fan.max_cones if order[-1] in c and order[-2] not in c)
+        order.append(a + b - order[-1])
+    return order
+
+
+def _strictly_between(u, w, v):
+    """Is w in the interior of the rank-2 cone spanned by u and v?"""
+    def det(a, b):
+        return a.coords[0] * b.coords[1] - a.coords[1] * b.coords[0]
+
+    return det(u, w) * det(u, v) > 0 and det(w, v) * det(u, v) > 0
+
+
+def _mutations(fan, rng):
+    """Seeded bad variants of a complete fan: one cone dropped, one ray of a
+    cone swapped for an interior point of a neighbour, and, in rank 2 with
+    at least five cones, every second ray joined so the cones cover the
+    plane twice."""
+    rays, cones = list(fan.rays), list(fan.max_cones)
+    k = rng.randrange(len(cones))
+    yield "drop", rays, cones[:k] + cones[k + 1:]
+    wall = rng.choice(fan.walls_of(k))
+    inside = primitivize(sum((rays[i] for i in cones[wall.tau]), rays[0].scale(0)))
+    out = rng.choice(cones[k])
+    swapped = [i for i in cones[k] if i != out] + [len(rays)]
+    yield "swap", rays + [inside], cones[:k] + [tuple(swapped)] + cones[k + 1:]
+    if fan.rank == 2 and len(cones) >= 5:
+        order = _cyclic_order(fan)
+        m = len(order)
+        wound = [(order[i], order[(i + 2) % m]) for i in range(m)]
+        # Only if each new cone holds the ray it skips, so facets stay matched.
+        if all(_strictly_between(*(rays[order[(i + j) % m]] for j in range(3))) for i in range(m)):
+            yield "wind", rays, wound
+
+
+def test_build_fan_matches_pairwise_oracle():
+    """The covering-degree test accepts and rejects exactly what the pairwise
+    common-face scan does, on the pools, every builtin and seeded mutations."""
+    pool = [random_instance(2, s).fan for s in range(130)]
+    pool += [random_instance(3, s).fan for s in range(30)]
+    assert set(_BUILTIN_ARGS) == set(BUILTINS)
+    named = [builtin(name, args).fan for name, calls in _BUILTIN_ARGS.items() for args in calls]
+    named += [p2_fan(), p112_fan(), p1xp1_fan(), p3_fan(), quadric3_fan()]
+    cases = [("complete", f.rays, f.max_cones) for f in pool + named]
+    rng = random.Random("toricva:fan-mutations")
+    for f in pool:
+        cases += list(_mutations(f, rng))
+    cases += [
+        ("crafted", nvecs(*DOUBLE_WOUND_RAYS), DOUBLE_WOUND_CONES),
+        ("crafted", nvecs(*SUSPENDED_RAYS), SUSPENDED_CONES),
+    ]
+    seen = {"complete": 0, "drop": 0, "swap": 0, "wind": 0, "crafted": 0}
+    for kind, rays, cones in cases:
+        rank = rays[0].rank
+        try:
+            build_fan(rays, cones, rank)
+            verdict = None
+        except ValueError as e:
+            verdict = str(e)
+            assert verdict.startswith(("not a fan", "fan not complete")), (kind, verdict)
+        expected = reference_fan_check(rays, cones, rank)
+        assert (verdict is None) == (expected is None), (kind, rays, cones, verdict, expected)
+        assert (verdict is None) == (kind == "complete"), (kind, rays, cones, verdict)
+        seen[kind] += 1
+        if kind == "wind":
+            # every facet is matched, so only the covering degree rejects
+            assert verdict.startswith("not a fan: cones 0 and "), verdict
+    assert seen == {"complete": 174, "drop": 160, "swap": 160, "wind": 9, "crafted": 2}, seen
