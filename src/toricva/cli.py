@@ -40,7 +40,6 @@ from .divisors import (
     poly_contains,
     polytope,
     translated_polytope,
-    try_local_data,
 )
 from .fans import Fan, build_fan
 from .harness import (
@@ -55,7 +54,7 @@ from .harness import (
     generation_scan,
     random_instance,
 )
-from .intersections import wall_value
+from .intersections import DivisorSolve, solve_divisor
 from .linalg import N, vec
 from .semigroups import hilbert_basis
 
@@ -158,13 +157,17 @@ def load_document(path: str) -> tuple[Fan, dict[str, Divisor]]:
     return fan, divisors
 
 
+def _named(divisors: dict[str, Divisor], name: str) -> tuple[str, Divisor]:
+    if name not in divisors:
+        known = ", ".join(sorted(divisors)) or "none"
+        raise InputError(f"no divisor named {name!r} (available: {known})")
+    return name, divisors[name]
+
+
 def _pick_divisor(divisors: dict[str, Divisor], requested: str | None) -> tuple[str, Divisor]:
     """The base divisor defaults to 'D', or to the file's only divisor."""
     if requested is not None:
-        if requested not in divisors:
-            known = ", ".join(sorted(divisors)) or "none"
-            raise InputError(f"no divisor named {requested!r} (available: {known})")
-        return requested, divisors[requested]
+        return _named(divisors, requested)
     if "D" in divisors:
         return "D", divisors["D"]
     if len(divisors) == 1:
@@ -175,10 +178,7 @@ def _pick_divisor(divisors: dict[str, Divisor], requested: str | None) -> tuple[
 def _pick_dprime(fan: Fan, divisors: dict[str, Divisor], requested: str | None):
     """The perturbation defaults to the canonical representative."""
     if requested is not None:
-        if requested not in divisors:
-            known = ", ".join(sorted(divisors)) or "none"
-            raise InputError(f"no divisor named {requested!r} (available: {known})")
-        return requested, divisors[requested], []
+        return (*_named(divisors, requested), [])
     if "Dprime" in divisors:
         return "Dprime", divisors["Dprime"], []
     return (
@@ -205,21 +205,18 @@ def _builtin_from_expr(expr: str) -> Instance:
         raise InputError(str(exc)) from None
 
 
-def _divisor_verdicts(fan: Fan, d: Divisor, local, want_very_ample: bool) -> dict:
-    """Positivity verdicts of d from its local data (None when not Q-Cartier)."""
+def _divisor_verdicts(fan: Fan, d: Divisor, solved: DivisorSolve, want_very_ample: bool) -> dict:
+    """Positivity verdicts of d from its solve."""
+    local = solved.local
     out = {"q_cartier": local is not None}
     if local is None:
         return out
     out["cartier"] = all(u.is_lattice for u in local)
-    nef = all(wall_value(fan, local, w) >= 0 for w in fan.walls)
-    out["nef"] = nef
+    out["nef"] = solved.nef
     if out["cartier"]:
-        out["basepoint_free"] = nef
+        out["basepoint_free"] = solved.nef
         if want_very_ample:
-            if nef:
-                out["very_ample"] = not generation_scan(fan, d, local)
-            else:
-                out["very_ample"] = False
+            out["very_ample"] = solved.nef and not generation_scan(fan, d, local)
     return out
 
 
@@ -241,26 +238,25 @@ def _cone_json(cd: ConeData) -> dict:
     }
 
 
-def _cones_json(fan: Fan, local_d, local_dp) -> list[dict]:
+def _cones_json(inst: Instance) -> list[dict]:
+    solves = (("u_sigma", inst.d_solve), ("u_sigma_perturbation", inst.dprime_solve))
     rows = []
-    for cd in cone_table(fan, local_d, local_dp):
+    for cd in cone_table(inst):
         row = _cone_json(cd)
-        if local_d is not None:
-            row["u_sigma"] = _enc_vec(local_d[cd.cone_index])
-        if local_dp is not None:
-            row["u_sigma_perturbation"] = _enc_vec(local_dp[cd.cone_index])
+        for key, solved in solves:
+            if solved.local is not None:
+                row[key] = _enc_vec(solved.local[cd.cone_index])
         rows.append(row)
     return rows
 
 
-def _walls_json(fan: Fan, local_d, local_sum) -> list[dict]:
+def _walls_json(inst: Instance) -> list[dict]:
     rows = []
-    for w in fan.walls:
+    for wi, w in enumerate(inst.fan.walls):
         row = {"sigma": w.sigma, "tau": w.tau, "rays": list(w.rays)}
-        if local_d is not None:
-            row["value"] = _enc_scalar(wall_value(fan, local_d, w))
-        if local_sum is not None:
-            row["combined_value"] = _enc_scalar(wall_value(fan, local_sum, w))
+        for key, solved in (("value", inst.d_solve), ("combined_value", inst.total_solve)):
+            if solved.local is not None:
+                row[key] = _enc_scalar(solved.values[wi])
         rows.append(row)
     return rows
 
@@ -303,11 +299,9 @@ def cmd_analyze(args, out) -> int:
     fan, divisors = load_document(args.input)
     d_name, d = _pick_divisor(divisors, args.d)
     dp_name, dp, remarks = _pick_dprime(fan, divisors, args.dprime)
+    inst = Instance(fan, d, dp, args.input)
     total = d + dp
     remarks.append("projectivity is not certified for hand-entered fans")
-    local_d, _ = try_local_data(fan, d)
-    local_dp, _ = try_local_data(fan, dp)
-    local_sum, _ = try_local_data(fan, total)
     doc = {
         "command": "analyze",
         "input": args.input,
@@ -321,12 +315,12 @@ def cmd_analyze(args, out) -> int:
             "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
         },
         "verdicts": {
-            "d": _divisor_verdicts(fan, d, local_d, args.very_ample),
-            "perturbation": _divisor_verdicts(fan, dp, local_dp, False),
-            "combined": _divisor_verdicts(fan, total, local_sum, args.very_ample),
+            "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
+            "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
+            "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
         },
-        "cones": _cones_json(fan, local_d, local_dp),
-        "walls": _walls_json(fan, local_d, local_sum),
+        "cones": _cones_json(inst),
+        "walls": _walls_json(inst),
         "remarks": remarks,
         "exit_status": 0,
     }
@@ -480,10 +474,10 @@ def cmd_hilbert(args, out) -> int:
     membership = None
     if args.d is not None:
         name, d = _pick_divisor(divisors, args.d)
-        local, bad = try_local_data(fan, d)
-        if local is None:
-            raise InputError(f"divisor {name!r} has no local data on cone {bad}")
-        shifted = translated_polytope(polytope(fan, d), local[args.sigma])
+        solved = solve_divisor(fan, d)
+        if solved.local is None:
+            raise InputError(f"divisor {name!r} has no local data on cone {solved.missing}")
+        shifted = translated_polytope(polytope(fan, d), solved.local[args.sigma])
         membership = [
             {"element": _enc_vec(b), "in_shifted_polytope": poly_contains(shifted, b)}
             for b in basis

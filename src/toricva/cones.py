@@ -6,10 +6,11 @@ additionally carry span equations, so membership tests stay a matter of
 evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
 into generators: facet normals (the dual's rays, which also decide
 pointedness without an LP), and in `divisors` polytope vertices and
-boundedness.  It is fine at desk scale (rank <= 6, a couple dozen rays),
-which is the regime everything here operates in.  `triangulate` splits a
-cone into simplicial cones on its own rays, for Hilbert bases and for the
-witnesses of coefficient sums.
+boundedness.  A full-dimensional cone's dual needs no scan: `dual_cone`
+swaps the two descriptions.  The scan is fine at desk scale (rank <= 6, a
+couple dozen rays), which is the regime everything here operates in.
+`triangulate` splits a cone into simplicial cones on its own rays, for
+Hilbert bases and for the witnesses of coefficient sums.
 """
 
 from __future__ import annotations
@@ -141,13 +142,11 @@ def contains(c: Cone, x: Vec, strict: bool = False) -> bool:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Dual of a full-dimensional pointed cone; its rays are c's facet normals."""
+    """Dual of a full-dimensional pointed cone, read off c: its rays are c's
+    facet normals and its facet normals c's rays."""
     if not c.is_full_dim:
         raise ValueError("dual_cone requires a full-dimensional cone")
-    d = cone_from_generators(list(c.facet_normals))
-    if set(d.facet_normals) != set(c.rays):
-        raise RuntimeError("internal: biduality check failed")
-    return d
+    return Cone(dual_ambient(c.ambient), c.rank, c.facet_normals, c.rays, ())
 
 
 def triangulate(c: Cone) -> list[tuple[Vec, ...]]:

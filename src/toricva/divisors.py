@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .cones import extreme_rays
-from .fans import Fan
 from .linalg import Scalar, Vec, _norm_coord, dual_ambient, matrix_rank, pair, solve_exact
+
+if TYPE_CHECKING:  # fans imports semigroups, which imports this module
+    from .fans import Fan
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,12 @@ def local_data(fan: Fan, d: Divisor) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def try_local_data(fan: Fan, d: Divisor) -> tuple[tuple[Vec, ...] | None, int | None]:
-    """(local data, None), or (None, index of the first cone without local data)."""
-    try:
-        return local_data(fan, d), None
-    except NotQCartier as exc:
-        return None, exc.cone_index
-
-
 def is_q_cartier(fan: Fan, d: Divisor) -> bool:
-    return try_local_data(fan, d)[0] is not None
+    try:
+        local_data(fan, d)
+    except NotQCartier:
+        return False
+    return True
 
 
 def is_cartier(fan: Fan, d: Divisor) -> bool:

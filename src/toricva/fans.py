@@ -59,6 +59,7 @@ from functools import cached_property
 from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
 from .linalg import Vec, is_primitive, pair
+from .semigroups import hilbert_basis
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,18 @@ class Fan:
     # ignore them.
     @cached_property
     def duals(self) -> tuple[Cone, ...]:
-        """The dual of each maximal cone, biduality-checked once per fan."""
+        """The dual of each maximal cone."""
         return tuple(dual_cone(c) for c in self.cones)
 
     @cached_property
     def coefficient_sums(self) -> tuple[CoefficientSums, ...]:
         """lambda_min and lambda_max on each maximal cone's dual."""
         return tuple(CoefficientSums(d) for d in self.duals)
+
+    @cached_property
+    def hilbert_bases(self) -> tuple[tuple[Vec, ...], ...]:
+        """The Hilbert basis of each maximal cone's dual."""
+        return tuple(hilbert_basis(d) for d in self.duals)
 
     def flip(self, wall: Wall) -> Wall:
         """The same wall viewed from the other side."""

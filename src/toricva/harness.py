@@ -11,8 +11,10 @@ just outside a statement's reach.
 and the options the check takes.  The four global checks share one report
 skeleton and differ only in their threshold, the projective-space exclusion
 and the conclusion they draw from the combined divisor's local data; the
-three per-cone checks take a cone index.  `BUILTINS` is the table of named
-instance families.
+three per-cone checks take a cone index.  Every check reads D, D' and D+D'
+from the instance's solves (`intersections.solve_divisor`), made once per
+instance on first use; a cone's wall minimum is read off the per-wall
+values.  `BUILTINS` is the table of named instance families.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import ceil
 from operator import mul
@@ -30,17 +33,14 @@ from .divisors import (
     Divisor,
     canonical_divisor,
     dprime_in_range,
-    local_data,
     poly_contains,
     polytope,
     translated_polytope,
-    try_local_data,
 )
 from .fans import Fan, build_fan
 from .hulls import affine_rank, convex_hull
-from .intersections import is_nef, wall_value
+from .intersections import DivisorSolve, solve_divisor
 from .linalg import M, N, Vec, lattice_index, pair, vec
-from .semigroups import hilbert_basis
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,19 @@ class Instance:
         nrays = len(self.fan.rays)
         if len(self.d.coeffs) != nrays or len(self.dprime.coeffs) != nrays:
             raise ValueError("divisor length does not match the fan's ray count")
+
+    # Each divisor is solved once, on first use; not fields, so not hashed or compared.
+    @cached_property
+    def d_solve(self) -> DivisorSolve:
+        return solve_divisor(self.fan, self.d)
+
+    @cached_property
+    def dprime_solve(self) -> DivisorSolve:
+        return solve_divisor(self.fan, self.dprime)
+
+    @cached_property
+    def total_solve(self) -> DivisorSolve:
+        return solve_divisor(self.fan, self.d + self.dprime)
 
 
 @dataclass(frozen=True)
@@ -129,8 +142,9 @@ def is_projective_space(fan: Fan) -> bool:
     return {tuple(sorted(c)) for c in fan.max_cones} == expected
 
 
-def _min_wall_value(fan: Fan, local) -> Fraction:
-    return min(wall_value(fan, local, w) for w in fan.walls)
+def _cone_minimum(fan: Fan, values, sigma: int) -> Fraction:
+    """Least value over sigma's walls; a wall's value is the same from either side."""
+    return min(v for v, w in zip(values, fan.walls) if sigma in (w.sigma, w.tau))
 
 
 def _dual_sums(fan: Fan, local_dp, sigma: int):
@@ -142,39 +156,35 @@ def _dual_sums(fan: Fan, local_dp, sigma: int):
     return sums.minimum(up).value, sums.maximum(up).value
 
 
-def _perturbation_hypotheses(fan: Fan, dprime: Divisor):
-    """The perturbation's local data plus its two hypotheses: Q-Cartier, and
-    coefficients between zero and the canonical divisor."""
-    local_dp, bad = try_local_data(fan, dprime)
-    hyps = [
-        Hypothesis(
-            "perturbation_q_cartier",
-            local_dp is not None,
-            "" if local_dp is not None else f"no local data on cone {bad}",
-        ),
+def _q_cartier(name: str, solved: DivisorSolve) -> Hypothesis:
+    holds = solved.local is not None
+    return Hypothesis(name, holds, "" if holds else f"no local data on cone {solved.missing}")
+
+
+def _perturbation_hypotheses(inst: Instance) -> list[Hypothesis]:
+    """The perturbation is Q-Cartier, with coefficients between zero and the
+    canonical divisor."""
+    return [
+        _q_cartier("perturbation_q_cartier", inst.dprime_solve),
         Hypothesis(
             "perturbation_between_zero_and_canonical",
-            dprime_in_range(fan, dprime),
+            dprime_in_range(inst.fan, inst.dprime),
             "",
         ),
     ]
-    return hyps, local_dp
 
 
-def cone_table(fan: Fan, local_d, local_dp) -> tuple[ConeData, ...]:
-    local_sum = None
-    if local_d is not None and local_dp is not None:
-        local_sum = tuple(a + b for a, b in zip(local_d, local_dp))
+def cone_table(inst: Instance) -> tuple[ConeData, ...]:
+    """Per cone: the wall minima t of D and m of D+D', and D''s coefficient sums."""
+    fan, d, dp = inst.fan, inst.d_solve, inst.dprime_solve
     rows = []
     for ci in range(len(fan.max_cones)):
-        walls = fan.walls_of(ci)
         t = m = None
-        if local_d is not None:
-            t = min(wall_value(fan, local_d, w) for w in walls)
-        if local_sum is not None:
-            m = min(wall_value(fan, local_sum, w) for w in walls)
-        lmin, lmax = _dual_sums(fan, local_dp, ci)
-        rows.append(ConeData(ci, t, m, lmin, lmax))
+        if d.local is not None:
+            t = _cone_minimum(fan, d.values, ci)
+            if dp.local is not None:
+                m = _cone_minimum(fan, inst.total_solve.values, ci)
+        rows.append(ConeData(ci, t, m, *_dual_sums(fan, dp.local, ci)))
     return tuple(rows)
 
 
@@ -191,18 +201,11 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
                 "fan is the standard projective-space fan" if isp else "",
             )
         )
-    local_d, bad_d = try_local_data(fan, inst.d)
-    hyps.append(
-        Hypothesis(
-            "base_divisor_q_cartier",
-            local_d is not None,
-            "" if local_d is not None else f"no local data on cone {bad_d}",
-        )
-    )
-    dp_hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
-    hyps.extend(dp_hyps)
-    if local_d is not None:
-        mv = _min_wall_value(fan, local_d)
+    d = inst.d_solve
+    hyps.append(_q_cartier("base_divisor_q_cartier", d))
+    hyps.extend(_perturbation_hypotheses(inst))
+    if d.local is not None:
+        mv = min(d.values)
         hyps.append(
             Hypothesis(
                 "wall_values_meet_threshold",
@@ -214,7 +217,7 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
         hyps.append(
             Hypothesis("wall_values_meet_threshold", False, "wall values unavailable")
         )
-    return hyps, local_d, local_dp
+    return hyps
 
 
 def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
@@ -230,7 +233,7 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     failures = []
     for ci, u in enumerate(local):
         shifted = translated_polytope(p, u)
-        for h in hilbert_basis(fan.duals[ci]):
+        for h in fan.hilbert_bases[ci]:
             if not poly_contains(shifted, h):
                 failures.append(Failure("cone", ci, f"missing semigroup generator {h.coords}"))
                 break
@@ -241,16 +244,13 @@ def _global_report(
     inst: Instance, statement: str, threshold: int, exclude_pspace: bool, conclude
 ) -> CheckReport:
     """The report skeleton of the global statements: shared hypotheses, then
-    conclude(fan, D+D', local data of D+D') -> (failures, notes) when D+D'
-    has local data, then the cone table.  The conclusion holds when nothing
-    failed."""
-    fan = inst.fan
-    hyps, local_d, local_dp = _shared_hypotheses(inst, threshold, exclude_pspace)
-    total = inst.d + inst.dprime
-    local_sum, _ = try_local_data(fan, total)
+    conclude(inst, solve of D+D') -> (failures, notes) when D+D' has local
+    data, then the cone table.  The conclusion holds when nothing failed."""
+    hyps = _shared_hypotheses(inst, threshold, exclude_pspace)
+    total = inst.total_solve
     conclusion, failures, notes = None, (), ()
-    if local_sum is not None:
-        failures, notes = conclude(fan, total, local_sum)
+    if total.local is not None:
+        failures, notes = conclude(inst, total)
         conclusion = not failures
     return CheckReport(
         statement,
@@ -258,34 +258,32 @@ def _global_report(
         tuple(hyps),
         conclusion,
         tuple(failures),
-        cone_table(fan, local_d, local_dp),
+        cone_table(inst),
         tuple(notes),
     )
 
 
-def _generation_conclusion(fan: Fan, total: Divisor, local_sum):
-    failures = generation_scan(fan, total, local_sum)
-    if not failures and all(u.is_lattice for u in local_sum):
+def _generation_conclusion(inst: Instance, total: DivisorSolve):
+    failures = generation_scan(inst.fan, inst.d + inst.dprime, total.local)
+    if not failures and all(u.is_lattice for u in total.local):
         return failures, ("combined divisor is Cartier and generates everywhere: very ample",)
     return failures, ()
 
 
-def _nef_conclusion(fan: Fan, total: Divisor, local_sum):
-    failures = []
-    for wi, w in enumerate(fan.walls):
-        val = wall_value(fan, local_sum, w)
-        if val < 0:
-            failures.append(Failure("wall", wi, f"combined divisor meets curve at {val}"))
-    if is_nef(fan, total) != (not failures):
-        raise RuntimeError("internal: nef verdict disagrees with wall scan")
-    return failures, ()
+def _nef_conclusion(inst: Instance, total: DivisorSolve):
+    return [
+        Failure("wall", wi, f"combined divisor meets curve at {val}")
+        for wi, val in enumerate(total.values)
+        if val < 0
+    ], ()
 
 
-def _corner_conclusion(fan: Fan, total: Divisor, local_sum):
-    p = polytope(fan, total)
+def _corner_conclusion(inst: Instance, total: DivisorSolve):
+    fan = inst.fan
+    p = polytope(fan, inst.d + inst.dprime)
     zero = vec((0,) * fan.rank, M)
     failures = []
-    for ci, u in enumerate(local_sum):
+    for ci, u in enumerate(total.local):
         shifted = translated_polytope(p, u)
         for target in (zero, *fan.duals[ci].rays):
             if not poly_contains(shifted, target):
@@ -328,16 +326,14 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     has an outside ray with coefficient >= -r.
     """
     fan = inst.fan
-    local_d = local_data(fan, inst.d)
-    if not is_nef(fan, inst.d):
+    d = inst.d_solve.checked()
+    if not d.nef:
         raise ValueError("wall minimum bound requires a nef base divisor")
-    local_dp = local_data(fan, inst.dprime)
+    local_dp = inst.dprime_solve.checked().local
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
-    walls = fan.walls_of(sigma)
-    local_sum = tuple(a + b for a, b in zip(local_d, local_dp))
-    t = min(wall_value(fan, local_d, w) for w in walls)
-    m = min(wall_value(fan, local_sum, w) for w in walls)
+    t = _cone_minimum(fan, d.values, sigma)
+    m = _cone_minimum(fan, inst.total_solve.values, sigma)
 
     hyps = []
     if r is None:
@@ -358,7 +354,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
             Hypothesis("perturbation_nonpositive_on_cone", on_cone, "")
         )
         floors = all(
-            any(inst.dprime.coeffs[j] >= -rr for j in w.outside) for w in walls
+            any(inst.dprime.coeffs[j] >= -rr for j in w.outside) for w in fan.walls_of(sigma)
         )
         hyps.append(
             Hypothesis(
@@ -423,11 +419,11 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
             f"interior-point bound {bound} asks for {box} box points in rank {fan.rank}, "
             f"more than {MAX_BOX_POINTS}"
         )
-    hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
+    hyps = _perturbation_hypotheses(inst)
     conclusion = None
     failures: list[Failure] = []
     notes: list[str] = []
-    lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = _dual_sums(fan, inst.dprime_solve.local, sigma)
     if lmax is not None:
         sums = fan.coefficient_sums[sigma]
         # The dual's integer facet normals meet the raw box coordinates; only
@@ -469,11 +465,10 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
             "cone is regular" if cls.regular else "",
         )
     ]
-    dp_hyps, local_dp = _perturbation_hypotheses(fan, inst.dprime)
-    hyps.extend(dp_hyps)
+    hyps.extend(_perturbation_hypotheses(inst))
     conclusion = None
     failures: tuple[Failure, ...] = ()
-    lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = _dual_sums(fan, inst.dprime_solve.local, sigma)
     if lmin is not None:
         conclusion = lmin <= fan.rank - 1
         if not conclusion:
@@ -645,8 +640,7 @@ def random_instance(dim: int, seed: int) -> Instance:
             break
     if fan is None:
         raise ValueError(f"no full-dimensional sample after {_RETRIES} retries")
-    local = local_data(fan, base)
-    minv = _min_wall_value(fan, local)
+    minv = min(solve_divisor(fan, base).values)
     scale = max(1, ceil(Fraction(dim + 1) / minv))
     coeffs = []
     for _ in fan.rays:

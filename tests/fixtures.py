@@ -18,6 +18,17 @@ DOUBLE_WOUND_CONES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
 SUSPENDED_RAYS = tuple((x, y, 0) for x, y in DOUBLE_WOUND_RAYS) + ((0, 0, 1), (0, 0, -1))
 SUSPENDED_CONES = tuple((i, (i + 1) % 5, pole) for pole in (5, 6) for i in range(5))
 
+# Arguments for one instance of every builtin family.
+BUILTIN_ARGS = {
+    "projective_space": [(2,), (3,)],
+    "weighted_112": [()],
+    "hirzebruch": [(0, 1, 1, 1, 1), (3, 1, 0, 1, 0)],
+    "product_p1": [(1, 2)],
+    "intro_simplex_2d": [(2,)],
+    "intro_simplex_3d": [(2,)],
+    "ew_simplex": [(3,)],
+}
+
 
 @st.composite
 def pointed_cones(draw, rank=None):

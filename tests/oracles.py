@@ -13,7 +13,10 @@ by one LP per point, where production code builds one cone over the lifted
 points.  Polytope vertices come from exact solves of every square
 subsystem.  The fan reference intersects every pair of maximal cones and
 asks for a common face, where `fans.build_fan` reads the covering degree
-off one point.
+off one point.  The dual-cone reference rebuilds each dual by the
+extreme-ray scan and checks biduality, where `cones.dual_cone` swaps the
+two descriptions.  The cone minima flip each wall to its cone's side and
+evaluate it there, where `harness` reads one value per wall.
 """
 
 from dataclasses import dataclass
@@ -366,6 +369,17 @@ def subset_vertices(halfspaces) -> tuple[Vec, ...]:
         if all(pair(u, v) >= -d for v, d in halfspaces):
             verts.add(u)
     return tuple(sorted(verts, key=lambda v: v.coords))
+
+
+def reference_dual_cone(c: Cone) -> Cone:
+    """Reference for `cones.dual_cone`: the dual rebuilt from c's facet
+    normals by the extreme-ray scan, checked by biduality."""
+    if not c.is_full_dim:
+        raise ValueError("dual_cone requires a full-dimensional cone")
+    d = cone_from_generators(list(c.facet_normals))
+    if set(d.facet_normals) != set(c.rays):
+        raise RuntimeError("internal: biduality check failed")
+    return d
 
 
 def zero_cone(rank: int, ambient: str) -> Cone:

@@ -11,9 +11,12 @@ from itertools import product
 
 import pytest
 
+from fixtures import BUILTIN_ARGS, p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import (
     box_scan_generation,
+    cone_minima,
     matches_lp_oracle,
+    reference_dual_cone,
     semigroup_member,
     simplex_lattice_points,
     sum_range,
@@ -21,13 +24,15 @@ from oracles import (
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
 from toricva.divisors import (
     Divisor,
+    canonical_divisor,
     local_data,
     poly_contains,
     polytope,
     translated_polytope,
-    try_local_data,
 )
 from toricva.harness import (
+    BUILTINS,
+    Instance,
     builtin,
     check_corner_containment,
     check_generation,
@@ -286,7 +291,7 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
     points = 0
     for inst in pool2 + pool3 + _threshold_builtins():
         fan = inst.fan
-        local_dp, _ = try_local_data(fan, inst.dprime)
+        local_dp = inst.dprime_solve.local
         box = [vec(p, M) for p in product(range(-2, 3), repeat=fan.rank)]
         for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
             xs = [x for x in box if contains(dual, x, strict=True)]
@@ -296,6 +301,57 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
                 assert matches_lp_oracle(sums, x), (inst.label, ci, x)
             points += len(xs)
     _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
+
+
+def test_dual_cones_match_biduality_oracle(pool2, pool3):
+    # the dual read off a cone's own two descriptions equals the dual rebuilt
+    # by the extreme-ray scan and checked by biduality
+    assert set(BUILTIN_ARGS) == set(BUILTINS)
+    fans = [inst.fan for inst in pool2 + pool3]
+    fans += [builtin(name, args).fan for name, calls in BUILTIN_ARGS.items() for args in calls]
+    fans += [p2_fan(), p112_fan(), p1xp1_fan(), p3_fan(), quadric3_fan()]
+    cones = [c for fan in fans for c in fan.cones]
+    rng = random.Random("acceptance:dual-cones")
+    seeded = 0
+    while seeded < 90:
+        rank = 2 + seeded % 3
+        gens = [
+            vec(tuple(rng.randint(-3, 3) for _ in range(rank)), N)
+            for _ in range(rng.randint(rank, rank + 3))
+        ]
+        try:
+            c = cone_from_generators(gens)
+        except ValueError:
+            continue
+        if c.is_full_dim:
+            cones.append(c)
+            seeded += 1
+    for c in cones:
+        assert dual_cone(c) == reference_dual_cone(c), c
+    assert any(len(c.rays) > c.rank for c in cones)
+    _ok("dual-oracle", f"{len(cones)} duals agree with the biduality rebuild")
+
+
+def test_cone_minima_match_flipped_wall_oracle(pool2, pool3):
+    # every report's per-cone t and m, read from one value per wall, against
+    # the minima over each cone's walls flipped to its side
+    quadric = quadric3_fan()
+    instances = pool2 + pool3 + _threshold_builtins()
+    instances.append(Instance(quadric, Divisor((2, 1, 3, 2, 4)), canonical_divisor(quadric), "q"))
+    rows = 0
+    for inst in instances:
+        fan = inst.fan
+        reports = [check(inst) for check in (
+            check_generation, check_nef_excluding_pspace, check_nef_threshold,
+            check_corner_containment,
+        )]
+        reports += [check_wall_bound(inst, ci) for ci in range(len(fan.max_cones))]
+        for rep in reports:
+            for cd in rep.cone_data:
+                expected = cone_minima(fan, inst.d, inst.dprime, cd.cone_index)
+                assert (cd.t, cd.m) == (expected.first, expected.second), (inst.label, cd)
+                rows += 1
+    _ok("minima-oracle", f"{rows} per-cone rows of {len(instances)} instances agree")
 
 
 def test_criterion_09_containment_and_bound_suites(pool2, pool3):

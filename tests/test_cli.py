@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toricva import cli
+from toricva import cli, fans, intersections
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 
 from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
@@ -93,6 +93,25 @@ def test_analyze_combined_very_ample(tmp_path, capsys):
     )
     assert code == 0
     assert rep["verdicts"]["combined"]["very_ample"] is True
+
+
+def test_very_ample_analysis_computes_each_hilbert_basis_once(tmp_path, capsys, monkeypatch):
+    # D and D+D' are both nef and Cartier: both scan every cone, one basis each
+    calls = []
+    real = fans.hilbert_basis
+    monkeypatch.setattr(fans, "hilbert_basis", lambda c: calls.append(c) or real(c))
+    code, out, err = run(capsys, "examples", "--emit", "ew_simplex(4)", "--dir", str(tmp_path))
+    code, rep = run_json(capsys, "analyze", out.strip(), "--very-ample", "--json")
+    assert code == 0
+    assert rep["verdicts"]["d"]["very_ample"] and rep["verdicts"]["combined"]["very_ample"]
+    assert len(calls) == len(set(calls)) == len(rep["cones"])
+
+
+def test_analyze_checks_nef_against_the_polytope(weighted_input, capsys, monkeypatch):
+    monkeypatch.setattr(intersections, "poly_contains", lambda p, u: False)
+    code, out, err = run(capsys, "analyze", weighted_input, "--json")
+    assert code == 2
+    assert "curve test and polytope test disagree on nef" in err
 
 
 def test_verify_wall_bound_report(capsys):

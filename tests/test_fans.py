@@ -11,6 +11,7 @@ from toricva.harness import BUILTINS, builtin, random_instance
 from toricva.linalg import N, pair, primitivize, vec
 
 from fixtures import (
+    BUILTIN_ARGS,
     DOUBLE_WOUND_CONES,
     DOUBLE_WOUND_RAYS,
     SUSPENDED_CONES,
@@ -140,6 +141,18 @@ def test_cached_duals_leave_equality_and_hash_alone():
     assert "duals" not in repr(fan)
 
 
+def test_cached_hilbert_bases_are_the_duals_bases(monkeypatch):
+    fan = quadric3_fan()
+    before = hash(fan)
+    calls = []
+    real = fans.hilbert_basis
+    monkeypatch.setattr(fans, "hilbert_basis", lambda c: calls.append(c) or real(c))
+    bases = fan.hilbert_bases
+    assert fan.hilbert_bases is bases and calls == list(fan.duals)
+    assert list(bases) == [real(d) for d in fan.duals]
+    assert fan == quadric3_fan() and hash(fan) == before
+
+
 def test_non_pointed_cone_named():
     rays = nvecs((1, 0), (0, 1), (-1, -1))
     with pytest.raises(ValueError, match="not a fan: cone 1 is not pointed"):
@@ -192,18 +205,6 @@ def test_internal_wall_error_names_its_wall(monkeypatch):
         p2_fan()
 
 
-# Arguments for one instance of every builtin family.
-_BUILTIN_ARGS = {
-    "projective_space": [(2,), (3,)],
-    "weighted_112": [()],
-    "hirzebruch": [(0, 1, 1, 1, 1), (3, 1, 0, 1, 0)],
-    "product_p1": [(1, 2)],
-    "intro_simplex_2d": [(2,)],
-    "intro_simplex_3d": [(2,)],
-    "ew_simplex": [(3,)],
-}
-
-
 def _cyclic_order(fan):
     """The rays of a rank-2 fan in the order its cones meet them."""
     order = list(fan.max_cones[0])
@@ -248,8 +249,8 @@ def test_build_fan_matches_pairwise_oracle():
     common-face scan does, on the pools, every builtin and seeded mutations."""
     pool = [random_instance(2, s).fan for s in range(130)]
     pool += [random_instance(3, s).fan for s in range(30)]
-    assert set(_BUILTIN_ARGS) == set(BUILTINS)
-    named = [builtin(name, args).fan for name, calls in _BUILTIN_ARGS.items() for args in calls]
+    assert set(BUILTIN_ARGS) == set(BUILTINS)
+    named = [builtin(name, args).fan for name, calls in BUILTIN_ARGS.items() for args in calls]
     named += [p2_fan(), p112_fan(), p1xp1_fan(), p3_fan(), quadric3_fan()]
     cases = [("complete", f.rays, f.max_cones) for f in pool + named]
     rng = random.Random("toricva:fan-mutations")

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
+from toricva import divisors, intersections
 from toricva.cones import classify
 from toricva.divisors import (
     Divisor,
+    NotQCartier,
     canonical_divisor,
     dprime_in_range,
     local_data,
@@ -19,6 +21,7 @@ from toricva.divisors import (
 from toricva.harness import (
     BUILTINS,
     MAX_BOX_POINTS,
+    STATEMENTS,
     Instance,
     builtin,
     check_corner_containment,
@@ -335,3 +338,54 @@ def test_interior_bound_refuses_a_box_over_the_cap():
         check_interior_bound(inst, 0, bound=50)
     with pytest.raises(ValueError, match="box points"):
         check_interior_bound(inst, 0, bound=10**12)
+
+
+def test_each_divisor_is_solved_once_per_instance(monkeypatch):
+    # all seven statements on every cone solve D, D' and D+D' once each:
+    # one linear solve per cone and one value per wall for each divisor
+    inst = random_instance(3, 1)
+    m, walls = len(inst.fan.max_cones), len(inst.fan.walls)
+    counts = {"solve_exact": 0, "wall_value": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(divisors, "solve_exact")
+    counted(intersections, "wall_value")
+    for statement in STATEMENTS.values():
+        if statement.per_cone:
+            for ci in range(m):
+                statement.check(inst, ci)
+        else:
+            statement.check(inst)
+    assert counts == {"solve_exact": 3 * m, "wall_value": 3 * walls}
+
+
+def test_cached_solves_leave_equality_and_hash_alone():
+    inst, twin = weighted_112(), weighted_112()
+    before = hash(inst)
+    solves = (inst.d_solve, inst.dprime_solve, inst.total_solve)
+    again = (inst.d_solve, inst.dprime_solve, inst.total_solve)
+    assert all(a is b for a, b in zip(solves, again))
+    assert solves[0].local == local_data(inst.fan, inst.d)
+    assert solves[2].values == tuple(
+        wall_value(inst.fan, solves[2].local, w) for w in inst.fan.walls
+    )
+    assert inst == twin and hash(inst) == before == hash(twin)
+    assert "solve" not in repr(inst)
+
+
+def test_solve_names_the_first_cone_without_local_data():
+    fan = quadric3_fan()
+    inst = Instance(fan, Divisor((1, 0, 0, 0, 0)), canonical_divisor(fan), "quadric")
+    solved = inst.d_solve
+    assert (solved.local, solved.values, solved.nef, solved.missing) == (None, (), None, 0)
+    with pytest.raises(NotQCartier, match="cone 0"):
+        solved.checked()
+    assert inst.dprime_solve.checked() is inst.dprime_solve

@@ -13,6 +13,7 @@ from toricva.intersections import (
     wall_value,
     wall_values,
 )
+from toricva.linalg import M, vec
 
 
 def wall_by_ray(fan, ray_index):
@@ -119,3 +120,15 @@ def test_jump_parallel_to_wall_normal(cs):
         jump = local[w.tau] - local[w.sigma]
         val = wall_value(fan, local, w)
         assert jump == val * w.u
+
+
+def test_wall_value_is_checked_from_both_sides():
+    # local data that jumps along the wall gives the two far-side rays two
+    # different values; a rank-2 wall has one ray on each side
+    fan = p2_fan()
+    w = fan.walls[0]
+    zero = vec((0, 0), M)
+    local = [zero, zero, zero]
+    local[w.tau] = vec((1, 0), M) if w.u.coords[1] != 0 else vec((0, 1), M)
+    with pytest.raises(RuntimeError, match="depends on the chosen outside ray"):
+        wall_value(fan, tuple(local), w)
