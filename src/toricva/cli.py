@@ -302,6 +302,14 @@ def cmd_analyze(args, out) -> int:
     inst = Instance(fan, d, dp, args.input)
     total = d + dp
     remarks.append("projectivity is not certified for hand-entered fans")
+    try:
+        verdicts = {
+            "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
+            "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
+            "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
+        }
+    except ValueError as exc:
+        raise InputError(f"{args.input}: {exc}") from None
     doc = {
         "command": "analyze",
         "input": args.input,
@@ -314,11 +322,7 @@ def cmd_analyze(args, out) -> int:
             },
             "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
         },
-        "verdicts": {
-            "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
-            "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
-            "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
-        },
+        "verdicts": verdicts,
         "cones": _cones_json(inst),
         "walls": _walls_json(inst),
         "remarks": remarks,
@@ -462,7 +466,10 @@ def cmd_hilbert(args, out) -> int:
     if not 0 <= args.sigma < len(fan.max_cones):
         raise InputError(f"no maximal cone with index {args.sigma}")
     dual = fan.duals[args.sigma]
-    basis = hilbert_basis(dual)
+    try:
+        basis = hilbert_basis(dual)
+    except ValueError as exc:
+        raise InputError(f"{args.input}: dual of maximal cone {args.sigma}: {exc}") from None
     doc = {
         "command": "hilbert",
         "input": args.input,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .linalg import (
     Vec,
@@ -68,8 +69,9 @@ def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
     Rows are vectors of one rank, paired with x by their coordinates.  An
     extreme ray is the one-dimensional nullspace of eqs and of
     rank - 1 - rank(eqs) inequalities tight on it, so scanning those subsets
-    finds every ray.  A cone containing a line has no extreme ray; the scan
-    then returns nothing or one vector of that line.
+    finds every ray; the kernel hands it over as a primitive integer vector.
+    A cone containing a line has no extreme ray; the scan then returns
+    nothing or one vector of that line.
     """
     ineq_rows = [list(f.coords) for f in ineqs]
     eq_rows = [list(e.coords) for e in eqs]
@@ -82,12 +84,12 @@ def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
         ns = nullspace(list(subset) + eq_rows, rank)
         if len(ns) != 1:
             continue
-        w = primitivize(Vec(ns[0], ambient))
-        values = [sum(a * b for a, b in zip(f, w.coords)) for f in ineq_rows]
+        w = ns[0]
+        values = [sum(map(mul, f, w)) for f in ineq_rows]
         if all(v >= 0 for v in values):
-            found.add(w)
+            found.add(Vec(w, ambient))
         elif all(v <= 0 for v in values):
-            found.add(-w)
+            found.add(Vec(tuple(-a for a in w), ambient))
     return _sorted_vecs(found)
 
 

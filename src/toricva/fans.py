@@ -94,8 +94,15 @@ class Fan:
 
     @cached_property
     def hilbert_bases(self) -> tuple[tuple[Vec, ...], ...]:
-        """The Hilbert basis of each maximal cone's dual."""
-        return tuple(hilbert_basis(d) for d in self.duals)
+        """The Hilbert basis of each maximal cone's dual; a dual too large
+        to enumerate is named by its cone's index."""
+        bases = []
+        for ci, dual in enumerate(self.duals):
+            try:
+                bases.append(hilbert_basis(dual))
+            except ValueError as exc:
+                raise ValueError(f"dual of maximal cone {ci}: {exc}") from None
+        return tuple(bases)
 
     def flip(self, wall: Wall) -> Wall:
         """The same wall viewed from the other side."""

@@ -12,9 +12,10 @@ and the options the check takes.  The four global checks share one report
 skeleton and differ only in their threshold, the projective-space exclusion
 and the conclusion they draw from the combined divisor's local data; the
 three per-cone checks take a cone index.  Every check reads D, D' and D+D'
-from the instance's solves (`intersections.solve_divisor`), made once per
-instance on first use; a cone's wall minimum is read off the per-wall
-values.  `BUILTINS` is the table of named instance families.
+from the instance's solves (`intersections.solve_divisor`), and D''s
+coefficient sums in each dual cone from `Instance.dprime_sums`, each made
+once per instance on first use; a cone's wall minimum is read off the
+per-wall values.  `BUILTINS` is the table of named instance families.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .divisors import (
 from .fans import Fan, build_fan
 from .hulls import affine_rank, convex_hull
 from .intersections import DivisorSolve, solve_divisor
-from .linalg import M, N, Vec, lattice_index, pair, vec
+from .linalg import M, N, Scalar, Vec, lattice_index, pair, vec
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,21 @@ class Instance:
     def total_solve(self) -> DivisorSolve:
         return solve_divisor(self.fan, self.d + self.dprime)
 
+    @cached_property
+    def dprime_sums(self) -> tuple[tuple[Scalar | None, Scalar | None], ...]:
+        """Per maximal cone, (lambda_min, lambda_max) of the perturbation's
+        local point in the cone's dual; (None, None) without local data or
+        outside the dual."""
+        fan, local = self.fan, self.dprime_solve.local
+        out = []
+        for ci in range(len(fan.max_cones)):
+            if local is None or not contains(fan.duals[ci], local[ci]):
+                out.append((None, None))
+            else:
+                sums = fan.coefficient_sums[ci]
+                out.append((sums.minimum(local[ci]).value, sums.maximum(local[ci]).value))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -93,8 +109,8 @@ class ConeData:
     cone_index: int
     t: Fraction | None
     m: Fraction | None
-    lambda_min_dual: Fraction | None
-    lambda_max_dual: Fraction | None
+    lambda_min_dual: Scalar | None
+    lambda_max_dual: Scalar | None
 
 
 @dataclass(frozen=True)
@@ -147,15 +163,6 @@ def _cone_minimum(fan: Fan, values, sigma: int) -> Fraction:
     return min(v for v, w in zip(values, fan.walls) if sigma in (w.sigma, w.tau))
 
 
-def _dual_sums(fan: Fan, local_dp, sigma: int):
-    """(lambda_min, lambda_max) of the perturbation's local point in the dual
-    of sigma; both None without local data or outside the dual."""
-    if local_dp is None or not contains(fan.duals[sigma], local_dp[sigma]):
-        return None, None
-    sums, up = fan.coefficient_sums[sigma], local_dp[sigma]
-    return sums.minimum(up).value, sums.maximum(up).value
-
-
 def _q_cartier(name: str, solved: DivisorSolve) -> Hypothesis:
     holds = solved.local is not None
     return Hypothesis(name, holds, "" if holds else f"no local data on cone {solved.missing}")
@@ -184,7 +191,7 @@ def cone_table(inst: Instance) -> tuple[ConeData, ...]:
             t = _cone_minimum(fan, d.values, ci)
             if dp.local is not None:
                 m = _cone_minimum(fan, inst.total_solve.values, ci)
-        rows.append(ConeData(ci, t, m, *_dual_sums(fan, dp.local, ci)))
+        rows.append(ConeData(ci, t, m, *inst.dprime_sums[ci]))
     return tuple(rows)
 
 
@@ -329,7 +336,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     d = inst.d_solve.checked()
     if not d.nef:
         raise ValueError("wall minimum bound requires a nef base divisor")
-    local_dp = inst.dprime_solve.checked().local
+    inst.dprime_solve.checked()
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
     t = _cone_minimum(fan, d.values, sigma)
@@ -364,7 +371,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
             )
         )
 
-    lmin, lmax = _dual_sums(fan, local_dp, sigma)
+    lmin, lmax = inst.dprime_sums[sigma]
     if lmin is None:
         hyps.append(
             Hypothesis(
@@ -423,7 +430,7 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
     conclusion = None
     failures: list[Failure] = []
     notes: list[str] = []
-    lmin, lmax = _dual_sums(fan, inst.dprime_solve.local, sigma)
+    lmin, lmax = inst.dprime_sums[sigma]
     if lmax is not None:
         sums = fan.coefficient_sums[sigma]
         # The dual's integer facet normals meet the raw box coordinates; only
@@ -468,7 +475,7 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
     hyps.extend(_perturbation_hypotheses(inst))
     conclusion = None
     failures: tuple[Failure, ...] = ()
-    lmin, lmax = _dual_sums(fan, inst.dprime_solve.local, sigma)
+    lmin, lmax = inst.dprime_sums[sigma]
     if lmin is not None:
         conclusion = lmin <= fan.rank - 1
         if not conclusion:

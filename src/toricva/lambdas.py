@@ -19,30 +19,40 @@ for one), sum a_i = <w, x> for every expression and both sums are <w, x>.
 
 By complementary slackness an optimal expression uses only generators on
 an optimal facet, so x lies in the cone over them, that facet's cell.  Each
-cell is split once into simplicial pieces, and the witness is x's
-coefficients in a piece holding it, checked in integer arithmetic to be
-nonnegative, to reproduce x and to sum to <phi, x> / beta: a feasible
-expression whose sum meets a feasible dual value certifies both optimal.
+cell is split once into simplicial pieces, each stored with den times its
+inverse, an integer matrix.  A point is written once as x = z / q with z
+integer, and from then on everything is an integer: the pairings <phi, z>,
+the piece coefficients of z (den * q times x's) and the checks that they
+are nonnegative, reproduce den * z and sum to den * <phi, z> / beta.  A
+feasible expression whose sum meets a feasible dual value certifies both
+optimal; only the returned value and witness are divided by den * q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
-from .cones import Cone, cone_from_generators, contains, triangulate
+from .cones import Cone, cone_from_generators, triangulate
 from .hulls import convex_hull
-from .linalg import Scalar, Vec, dual_ambient, left_inverse, solve_matrix
+from .linalg import (
+    Scalar,
+    Vec,
+    _integer_row,
+    _ratio,
+    dual_ambient,
+    integer_left_inverse,
+    solve_matrix,
+)
 
 
 @dataclass(frozen=True)
 class LambdaValue:
     """An optimal coefficient sum with one optimal expression, aligned to c.rays."""
 
-    value: Fraction
-    witness: tuple[Fraction, ...]
+    value: Scalar
+    witness: tuple[Scalar, ...]
 
 
 def _dot(a, b) -> Scalar:
@@ -68,10 +78,9 @@ def _cell(rays, cell_cone: Cone, phi=None, beta=None) -> _Cell:
     pieces = []
     for simplex in triangulate(cell_cone):
         gens = tuple(g.coords for g in simplex)
-        inv = left_inverse([list(row) for row in zip(*gens)])
-        den = lcm(*(Fraction(v).denominator for row in inv for v in row))
-        scaled = tuple(tuple(int(v * den) for v in row) for row in inv)
-        pieces.append((tuple(rays.index(g) for g in simplex), gens, scaled, den))
+        scaled, den = integer_left_inverse([list(row) for row in zip(*gens)])
+        positions = tuple(rays.index(g) for g in simplex)
+        pieces.append((positions, gens, tuple(map(tuple, scaled)), den))
     if phi is None:
         phi, beta = tuple(map(sum, zip(*pieces[0][2]))), pieces[0][3]
     return _Cell(tuple(phi), beta, cell_cone, tuple(pieces))
@@ -114,29 +123,38 @@ class CoefficientSums:
 
     def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
         """<phi, x> / beta on the cell where sign times it is largest, with a
-        certified witness."""
+        certified witness.  With x = z / q for an integer z, every pairing
+        and check runs on z, and each quantity carries the denominator q."""
         c = self.cone
         if x.ambient != c.ambient:
             raise ValueError("point and cone live in different spaces")
-        if not contains(c, x):
+        if x.rank != c.rank:
+            raise ValueError("point does not live in the cone's ambient lattice")
+        z, q = _integer_row(x.coords)
+        # c is full-dimensional, so its facet normals alone decide membership.
+        if any(_dot(f.coords, z) < 0 for f in c.facet_normals):
             raise ValueError("point outside cone")
-        xs = x.coords
-        value, cell = max(
-            ((Fraction(_dot(k.phi, xs), k.beta), k) for k in cells), key=lambda vk: sign * vk[0]
-        )
+        # Every beta is positive, so cells compare by cross-multiplying; the
+        # first optimal cell wins a tie.
+        cell, top = None, 0
+        for k in cells:
+            t = _dot(k.phi, z)
+            if cell is None or sign * t * cell.beta > sign * top * k.beta:
+                cell, top = k, t
         for positions, gens, inverse, den in cell.pieces:
-            a = [_dot(row, xs) for row in inverse]
+            a = [_dot(row, z) for row in inverse]
             if min(a) >= 0:
                 break
         else:
             raise RuntimeError("internal: no piece of the optimal cell holds the point")
         recon = [_dot(a, col) for col in zip(*gens)]
-        if recon != [den * v for v in xs] or Fraction(sum(a), den) != value:
+        if recon != [den * v for v in z] or sum(a) * cell.beta != top * den:
             raise RuntimeError("internal: witness does not certify the coefficient sum")
-        witness = [Fraction(0)] * len(c.rays)
+        dq = den * q
+        witness = [0] * len(c.rays)
         for i, ai in zip(positions, a):
-            witness[i] = Fraction(ai, den)
-        return LambdaValue(value, tuple(witness))
+            witness[i] = _ratio(ai, dq)
+        return LambdaValue(_ratio(top, cell.beta * q), tuple(witness))
 
 
 def lambda_min(c: Cone, x: Vec) -> LambdaValue:

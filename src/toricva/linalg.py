@@ -7,9 +7,13 @@ Pairing two vectors from the same ambient is a bug, so it fails loudly.
 
 All elimination goes through two kernels:
 
-- `pivot`, one rational Gauss-Jordan step.  `_rref` (and through it rank,
-  solve, nullspace and `left_inverse`) is built on it, and so is the
-  simplex tableau of the test suite's LP oracle.
+- `_echelon`, fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968,
+  gcd-reduced): rows scaled to integers, then integer row operations, each
+  divided by its gcd.  Row scaling leaves the reduced row echelon form,
+  which is unique, unchanged, so `_rref` divides by the pivots only at the
+  end and rank, solve and `left_inverse` get exactly the rational answer.
+  `nullspace` reads primitive integer vectors off the integer rows.  (The
+  rational step `pivot` is a test oracle, the reference for `_rref`.)
 - `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
   unimodular.  `lattice_index` and the parallelepiped enumeration in
   `semigroups` are built on it.
@@ -19,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 
 N = "N"
 M = "M"
@@ -33,6 +38,8 @@ def dual_ambient(ambient: str) -> str:
 
 
 def _norm_coord(x) -> Scalar:
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
@@ -47,7 +54,9 @@ class Vec:
     def __post_init__(self):
         if self.ambient not in _AMBIENTS:
             raise ValueError(f"unknown ambient {self.ambient!r}")
-        object.__setattr__(self, "coords", tuple(_norm_coord(c) for c in self.coords))
+        cs = self.coords
+        if type(cs) is not tuple or not all(type(c) is int for c in cs):
+            object.__setattr__(self, "coords", tuple(map(_norm_coord, cs)))
 
     @property
     def rank(self) -> int:
@@ -99,7 +108,8 @@ def pair(u: Vec, v: Vec) -> Scalar:
         raise ValueError("pairing requires one vector from each of N and M")
     if u.rank != v.rank:
         raise ValueError("pairing requires vectors of equal rank")
-    return _norm_coord(sum(a * b for a, b in zip(u.coords, v.coords)))
+    s = sum(map(mul, u.coords, v.coords))
+    return s if type(s) is int else _norm_coord(s)
 
 
 def primitivize(v: Vec) -> Vec:
@@ -109,6 +119,9 @@ def primitivize(v: Vec) -> Vec:
     """
     if v.is_zero:
         raise ValueError("cannot primitivize the zero vector")
+    if v.is_lattice:
+        g = gcd(*v.coords)
+        return v if g == 1 else Vec(tuple(c // g for c in v.coords), v.ambient)
     fracs = [Fraction(c) for c in v.coords]
     scale = 1
     for f in fracs:
@@ -134,37 +147,65 @@ def is_primitive(v: Vec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss-Jordan step in place: scale row r so that rows[r][c] is 1,
-    then clear column c from every other row."""
-    pv = rows[r][c]
-    rows[r] = [x / pv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+def _integer_row(row) -> tuple[list[int], int]:
+    """(q * row, q) for q the lcm of the row's denominators."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    fracs = [Fraction(x) for x in row]
+    q = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (q // f.denominator) for f in fracs], q
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the first nonzero entry as pivot.
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination, the first nonzero entry as pivot.
 
-    Returns (reduced rows, pivot column indices).
+    Returns (integer rows, pivot column indices): row r is nonzero at
+    pivots[r] and zero in every other pivot column, and rows past the rank
+    are zero.  Dividing each pivot row by its pivot gives the reduced row
+    echelon form.  Every row operation replaces a row by an integer
+    combination of itself and the pivot row, divided by its gcd.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [_integer_row(row)[0] for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pivot(a, r, c)
+        prow = a[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return a, pivots
+
+
+def _ratio(x: int, p: int) -> Scalar:
+    return x // p if x % p == 0 else Fraction(x, p)
+
+
+def _rref(rows) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form with the first nonzero entry as pivot.
+
+    Returns (reduced rows, pivot column indices); entries are ints where
+    integral and Fractions otherwise.
+    """
+    a, pivots = _echelon(rows)
+    for r, c in enumerate(pivots):
+        p = a[r][c]
+        a[r] = [_ratio(x, p) for x in a[r]]
     return a, pivots
 
 
@@ -182,11 +223,19 @@ def left_inverse(rows) -> list[list[Fraction]]:
     return [row[k:] for row in red[:k]]
 
 
+def integer_left_inverse(rows) -> tuple[list[list[int]], int]:
+    """(den * L, den) for L = left_inverse(rows) and den the least common
+    denominator of L's entries, so that den * L is an integer matrix."""
+    inv = left_inverse(rows)
+    den = lcm(*(v.denominator for row in inv for v in row))
+    return [[int(v * den) for v in row] for row in inv], den
+
+
 def matrix_rank(rows) -> int:
     rows = [list(r) for r in rows]
     if not rows:
         return 0
-    return len(_rref(rows)[1])
+    return len(_echelon(rows)[1])
 
 
 @dataclass(frozen=True)
@@ -212,15 +261,14 @@ def solve_matrix(rows, rhs) -> LinearSolution:
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
+    red, pivots = _echelon([row + [b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
         return LinearSolution("inconsistent", None)
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
+        sol[c] = _ratio(red[r][ncols], red[r][c])
     status = "unique" if len(pivots) == ncols else "underdetermined"
-    return LinearSolution(status, tuple(_norm_coord(x) for x in sol))
+    return LinearSolution(status, tuple(sol))
 
 
 def solve_exact(rows: list[Vec], rhs, ambient: str | None = None) -> LinearSolution:
@@ -240,28 +288,39 @@ def solve_exact(rows: list[Vec], rhs, ambient: str | None = None) -> LinearSolut
 
 
 def nullspace_matrix(rows) -> list[tuple[Scalar, ...]]:
-    """Basis of {x : rows @ x = 0}, deterministic, exact."""
+    """Basis of {x : rows @ x = 0}, deterministic, exact: one vector per
+    free column of the reduced rows, 1 there and 0 in the other free
+    columns.  That free column is the vector's last nonzero entry, since a
+    reduced row is zero left of its pivot."""
     rows = [list(r) for r in rows]
     if not rows:
         raise ValueError("empty system")
-    ncols = len(rows[0])
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(_norm_coord(x) for x in v))
+    for v in nullspace(rows, len(rows[0])):
+        last = next(x for x in reversed(v) if x)
+        basis.append(tuple(_ratio(x, last) for x in v))
     return basis
 
 
-def nullspace(rows: list[list], rank: int) -> list[tuple]:
-    """Nullspace basis, treating an empty row list as the zero map."""
+def nullspace(rows: list[list], rank: int) -> list[tuple[int, ...]]:
+    """`nullspace_matrix`'s basis with each vector scaled to the primitive
+    integer vector on its ray, read off the integer rows of `_echelon`;
+    an empty row list is the zero map on `rank` coordinates."""
     if not rows:
         return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    return nullspace_matrix(rows)
+    a, pivots = _echelon(rows)
+    basis = []
+    for fc in range(rank):
+        if fc in pivots:
+            continue
+        scale = lcm(*(a[r][pc] for r, pc in enumerate(pivots) if a[r][fc]))
+        v = [0] * rank
+        v[fc] = scale
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc] * scale // a[r][pc]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis
 
 
 def perp_basis(vecs: list[Vec]) -> list[Vec]:
@@ -272,10 +331,7 @@ def perp_basis(vecs: list[Vec]) -> list[Vec]:
     if not vecs:
         raise ValueError("empty system")
     amb = dual_ambient(vecs[0].ambient)
-    out = []
-    for coords in nullspace_matrix([list(v.coords) for v in vecs]):
-        out.append(primitivize(Vec(coords, amb)))
-    return out
+    return [Vec(coords, amb) for coords in nullspace([v.coords for v in vecs], vecs[0].rank)]
 
 
 def diagonalize_int(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

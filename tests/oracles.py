@@ -1,22 +1,26 @@
 """Independent brute-force oracles and reference implementations used only
 by the test suite.
 
-The fiber-polytope vertex enumeration here goes through plain subset
-enumeration and exact Gaussian solves, never through the simplex tableau.
-The exact simplex (`lp_solve`, with `lp_feasible` and `in_nonneg_span`)
-lives here too: production code decides coefficient sums in closed form
-from hull facets, pointedness and boundedness from `cones.extreme_rays`,
-so the LP is a reference, not a layer.  The box scans enumerate every
-lattice point of a bounding box, which the production code no longer does.
-The hull oracles find facets by a subset scan over the points and vertices
-by one LP per point, where production code builds one cone over the lifted
-points.  Polytope vertices come from exact solves of every square
-subsystem.  The fan reference intersects every pair of maximal cones and
-asks for a common face, where `fans.build_fan` reads the covering degree
-off one point.  The dual-cone reference rebuilds each dual by the
-extreme-ray scan and checks biduality, where `cones.dual_cone` swaps the
-two descriptions.  The cone minima flip each wall to its cone's side and
-evaluate it there, where `harness` reads one value per wall.
+The rational Gauss-Jordan step `pivot` and `reference_rref` built on it
+are the reference for the fraction-free `linalg._rref`; `pivot` also runs
+the simplex tableau.  The fiber-polytope vertex enumeration here goes
+through plain subset enumeration and exact Gaussian solves, never through
+the simplex tableau.  The exact simplex (`lp_solve`, with `lp_feasible`
+and `in_nonneg_span`) lives here too: production code decides coefficient
+sums in closed form from hull facets, pointedness and boundedness from
+`cones.extreme_rays`, so the LP is a reference, not a layer.  The box
+scans enumerate every lattice point of a bounding box, which the
+production code no longer does.  The hull oracles find facets by a subset
+scan over the points and vertices by one LP per point, where production
+code builds one cone over the lifted points.  Polytope vertices come from
+exact solves of every square subsystem.  The fan reference intersects
+every pair of maximal cones and asks for a common face, where
+`fans.build_fan` reads the covering degree off one point.  The dual-cone
+reference rebuilds each dual by the extreme-ray scan and checks biduality,
+where `cones.dual_cone` swaps the two descriptions.  The cone minima flip
+each wall to its cone's side and evaluate it there, where `harness` reads
+one value per wall.  `rational_coefficient_sum` evaluates a coefficient
+sum in Fraction arithmetic, where `CoefficientSums` works in integers.
 """
 
 from dataclasses import dataclass
@@ -44,7 +48,6 @@ from toricva.linalg import (
     is_primitive,
     nullspace,
     pair,
-    pivot,
     primitivize,
     solve_exact,
     solve_matrix,
@@ -91,6 +94,39 @@ def sum_range(cols, target):
         return None
     sums = [sum(p) for p in pts]
     return min(sums), max(sums)
+
+
+def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r so that rows[r][c] is 1,
+    then clear column c from every other row."""
+    pv = rows[r][c]
+    rows[r] = [x / pv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+
+
+def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reference for `linalg._rref` by rational Gauss-Jordan: reduced row
+    echelon form with the first nonzero entry as pivot, as (reduced rows,
+    pivot column indices)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pivot(a, r, c)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
 
 
 @dataclass(frozen=True)
@@ -239,6 +275,31 @@ def matches_lp_oracle(sums, x: Vec) -> bool:
     return all(
         closed.value == lp.value and is_certificate(c, x, closed) for closed, lp in pairs
     )
+
+
+def rational_coefficient_sum(sums, x: Vec, maximize: bool) -> LambdaValue:
+    """Reference for `CoefficientSums.minimum` and `maximum` in Fraction
+    arithmetic on x itself: <phi, x> / beta on the optimal cell (the first
+    one on a tie), and x's coefficients in the first piece of that cell
+    that holds x."""
+    cells = sums._max_cells if maximize else sums._min_cells
+    sign = -1 if maximize else 1
+    xs = [Fraction(v) for v in x.coords]
+
+    def dot(a, b):
+        return sum(u * v for u, v in zip(a, b))
+
+    value, cell = max(
+        ((dot(k.phi, xs) / k.beta, k) for k in cells), key=lambda vk: sign * vk[0]
+    )
+    for positions, _, inverse, den in cell.pieces:
+        a = [dot(row, xs) / den for row in inverse]
+        if min(a) >= 0:
+            break
+    witness = [Fraction(0)] * len(sums.cone.rays)
+    for i, ai in zip(positions, a):
+        witness[i] = ai
+    return LambdaValue(value, tuple(witness))
 
 
 def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:

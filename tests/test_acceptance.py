@@ -16,6 +16,7 @@ from oracles import (
     box_scan_generation,
     cone_minima,
     matches_lp_oracle,
+    rational_coefficient_sum,
     reference_dual_cone,
     semigroup_member,
     simplex_lattice_points,
@@ -287,7 +288,9 @@ def test_criterion_08_coefficient_sum_oracle():
 
 def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
     # each dual cone of the pools and threshold builtins, at the perturbation's
-    # local point and at the interior lattice points of the box [-2, 2]^n
+    # local point and at the interior lattice points of the box [-2, 2]^n;
+    # the integer evaluation also returns exactly the value and witness of
+    # the same evaluation in Fraction arithmetic
     points = 0
     for inst in pool2 + pool3 + _threshold_builtins():
         fan = inst.fan
@@ -299,6 +302,8 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
                 xs.append(local_dp[ci])
             for x in xs:
                 assert matches_lp_oracle(sums, x), (inst.label, ci, x)
+                assert sums.minimum(x) == rational_coefficient_sum(sums, x, False), x
+                assert sums.maximum(x) == rational_coefficient_sum(sums, x, True), x
             points += len(xs)
     _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
 

@@ -342,6 +342,33 @@ def test_interior_bound_over_the_box_cap_is_an_input_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("height", [1000, 20000])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "DOC", "--sigma", "0"),
+        ("analyze", "DOC", "--very-ample"),
+        ("verify", "generation", "DOC"),
+    ],
+)
+def test_hilbert_basis_over_the_point_cap_is_an_input_error(tmp_path, capsys, height, argv):
+    # the dual of cone 0 has lattice index `height`; before the cap,
+    # hilbert --sigma 0 ran for 10 s at 1,000 and over a minute at 20,000
+    doc = {
+        "rank": 2,
+        "rays": [[1, 0], [-1, height], [0, -1]],
+        "max_cones": [[0, 1], [1, 2], [2, 0]],
+        "divisors": {"D": [1, 1, 1]},
+    }
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert f"input error: {path}: dual of maximal cone 0: the Hilbert basis needs {height} " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "statement, flag, value",
     [

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
-from toricva import divisors, intersections
-from toricva.cones import classify
+from toricva import divisors, intersections, lambdas
+from toricva.cones import classify, contains
 from toricva.divisors import (
     Divisor,
     NotQCartier,
@@ -389,3 +389,43 @@ def test_solve_names_the_first_cone_without_local_data():
     with pytest.raises(NotQCartier, match="cone 0"):
         solved.checked()
     assert inst.dprime_solve.checked() is inst.dprime_solve
+
+
+def test_perturbation_sums_are_evaluated_once_per_cone(monkeypatch):
+    # all seven statements on every cone read D''s coefficient sums from one
+    # per-instance table: lambda_min runs once per cone whose dual holds the
+    # local point (interior-bound's box points need lambda_max only)
+    inst = random_instance(3, 1)
+    m = len(inst.fan.max_cones)
+    held = [i for i, (dual, u) in enumerate(zip(inst.fan.duals, inst.dprime_solve.local))
+            if contains(dual, u)]
+    assert len(held) == m
+    inst.fan.coefficient_sums  # the constructors' own self-checks run first
+    calls = []
+    real = lambdas.CoefficientSums.minimum
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(lambdas.CoefficientSums, "minimum", counted)
+    for statement in STATEMENTS.values():
+        if statement.per_cone:
+            for ci in range(m):
+                statement.check(inst, ci)
+        else:
+            statement.check(inst)
+    assert calls == [inst.dprime_solve.local[i] for i in held]
+    assert inst.dprime_sums == tuple(
+        (sums.minimum(u).value, sums.maximum(u).value)
+        for sums, u in zip(inst.fan.coefficient_sums, inst.dprime_solve.local)
+    )
+
+
+def test_wall_bound_refuses_a_non_q_cartier_perturbation_before_its_sums():
+    fan = quadric3_fan()
+    inst = Instance(fan, Divisor((0,) * 5), Divisor((1, 0, 0, 0, 0)), "quadric")
+    with pytest.raises(NotQCartier, match="cone 0"):
+        check_wall_bound(inst, 0)
+    assert "dprime_sums" not in vars(inst)
+    assert inst.dprime_sums == ((None, None),) * len(fan.max_cones)

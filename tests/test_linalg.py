@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pivot, reference_rref
 from toricva.linalg import (
     M,
     N,
     LinearSolution,
+    _rref,
     Vec,
     diagonalize_int,
     dual_ambient,
@@ -15,10 +18,10 @@ from toricva.linalg import (
     lattice_index,
     left_inverse,
     matrix_rank,
+    nullspace,
     nullspace_matrix,
     pair,
     perp_basis,
-    pivot,
     primitivize,
     solve_exact,
     solve_matrix,
@@ -217,3 +220,78 @@ def test_left_inverse_of_full_column_rank(data):
     for i in range(k):
         for j in range(k):
             assert sum(inv[i][l] * rows[l][j] for l in range(m)) == int(i == j)
+
+
+def _random_matrix(rng, nrows, ncols, rational):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        num = rng.randint(-6, 6)
+        return Fraction(num, rng.randint(1, 6)) if rational else num
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.randrange(4)
+    if shape == 1 and nrows > 1:
+        # rank-deficient: the last row is a combination of earlier ones
+        a = rng.randint(-3, 3)
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rational else rng.randint(-3, 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[rng.randrange(nrows - 1)])]
+    elif shape == 2:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    elif shape == 3 and nrows > 1:
+        rows[rng.randrange(1, nrows)] = list(rows[0])
+    return rows
+
+
+def test_fraction_free_rref_matches_rational_gauss_jordan():
+    # seeded: integer and mixed-denominator matrices, 1-6 rows x 1-7 columns,
+    # with rank-deficient ones, zero rows and duplicate rows
+    rng = random.Random("toricva:rref")
+    for trial in range(600):
+        rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), trial % 2 == 1)
+        red, pivots = _rref(rows)
+        ref_red, ref_pivots = reference_rref(rows)
+        assert (red, pivots) == (ref_red, ref_pivots), rows
+        assert all(type(x) is int or x.denominator > 1 for row in red for x in row)
+        assert matrix_rank(rows) == len(ref_pivots)
+        # the nullspace basis read off the reference rows, one vector per
+        # free column; nullspace scales each to the primitive integer vector
+        ncols = len(rows[0])
+        ref_basis = []
+        for fc in (c for c in range(ncols) if c not in ref_pivots):
+            v = [0] * ncols
+            v[fc] = 1
+            for r, pc in enumerate(ref_pivots):
+                v[pc] = -ref_red[r][fc]
+            ref_basis.append(tuple(v))
+        assert nullspace_matrix(rows) == ref_basis
+        primitive = [primitivize(vec(v, N)).coords for v in ref_basis]
+        assert nullspace(rows, ncols) == primitive
+        # a consistent right-hand side is solved to the reference's solution
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows[0]]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        aug_red, aug_pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)])
+        expected = [0] * len(rows[0])
+        for r, c in enumerate(aug_pivots):
+            expected[c] = aug_red[r][-1]
+        assert solve_matrix(rows, rhs).solution == tuple(expected)
+
+
+def test_vec_normalization_is_unchanged_by_the_int_fast_path():
+    v = Vec([1, 2], N)
+    assert type(v.coords) is tuple and v.coords == (1, 2)
+    w = vec([Fraction(4, 2), True, Fraction(1, 3)], M)
+    assert w.coords == (2, 1, Fraction(1, 3))
+    assert [type(c) for c in w.coords] == [int, int, Fraction]
+    twin = Vec((Fraction(1), 2), N)
+    assert twin.coords == (1, 2) and type(twin.coords[0]) is int
+    assert Vec((1, 2), N) == twin and hash(Vec((1, 2), N)) == hash(twin)
+
+
+def test_pair_returns_normalized_scalars():
+    lattice = pair(vec([1, 2], M), vec([3, -1], N))
+    assert lattice == 1 and type(lattice) is int
+    whole = pair(vec([Fraction(1, 2), 1], M), vec([2, 3], N))
+    assert whole == 4 and type(whole) is int
+    half = pair(vec([Fraction(1, 2), 0], M), vec([1, 5], N))
+    assert half == Fraction(1, 2) and type(half) is Fraction

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 
 from fixtures import p2_fan, pointed_cones
 from oracles import box_parallelepiped_points, semigroup_member, simplex_lattice_points
-from toricva.cones import cone_from_generators, contains, dual_cone
+from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
 from toricva.linalg import M, N, matrix_rank, pair, vec
-from toricva.semigroups import _parallelepiped_points, generates, hilbert_basis, lattice_points
+from toricva import semigroups
+from toricva.semigroups import (
+    MAX_PARALLELEPIPED_POINTS,
+    _parallelepiped_points,
+    generates,
+    hilbert_basis,
+    lattice_points,
+)
 
 
 def ncone(*coords):
@@ -229,3 +236,19 @@ def test_parallelepiped_points_match_box_scan_oracle():
         got = _parallelepiped_points(gens)
         assert len(got) == len(set(got))
         assert set(got) == set(box_parallelepiped_points(gens)), gens
+
+
+def test_hilbert_basis_refuses_too_many_parallelepiped_points_before_enumerating(monkeypatch):
+    def never(gens):
+        raise AssertionError("enumerated a refused cone")
+
+    at_cap = mcone((0, 1), (MAX_PARALLELEPIPED_POINTS, 1))
+    assert len(hilbert_basis(at_cap)) == MAX_PARALLELEPIPED_POINTS + 1
+    monkeypatch.setattr(semigroups, "_parallelepiped_points", never)
+    # the cone over a 23 x 23 square splits into two pieces of index 529:
+    # the cap counts the sum over the pieces
+    square = mcone((0, 0, 1), (23, 0, 1), (0, 23, 1), (23, 23, 1))
+    assert len(triangulate(square)) == 2
+    for c in (mcone((0, 1), (MAX_PARALLELEPIPED_POINTS + 1, 1)), square):
+        with pytest.raises(ValueError, match="parallelepiped points, more than"):
+            hilbert_basis(c)
