@@ -378,7 +378,8 @@ def _gather_instances(args) -> list[Instance]:
 
 def _run_statement(inst: Instance, statement: Statement, args) -> list[CheckReport]:
     """Run the statement's check on the instance, once per maximal cone (or
-    on --sigma alone) for a per-cone statement, passing its other options."""
+    on --sigma alone) for a per-cone statement, passing its other options.
+    An internal error is re-raised with the instance label and cone index."""
     calls = [()]
     if statement.per_cone:
         ncones = len(inst.fan.max_cones)
@@ -387,14 +388,20 @@ def _run_statement(inst: Instance, statement: Statement, args) -> list[CheckRepo
         cones = [args.sigma] if args.sigma is not None else range(ncones)
         rest = [getattr(args, o) for o in statement.options[1:] if getattr(args, o) is not None]
         calls = [(ci, *rest) for ci in cones]
-    try:
-        return [statement.check(inst, *call) for call in calls]
-    except NotQCartier as exc:
-        raise InputError(
-            f"{inst.label}: divisor has no local data on cone {exc.cone_index}"
-        ) from None
-    except ValueError as exc:
-        raise InputError(f"{inst.label}: {exc}") from None
+    reports = []
+    for call in calls:
+        try:
+            reports.append(statement.check(inst, *call))
+        except NotQCartier as exc:
+            raise InputError(
+                f"{inst.label}: divisor has no local data on cone {exc.cone_index}"
+            ) from None
+        except ValueError as exc:
+            raise InputError(f"{inst.label}: {exc}") from None
+        except RuntimeError as exc:
+            where = f" cone {call[0]}" if call else ""
+            raise RuntimeError(f"{inst.label}{where}: {exc}") from None
+    return reports
 
 
 def cmd_verify(args, out) -> int:

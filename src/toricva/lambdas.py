@@ -26,6 +26,9 @@ the piece coefficients of z (den * q times x's) and the checks that they
 are nonnegative, reproduce den * z and sum to den * <phi, z> / beta.  A
 feasible expression whose sum meets a feasible dual value certifies both
 optimal; only the returned value and witness are divided by den * q.
+One integer certificate, `_certify`, runs these checks for `minimum` and
+`maximum`, which package a `LambdaValue`, and for `max_value`, which takes
+an integer tuple as it is (q = 1) and returns only lambda_max's value.
 """
 
 from __future__ import annotations
@@ -121,18 +124,36 @@ class CoefficientSums:
     def maximum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._max_cells, x, -1)
 
+    def max_value(self, z) -> Scalar:
+        """lambda_max at the integer point z, a tuple of the cone's rank: the
+        value of `maximum`, certified the same way, without its witness."""
+        if len(z) != self.cone.rank:
+            raise ValueError("point does not live in the cone's ambient lattice")
+        cell, top, _, _, _ = self._certify(self._max_cells, z, -1)
+        return _ratio(top, cell.beta)
+
     def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
-        """<phi, x> / beta on the cell where sign times it is largest, with a
-        certified witness.  With x = z / q for an integer z, every pairing
-        and check runs on z, and each quantity carries the denominator q."""
+        """The certified value at x = z / q and its witness, both divided by q."""
         c = self.cone
         if x.ambient != c.ambient:
             raise ValueError("point and cone live in different spaces")
         if x.rank != c.rank:
             raise ValueError("point does not live in the cone's ambient lattice")
         z, q = _integer_row(x.coords)
+        cell, top, positions, a, den = self._certify(cells, z, sign)
+        dq = den * q
+        witness = [0] * len(c.rays)
+        for i, ai in zip(positions, a):
+            witness[i] = _ratio(ai, dq)
+        return LambdaValue(_ratio(top, cell.beta * q), tuple(witness))
+
+    def _certify(self, cells, z, sign: int):
+        """<phi, z> / beta on the cell where sign times it is largest, for an
+        integer z, as (cell, <phi, z>, piece positions, piece coefficients a,
+        den): a >= 0 reproduces den * z and sums to den * <phi, z> / beta, so
+        a / den is an expression of z certifying the value."""
         # c is full-dimensional, so its facet normals alone decide membership.
-        if any(_dot(f.coords, z) < 0 for f in c.facet_normals):
+        if any(_dot(f.coords, z) < 0 for f in self.cone.facet_normals):
             raise ValueError("point outside cone")
         # Every beta is positive, so cells compare by cross-multiplying; the
         # first optimal cell wins a tie.
@@ -150,11 +171,7 @@ class CoefficientSums:
         recon = [_dot(a, col) for col in zip(*gens)]
         if recon != [den * v for v in z] or sum(a) * cell.beta != top * den:
             raise RuntimeError("internal: witness does not certify the coefficient sum")
-        dq = den * q
-        witness = [0] * len(c.rays)
-        for i, ai in zip(positions, a):
-            witness[i] = _ratio(ai, dq)
-        return LambdaValue(_ratio(top, cell.beta * q), tuple(witness))
+        return cell, top, positions, a, den
 
 
 def lambda_min(c: Cone, x: Vec) -> LambdaValue:

@@ -10,17 +10,20 @@ and `in_nonneg_span`) lives here too: production code decides coefficient
 sums in closed form from hull facets, pointedness and boundedness from
 `cones.extreme_rays`, so the LP is a reference, not a layer.  The box
 scans enumerate every lattice point of a bounding box, which the
-production code no longer does.  The hull oracles find facets by a subset
-scan over the points and vertices by one LP per point, where production
-code builds one cone over the lifted points.  Polytope vertices come from
-exact solves of every square subsystem.  The fan reference intersects
-every pair of maximal cones and asks for a common face, where
-`fans.build_fan` reads the covering degree off one point.  The dual-cone
-reference rebuilds each dual by the extreme-ray scan and checks biduality,
-where `cones.dual_cone` swaps the two descriptions.  The cone minima flip
-each wall to its cone's side and evaluate it there, where `harness` reads
-one value per wall.  `rational_coefficient_sum` evaluates a coefficient
-sum in Fraction arithmetic, where `CoefficientSums` works in integers.
+production code no longer does: `box_interior_points` tests each point
+of the box against every facet normal, where `harness.interior_points`
+reads the last coordinate's interval off the normals.  The hull oracles
+find facets by a subset scan over the points and vertices by one LP per
+point, where production code builds one cone over the lifted points.
+Polytope vertices come from exact solves of every square subsystem.  The
+fan reference intersects every pair of maximal cones and asks for a common
+face, where `fans.build_fan` reads the covering degree off one point.  The
+dual-cone reference rebuilds each dual by the extreme-ray scan and checks
+biduality, where `cones.dual_cone` swaps the two descriptions.  The cone
+minima flip each wall to its cone's side and evaluate it there, where
+`harness` reads one value per wall.  `rational_coefficient_sum` evaluates
+a coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
+integers.
 """
 
 from dataclasses import dataclass
@@ -300,6 +303,17 @@ def rational_coefficient_sum(sums, x: Vec, maximize: bool) -> LambdaValue:
     for i, ai in zip(positions, a):
         witness[i] = ai
     return LambdaValue(value, tuple(witness))
+
+
+def box_interior_points(normals, rank: int, bound: int) -> list[tuple[int, ...]]:
+    """Reference for `harness.interior_points`: every point of
+    [-bound, bound]^rank in `product` order, kept when each normal pairs
+    positively with it."""
+    return [
+        x
+        for x in product(range(-bound, bound + 1), repeat=rank)
+        if all(sum(f_i * x_i for f_i, x_i in zip(f, x)) > 0 for f in normals)
+    ]
 
 
 def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:

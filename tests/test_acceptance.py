@@ -13,6 +13,7 @@ import pytest
 
 from fixtures import BUILTIN_ARGS, p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import (
+    box_interior_points,
     box_scan_generation,
     cone_minima,
     matches_lp_oracle,
@@ -43,6 +44,7 @@ from toricva.harness import (
     check_nonregular_bound,
     check_wall_bound,
     generation_scan,
+    interior_points,
     projective_space,
     random_instance,
     weighted_112,
@@ -304,8 +306,45 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
                 assert matches_lp_oracle(sums, x), (inst.label, ci, x)
                 assert sums.minimum(x) == rational_coefficient_sum(sums, x, False), x
                 assert sums.maximum(x) == rational_coefficient_sum(sums, x, True), x
+                if all(type(v) is int for v in x.coords):
+                    assert sums.max_value(x.coords) == sums.maximum(x).value, x
             points += len(xs)
     _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
+
+
+def test_interior_points_match_box_filter_oracle(pool2, pool3):
+    # the last coordinate's interval read off the normals gives the box
+    # filter's points in the same order: seeded normals in ranks 1-4 with
+    # bounds 1-5, normals with a zero last coordinate or an empty interval,
+    # and every pool dual at the default bound 5
+    rng = random.Random("acceptance:interior-points")
+    cases = []
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        normals = [
+            tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rng.randint(0, 5))
+        ]
+        cases.append((normals, rank, rng.randint(1, 5)))
+    cases += [
+        ([(1, 0), (0, 1)], 2, 3),
+        ([(1, 0), (-1, 0)], 2, 3),
+        ([(0, 0)], 2, 2),
+        ([(2, -1, 0), (0, 1, 1)], 3, 2),
+        ([(1, 5), (1, -5)], 2, 1),
+        ([(0, 1), (0, -1)], 2, 4),
+        ([(1,), (-1,)], 1, 5),
+        ([(3,)], 1, 1),
+    ]
+    assert not box_interior_points([(1, 0), (-1, 0)], 2, 3)
+    assert not box_interior_points([(0, 1), (0, -1)], 2, 4)
+    for inst in pool2 + pool3:
+        cases += [([f.coords for f in d.facet_normals], inst.fan.rank, 5) for d in inst.fan.duals]
+    points = 0
+    for normals, rank, bound in cases:
+        got = list(interior_points(normals, rank, bound))
+        assert got == box_interior_points(normals, rank, bound), (normals, rank, bound)
+        points += len(got)
+    _ok("interior-points", f"{len(cases)} normal sets, {points} interior points agree")
 
 
 def test_dual_cones_match_biduality_oracle(pool2, pool3):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toricva import cli, fans, intersections
+from toricva import cli, fans, intersections, lambdas
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 
 from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
@@ -183,6 +183,27 @@ def test_internal_invariant_exits_two(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "nef", "--builtin", "weighted_112")
     assert code == 2
     assert "internal invariant" in err
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        (("--builtin", "weighted_112", "--sigma", "1"), "weighted_112(t=1) cone 1: "),
+        (("--fuzz", "2", "0", "2"), "random(dim=2,seed=0) cone 0: "),
+    ],
+)
+def test_internal_error_names_the_instance_and_cone(capsys, monkeypatch, source, where):
+    def broken(self, cells, z, sign):
+        raise RuntimeError("internal: witness does not certify the coefficient sum")
+
+    monkeypatch.setattr(lambdas.CoefficientSums, "_certify", broken)
+    code, out, err = run(capsys, "verify", "interior-bound", *source)
+    assert code == 2
+    assert err == (
+        f"toricva: internal invariant violated: {where}"
+        "internal: witness does not certify the coefficient sum\n"
+    )
+    assert "Traceback" not in err
 
 
 def test_hilbert_report(weighted_input, capsys):

@@ -51,6 +51,16 @@ def test_point_outside_cone_raises():
         lambda_min(c, vec((1, 0), M))
 
 
+def test_max_value_refuses_what_maximum_refuses():
+    sums = CoefficientSums(ncone((1, 0), (0, 1)))
+    assert sums.max_value((2, 3)) == 5 == sums.maximum(vec((2, 3), N)).value
+    with pytest.raises(ValueError, match="outside"):
+        sums.max_value((-1, 0))
+    for z in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="ambient lattice"):
+            sums.max_value(z)
+
+
 def test_truncation_membership():
     c = mcone((1, 0, 0), (0, 1, 0), (1, 1, 2))
     assert m_delta_contains(c, 1, vec((1, 1, 2), M))
@@ -194,6 +204,8 @@ def test_closed_form_matches_lp_oracle_on_seeded_cones():
             points.append(combo(c, ks))
         for x in points:
             assert matches_lp_oracle(sums, x), (c, x)
+            if all(type(v) is int for v in x.coords):
+                assert sums.max_value(x.coords) == sums.maximum(x).value, (c, x)
     assert sum(kinds.values()) == 120
     assert {rank for rank, _, _ in kinds} == {2, 3, 4}
     # non-simplicial cones over a polytope, and ones whose generators need the hull
