@@ -32,10 +32,10 @@ from .harness import (
     polytope_fan,
     random_instance,
 )
-from .intersections import edge_lengths, is_nef, wall_value, wall_values
-from .lambdas import CoefficientSums, lambda_max, lambda_min, regular_subdivision
+from .intersections import is_nef, wall_value, wall_values
+from .lambdas import CoefficientSums
 from .linalg import M, N, Vec, vec
-from .semigroups import generates, hilbert_basis, lattice_points
+from .semigroups import hilbert_basis
 
 __all__ = [
     "Cone",
@@ -66,19 +66,13 @@ __all__ = [
     "is_projective_space",
     "polytope_fan",
     "random_instance",
-    "edge_lengths",
     "is_nef",
     "wall_value",
     "wall_values",
     "CoefficientSums",
-    "lambda_max",
-    "lambda_min",
-    "regular_subdivision",
     "M",
     "N",
     "Vec",
     "vec",
-    "generates",
     "hilbert_basis",
-    "lattice_points",
 ]

@@ -94,12 +94,21 @@ def _parse_scalar(raw, where: str):
     if isinstance(raw, float):
         raise InputError(f"{where}: floats are not accepted, use an integer or 'p/q' string")
     if isinstance(raw, str):
-        try:
-            f = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: {raw!r} is not a rational") from None
-        return int(f) if f.denominator == 1 else f
+        return _parse_rational(raw, where)
     raise InputError(f"{where}: expected a rational, got {type(raw).__name__}")
+
+
+def _parse_rational(text: str, where: str):
+    """An integer or "p/q" string.  Any other form is refused at once:
+    Fraction also parses exponents such as "1e10000000", writing out every
+    digit."""
+    try:
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+            raise ValueError
+        f = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{where}: {text!r} is not a rational") from None
+    return int(f) if f.denominator == 1 else f
 
 
 def _parse_int(raw, where: str) -> int:
@@ -114,7 +123,7 @@ def load_document(path: str) -> tuple[Fan, dict[str, Divisor]]:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -410,13 +419,8 @@ def cmd_verify(args, out) -> int:
         if getattr(args, option) is not None and option not in statement.options:
             flag = "--" + option.replace("_", "-")
             raise InputError(f"{flag} does not apply to {args.statement}")
-    if args.r is not None:
-        try:
-            r = Fraction(args.r)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"--r: {args.r!r} is not a rational") from None
-        if r <= 0:
-            raise InputError("--r must be positive")
+    if args.r is not None and _parse_rational(args.r, "--r") <= 0:
+        raise InputError("--r must be positive")
     if args.interior_bound is not None and args.interior_bound < 1:
         raise InputError("--interior-bound must be at least 1")
     instances = _gather_instances(args)

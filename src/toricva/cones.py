@@ -4,9 +4,9 @@ A Cone eagerly stores both its primitive extreme rays and its primitive
 inner facet normals.  Cones of lower dimension than the ambient lattice
 additionally carry span equations, so membership tests stay a matter of
 evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
-into generators: facet normals (the dual's rays, which also decide
-pointedness without an LP), and in `divisors` polytope vertices and
-boundedness.  A full-dimensional cone's dual needs no scan: `dual_cone`
+into generators; its one caller here, `cone_from_generators`, reads the facet
+normals off it (the dual's rays, which also decide pointedness without an
+LP).  A full-dimensional cone's dual needs no scan: `dual_cone`
 swaps the two descriptions.  The scan is fine at desk scale (rank <= 6, a
 couple dozen rays), which is the regime everything here operates in.
 `triangulate` splits a cone into simplicial cones on its own rays, for

@@ -3,23 +3,18 @@
 A divisor is a coefficient per global ray.  The central objects are the
 local data u_sigma (the unique dual vector with <u_sigma, v_i> = -d_i on
 each maximal cone, when it exists) and the rational polytope
-P = {u : <u, v_i> >= -d_i}.  A Polytope holds only its halfspaces; its
-vertices are read on first access off the cone over P (Cox-Little-Schenck,
-Toric Varieties, 4.3) by the cone kernel's `extreme_rays`.
+P = {u : <u, v_i> >= -d_i} (Cox-Little-Schenck, Toric Varieties, 4.3).  A
+Polytope holds only its halfspaces: the statements ask whether it contains
+given points, never for its vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING
 
-from .cones import extreme_rays
-from .linalg import Scalar, Vec, _norm_coord, dual_ambient, matrix_rank, pair, solve_exact
-
-if TYPE_CHECKING:  # fans imports semigroups, which imports this module
-    from .fans import Fan
+from .fans import Fan
+from .linalg import Scalar, Vec, _norm_coord, pair, solve_exact
 
 
 @dataclass(frozen=True)
@@ -108,23 +103,6 @@ class Polytope:
 
     halfspaces: tuple[tuple[Vec, Scalar], ...]
 
-    @cached_property
-    def vertices(self) -> tuple[Vec, ...]:
-        """Sorted vertices, computed on first access: the rays (t, u) with
-        t > 0 of the cone {t >= 0, offset_i t + <u, normal_i> >= 0}, scaled
-        to t = 1.  Empty when the polytope is empty or contains a line."""
-        normal, _ = self.halfspaces[0]
-        rows = [Vec((1,) + (0,) * normal.rank, normal.ambient)] + [
-            Vec((d, *v.coords), v.ambient) for v, d in self.halfspaces
-        ]
-        amb = dual_ambient(normal.ambient)
-        verts = (
-            Vec(r.coords[1:], amb).scale(Fraction(1, r.coords[0]))
-            for r in extreme_rays(rows, (), amb)
-            if r.coords[0] > 0
-        )
-        return tuple(sorted(verts, key=lambda v: v.coords))
-
 
 def poly_contains(p: Polytope, x: Vec) -> bool:
     return all(pair(x, v) >= -d for v, d in p.halfspaces)
@@ -140,8 +118,7 @@ def polytope_from_halfspaces(halfspaces) -> Polytope:
 def polytope(fan: Fan, d: Divisor) -> Polytope:
     """The divisor's polytope, one halfspace per global ray.
 
-    Complete fans make this bounded automatically; emptiness is fine and
-    shows up as an empty vertex tuple.
+    Complete fans make this bounded automatically; it may be empty.
     """
     _check_divisor(fan, d)
     return polytope_from_halfspaces(list(zip(fan.rays, d.coeffs)))
@@ -151,11 +128,3 @@ def translated_polytope(p: Polytope, u: Vec) -> Polytope:
     """The polytope shifted by -u, so that u becomes the origin."""
     return Polytope(tuple((v, _norm_coord(d + pair(u, v))) for v, d in p.halfspaces))
 
-
-def is_bounded(p: Polytope) -> bool:
-    """True when the recession cone {u : <u, normal_i> >= 0} is trivial: the
-    normals span, so that cone is pointed, and it has no extreme ray."""
-    normals = [v for v, _ in p.halfspaces]
-    if matrix_rank([v.coords for v in normals]) < normals[0].rank:
-        return False
-    return not extreme_rays(normals, (), dual_ambient(normals[0].ambient))

@@ -104,22 +104,6 @@ class Fan:
                 raise ValueError(f"dual of maximal cone {ci}: {exc}") from None
         return tuple(bases)
 
-    def flip(self, wall: Wall) -> Wall:
-        """The same wall viewed from the other side."""
-        sigma_rays = self.max_cones[wall.sigma]
-        outside = tuple(i for i in sigma_rays if i not in wall.rays)
-        return Wall(wall.tau, wall.sigma, wall.rays, -wall.u, outside)
-
-    def walls_of(self, cone_index: int) -> list[Wall]:
-        """All walls of one maximal cone, oriented so sigma == cone_index."""
-        out = []
-        for w in self.walls:
-            if w.sigma == cone_index:
-                out.append(w)
-            elif w.tau == cone_index:
-                out.append(self.flip(w))
-        return out
-
 
 def _refuse_overlap(rays, cones, i: int, idxs: tuple[int, ...]) -> None:
     """Reject the fan if a maximal cone other than cone i holds the sum of

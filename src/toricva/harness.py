@@ -360,8 +360,15 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
         hyps.append(
             Hypothesis("perturbation_nonpositive_on_cone", on_cone, "")
         )
+        # Across each wall of sigma, the neighbour's rays off the wall.
         floors = all(
-            any(inst.dprime.coeffs[j] >= -rr for j in w.outside) for w in fan.walls_of(sigma)
+            any(
+                inst.dprime.coeffs[j] >= -rr
+                for j in fan.max_cones[w.tau if w.sigma == sigma else w.sigma]
+                if j not in w.rays
+            )
+            for w in fan.walls
+            if sigma in (w.sigma, w.tau)
         )
         hyps.append(
             Hypothesis(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .divisors import Divisor, NotQCartier, local_data, poly_contains, polytope
 from .fans import Fan, Wall
-from .linalg import Vec, pair, primitivize
+from .linalg import Vec, pair
 
 
 def wall_value(fan: Fan, local: tuple[Vec, ...], wall: Wall) -> Fraction:
@@ -75,38 +75,3 @@ def is_nef(fan: Fan, d: Divisor) -> bool:
     """All curve intersections nonnegative.  NotQCartier propagates."""
     return solve_divisor(fan, d).checked().nef
 
-
-@dataclass(frozen=True)
-class EdgeLength:
-    """Lattice length of one edge of the divisor polytope, with its curve value."""
-
-    wall_index: int
-    value: Fraction
-    length: Fraction
-
-
-def edge_lengths(fan: Fan, d: Divisor) -> tuple[EdgeLength, ...]:
-    """For nef divisors: each wall's curve value equals the matching edge length.
-
-    The length is measured independently as the lattice length of the
-    segment from u_sigma to u_tau.  A mismatch would be an internal error.
-    """
-    solved = solve_divisor(fan, d).checked()
-    if not solved.nef:
-        raise ValueError("edge lengths are undefined for a divisor that is not nef")
-    local = solved.local
-    out = []
-    for wi, (w, val) in enumerate(zip(fan.walls, solved.values)):
-        diff = local[w.tau] - local[w.sigma]
-        if diff.is_zero:
-            length = Fraction(0)
-        else:
-            direction = primitivize(diff)
-            j = next(i for i, c in enumerate(direction.coords) if c != 0)
-            length = Fraction(diff.coords[j]) / direction.coords[j]
-            if direction != w.u:
-                raise RuntimeError("internal: polytope edge is not parallel to the wall normal")
-        if length != val:
-            raise RuntimeError("internal: edge length disagrees with the curve value")
-        out.append(EdgeLength(wi, val, length))
-    return tuple(out)

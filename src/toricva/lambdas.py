@@ -26,7 +26,9 @@ the piece coefficients of z (den * q times x's) and the checks that they
 are nonnegative, reproduce den * z and sum to den * <phi, z> / beta.  A
 feasible expression whose sum meets a feasible dual value certifies both
 optimal; only the returned value and witness are divided by den * q.
-One integer certificate, `_certify`, runs these checks for `minimum` and
+`CoefficientSums(c)` builds a cone's cells once and is the only entry
+point; `Fan.coefficient_sums` keeps one per maximal cone's dual.  One
+integer certificate, `_certify`, runs these checks for `minimum` and
 `maximum`, which package a `LambdaValue`, and for `max_value`, which takes
 an integer tuple as it is (q = 1) and returns only lambda_max's value.
 """
@@ -34,7 +36,6 @@ an integer tuple as it is (q = 1) and returns only lambda_max's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .cones import Cone, cone_from_generators, triangulate
@@ -44,7 +45,6 @@ from .linalg import (
     Vec,
     _integer_row,
     _ratio,
-    dual_ambient,
     integer_left_inverse,
     solve_matrix,
 )
@@ -173,44 +173,3 @@ class CoefficientSums:
             raise RuntimeError("internal: witness does not certify the coefficient sum")
         return cell, top, positions, a, den
 
-
-def lambda_min(c: Cone, x: Vec) -> LambdaValue:
-    return CoefficientSums(c).minimum(x)
-
-
-def lambda_max(c: Cone, x: Vec) -> LambdaValue:
-    return CoefficientSums(c).maximum(x)
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    """Cells on which the maximum coefficient sum is linear.
-
-    cell_generators[i] lists every parent generator lying on cell i, and
-    functionals[i] = (phi, beta) gives the linear formula <phi, x> / beta
-    for the maximum coefficient sum on that cell.  A single cell with all
-    generators on one affine hyperplane means both sums agree everywhere.
-    """
-
-    parent: Cone
-    cells: tuple[Cone, ...]
-    cell_generators: tuple[tuple[Vec, ...], ...]
-    functionals: tuple[tuple[Vec, Scalar], ...]
-
-    @property
-    def is_single_cell(self) -> bool:
-        return len(self.cells) == 1
-
-
-def regular_subdivision(c: Cone) -> Subdivision:
-    """The linearity cells of lambda_max on a full-dimensional pointed cone:
-    the cones over the facets of conv(generators) with beta > 0, or one cell
-    with functional (w, 1) when every generator lies on <w, g> = 1."""
-    cells = CoefficientSums(c)._max_cells
-    amb = dual_ambient(c.ambient)
-    functionals = tuple((Vec(k.phi, amb), k.beta) for k in cells)
-    if len(cells) == 1:
-        functionals = ((Vec(tuple(Fraction(v, cells[0].beta) for v in cells[0].phi), amb), 1),)
-    return Subdivision(
-        c, tuple(k.cone for k in cells), tuple(k.cone.rays for k in cells), functionals
-    )

@@ -10,10 +10,11 @@ All elimination goes through two kernels:
 - `_echelon`, fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968,
   gcd-reduced): rows scaled to integers, then integer row operations, each
   divided by its gcd.  Row scaling leaves the reduced row echelon form,
-  which is unique, unchanged, so `_rref` divides by the pivots only at the
-  end and rank, solve and `left_inverse` get exactly the rational answer.
-  `nullspace` reads primitive integer vectors off the integer rows.  (The
-  rational step `pivot` is a test oracle, the reference for `_rref`.)
+  which is unique, unchanged: dividing each row by its pivot gives it, so
+  rank, solve and `integer_left_inverse` read exactly the rational answer
+  off the integer rows, and `nullspace` reads primitive integer vectors
+  off them.  (The rational Gauss-Jordan of the test oracles is the
+  reference for `_echelon`.)
 - `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
   unimodular.  `lattice_index` and the parallelepiped enumeration in
   `semigroups` are built on it.
@@ -196,39 +197,23 @@ def _ratio(x: int, p: int) -> Scalar:
     return x // p if x % p == 0 else Fraction(x, p)
 
 
-def _rref(rows) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form with the first nonzero entry as pivot.
+def integer_left_inverse(rows) -> tuple[list[list[int]], int]:
+    """(den * L, den) for L with L @ W = I, W a square or tall matrix of
+    full column rank, and den the least common denominator of L's entries.
 
-    Returns (reduced rows, pivot column indices); entries are ints where
-    integral and Fractions otherwise.
-    """
-    a, pivots = _echelon(rows)
-    for r, c in enumerate(pivots):
-        p = a[r][c]
-        a[r] = [_ratio(x, p) for x in a[r]]
-    return a, pivots
-
-
-def left_inverse(rows) -> list[list[Fraction]]:
-    """L with L @ W = I for a square or tall matrix W of full column rank.
-
-    The first k rows of rref([W | I]) are [I_k | L].
+    The first k rows of rref([W | I]) are [I_k | L], so `_echelon`'s row r
+    is p_r times [e_r | L_r] with p_r its pivot.  Each of its rows has gcd
+    1, so L_r = b_r / p_r is in lowest terms: den is the lcm of the |p_r|
+    and den * L_r is b_r * (den // p_r).
     """
     m = len(rows)
     k = len(rows[0])
     aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    red, pivots = _rref(aug)
+    a, pivots = _echelon(aug)
     if pivots[:k] != list(range(k)):
         raise ValueError("matrix does not have full column rank")
-    return [row[k:] for row in red[:k]]
-
-
-def integer_left_inverse(rows) -> tuple[list[list[int]], int]:
-    """(den * L, den) for L = left_inverse(rows) and den the least common
-    denominator of L's entries, so that den * L is an integer matrix."""
-    inv = left_inverse(rows)
-    den = lcm(*(v.denominator for row in inv for v in row))
-    return [[int(v * den) for v in row] for row in inv], den
+    den = lcm(*(a[r][r] for r in range(k)))
+    return [[x * (den // a[r][r]) for x in a[r][k:]] for r in range(k)], den
 
 
 def matrix_rank(rows) -> int:
@@ -287,25 +272,11 @@ def solve_exact(rows: list[Vec], rhs, ambient: str | None = None) -> LinearSolut
     return LinearSolution(res.status, Vec(res.solution, target))
 
 
-def nullspace_matrix(rows) -> list[tuple[Scalar, ...]]:
-    """Basis of {x : rows @ x = 0}, deterministic, exact: one vector per
-    free column of the reduced rows, 1 there and 0 in the other free
-    columns.  That free column is the vector's last nonzero entry, since a
-    reduced row is zero left of its pivot."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        raise ValueError("empty system")
-    basis = []
-    for v in nullspace(rows, len(rows[0])):
-        last = next(x for x in reversed(v) if x)
-        basis.append(tuple(_ratio(x, last) for x in v))
-    return basis
-
-
 def nullspace(rows: list[list], rank: int) -> list[tuple[int, ...]]:
-    """`nullspace_matrix`'s basis with each vector scaled to the primitive
-    integer vector on its ray, read off the integer rows of `_echelon`;
-    an empty row list is the zero map on `rank` coordinates."""
+    """Basis of {x : rows @ x = 0} in `rank` coordinates, deterministic and
+    exact: one primitive integer vector per free column of the reduced
+    rows, positive there and 0 in the other free columns, read off the
+    integer rows of `_echelon`.  An empty row list is the zero map."""
     if not rows:
         return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     a, pivots = _echelon(rows)

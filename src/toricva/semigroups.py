@@ -1,13 +1,13 @@
-"""Lattice point and semigroup computations, exact throughout.
+"""Hilbert bases of pointed cones, exact throughout.
 
-The centrepiece is the Hilbert basis of a pointed cone: the unique minimal
-generating set of the semigroup of lattice points.  It is computed by
+The Hilbert basis of a pointed cone is the unique minimal generating set
+of the semigroup of its lattice points.  It is computed by
 triangulating the cone, enumerating lattice points of the half-open
 fundamental parallelepiped of every simplicial piece, and pruning the
 reducible candidates.  The parallelepiped points come from the two linalg
 kernels: `diagonalize_int` lists one lattice point per class modulo the
 piece's generators, and `integer_left_inverse` (den times the left
-inverse, from the fraction-free `_rref`) reduces each into the
+inverse, read off the fraction-free `_echelon`) reduces each into the
 parallelepiped in integer arithmetic.  A piece has as many parallelepiped
 points as its lattice index, so `hilbert_basis` sums those indices first
 and refuses a cone that needs more than `MAX_PARALLELEPIPED_POINTS`.
@@ -15,32 +15,12 @@ and refuses a cone that needs more than `MAX_PARALLELEPIPED_POINTS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from math import ceil, floor, prod
+from math import prod
 from operator import le, mul
 
-from .cones import Cone, contains, triangulate
-from .divisors import Polytope, is_bounded, poly_contains
-from .linalg import Vec, diagonalize_int, integer_left_inverse, lattice_index, pair, vec
-
-
-def lattice_points(p: Polytope) -> tuple[Vec, ...]:
-    """All lattice points of a bounded polytope, sorted by coordinates."""
-    if not is_bounded(p):
-        raise ValueError("unbounded region")
-    if not p.vertices:
-        return ()
-    rank = p.vertices[0].rank
-    amb = p.vertices[0].ambient
-    los = [min(ceil(v.coords[i]) for v in p.vertices) for i in range(rank)]
-    his = [max(floor(v.coords[i]) for v in p.vertices) for i in range(rank)]
-    out = []
-    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        x = vec(coords, amb)
-        if poly_contains(p, x):
-            out.append(x)
-    return tuple(out)
+from .cones import Cone, triangulate
+from .linalg import Vec, diagonalize_int, integer_left_inverse, lattice_index, pair
 
 
 def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
@@ -107,30 +87,3 @@ def hilbert_basis(c: Cone) -> tuple[Vec, ...]:
         if not reducible:
             basis.append(h)
     return tuple(basis)
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    """Whether a point set generates the cone's lattice semigroup.
-
-    When it does not, `witness` is the first missing irreducible element
-    in coordinate order.
-    """
-
-    generates: bool
-    witness: Vec | None
-
-
-def generates(points, c: Cone) -> GenerationResult:
-    pts = list(points)
-    for x in pts:
-        if not x.is_lattice:
-            raise ValueError("generators must be lattice points")
-        if not contains(c, x):
-            raise ValueError("point outside cone")
-    have = set(pts)
-    for h in hilbert_basis(c):
-        if h not in have:
-            return GenerationResult(False, h)
-    return GenerationResult(True, None)
-

@@ -2,27 +2,34 @@
 by the test suite.
 
 The rational Gauss-Jordan step `pivot` and `reference_rref` built on it
-are the reference for the fraction-free `linalg._rref`; `pivot` also runs
-the simplex tableau.  The fiber-polytope vertex enumeration here goes
-through plain subset enumeration and exact Gaussian solves, never through
-the simplex tableau.  The exact simplex (`lp_solve`, with `lp_feasible`
-and `in_nonneg_span`) lives here too: production code decides coefficient
-sums in closed form from hull facets, pointedness and boundedness from
+are the reference for the fraction-free `linalg._echelon` and the inverse
+`integer_left_inverse` reads off it; `pivot` also runs the simplex
+tableau.  The fiber-polytope vertex enumeration here goes through plain
+subset enumeration and exact Gaussian solves, never through the simplex
+tableau.  The exact simplex (`lp_solve`, with `lp_feasible` and
+`in_nonneg_span`) lives here too: production code decides coefficient
+sums in closed form from hull facets and pointedness from
 `cones.extreme_rays`, so the LP is a reference, not a layer.  The box
 scans enumerate every lattice point of a bounding box, which the
-production code no longer does: `box_interior_points` tests each point
-of the box against every facet normal, where `harness.interior_points`
-reads the last coordinate's interval off the normals.  The hull oracles
-find facets by a subset scan over the points and vertices by one LP per
-point, where production code builds one cone over the lifted points.
-Polytope vertices come from exact solves of every square subsystem.  The
-fan reference intersects every pair of maximal cones and asks for a common
-face, where `fans.build_fan` reads the covering degree off one point.  The
-dual-cone reference rebuilds each dual by the extreme-ray scan and checks
-biduality, where `cones.dual_cone` swaps the two descriptions.  The cone
-minima flip each wall to its cone's side and evaluate it there, where
-`harness` reads one value per wall.  `rational_coefficient_sum` evaluates
-a coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
+production code never does: `box_interior_points` tests each point of
+the box against every facet normal, where `harness.interior_points`
+reads the last coordinate's interval off the normals, and
+`lattice_points` scans the box around a polytope's vertices, which come
+from exact solves of every square subsystem (`subset_vertices`), with
+boundedness from one LP per direction (`lp_bounded`).  `generates` looks
+for every Hilbert basis element among given points, and `edge_lengths`
+checks each curve value against the lattice length of its polytope
+edge.  The hull oracles find facets by a subset scan over the points and
+vertices by one LP per point, where production code builds one cone over
+the lifted points.  The fan reference intersects every pair of maximal
+cones and asks for a common face, where `fans.build_fan` reads the
+covering degree off one point.  The dual-cone reference rebuilds each
+dual by the extreme-ray scan and checks biduality, where
+`cones.dual_cone` swaps the two descriptions.  `walls_of` flips each wall
+to its cone's side, and the cone minima evaluate each there, where
+`harness` reads one value per wall.  `lambda_min` and `lambda_max` build
+a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
+coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
 integers.
 """
 
@@ -39,12 +46,19 @@ from toricva.cones import (
     dual_cone,
     extreme_rays,
 )
-from toricva.divisors import Divisor, local_data, polytope, translated_polytope
-from toricva.fans import Fan
+from toricva.divisors import (
+    Divisor,
+    Polytope,
+    local_data,
+    poly_contains,
+    polytope,
+    translated_polytope,
+)
+from toricva.fans import Fan, Wall
 from toricva.harness import Failure
 from toricva.hulls import affine_rank
-from toricva.intersections import wall_value
-from toricva.lambdas import LambdaValue, lambda_min
+from toricva.intersections import solve_divisor, wall_value
+from toricva.lambdas import CoefficientSums, LambdaValue
 from toricva.linalg import (
     Vec,
     dual_ambient,
@@ -56,7 +70,7 @@ from toricva.linalg import (
     solve_matrix,
     vec,
 )
-from toricva.semigroups import generates, lattice_points
+from toricva.semigroups import hilbert_basis
 
 
 def fiber_points(cols, target):
@@ -111,7 +125,7 @@ def pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
 
 
 def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reference for `linalg._rref` by rational Gauss-Jordan: reduced row
+    """Reference for `linalg._echelon` by rational Gauss-Jordan: reduced row
     echelon form with the first nonzero entry as pivot, as (reduced rows,
     pivot column indices)."""
     a = [[Fraction(x) for x in row] for row in rows]
@@ -248,15 +262,25 @@ def _lp_coefficient_sum(c: Cone, x: Vec, maximize: bool) -> LambdaValue:
 
 
 def lp_lambda_min(c: Cone, x: Vec) -> LambdaValue:
-    """Reference for `lambdas.lambda_min`: one simplex run, witness aligned
+    """Reference for `CoefficientSums.minimum`: one simplex run, witness aligned
     to c.rays."""
     return _lp_coefficient_sum(c, x, maximize=False)
 
 
 def lp_lambda_max(c: Cone, x: Vec) -> LambdaValue:
-    """Reference for `lambdas.lambda_max`: one simplex run, witness aligned
+    """Reference for `CoefficientSums.maximum`: one simplex run, witness aligned
     to c.rays."""
     return _lp_coefficient_sum(c, x, maximize=True)
+
+
+def lambda_min(c: Cone, x: Vec) -> LambdaValue:
+    """The smallest coefficient sum of x over c.rays, in closed form."""
+    return CoefficientSums(c).minimum(x)
+
+
+def lambda_max(c: Cone, x: Vec) -> LambdaValue:
+    """The largest coefficient sum of x over c.rays, in closed form."""
+    return CoefficientSums(c).maximum(x)
 
 
 def is_certificate(c: Cone, x: Vec, lv: LambdaValue) -> bool:
@@ -314,6 +338,54 @@ def box_interior_points(normals, rank: int, bound: int) -> list[tuple[int, ...]]
         for x in product(range(-bound, bound + 1), repeat=rank)
         if all(sum(f_i * x_i for f_i, x_i in zip(f, x)) > 0 for f in normals)
     ]
+
+
+def lattice_points(p: Polytope) -> tuple[Vec, ...]:
+    """All lattice points of a bounded polytope, sorted by coordinates: a
+    scan of the bounding box of `subset_vertices`.  An unbounded region,
+    by `lp_bounded`, is refused."""
+    if not lp_bounded(p.halfspaces):
+        raise ValueError("unbounded region")
+    verts = subset_vertices(p.halfspaces)
+    if not verts:
+        return ()
+    rank = verts[0].rank
+    los = [min(ceil(v.coords[i]) for v in verts) for i in range(rank)]
+    his = [max(floor(v.coords[i]) for v in verts) for i in range(rank)]
+    out = []
+    for coords in product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
+        x = vec(coords, verts[0].ambient)
+        if poly_contains(p, x):
+            out.append(x)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class GenerationResult:
+    """Whether a point set generates the cone's lattice semigroup.
+
+    When it does not, `witness` is the first missing irreducible element
+    in coordinate order.
+    """
+
+    generates: bool
+    witness: Vec | None
+
+
+def generates(points, c: Cone) -> GenerationResult:
+    """Do the lattice points of c given generate its semigroup?  Decided by
+    looking for each Hilbert basis element among them."""
+    pts = list(points)
+    for x in pts:
+        if not x.is_lattice:
+            raise ValueError("generators must be lattice points")
+        if not contains(c, x):
+            raise ValueError("point outside cone")
+    have = set(pts)
+    for h in hilbert_basis(c):
+        if h not in have:
+            return GenerationResult(False, h)
+    return GenerationResult(True, None)
 
 
 def box_scan_generation(fan: Fan, d: Divisor, local) -> tuple[tuple, bool]:
@@ -417,8 +489,8 @@ def lp_pointed(gens: list[Vec]) -> bool:
 
 
 def lp_bounded(halfspaces) -> bool:
-    """Reference for `divisors.is_bounded`: the normals positively span the
-    space: every unit vector and its negative is a nonnegative
+    """Is the polytope with these halfspaces bounded when nonempty?  Its
+    normals must positively span the space: every unit vector and its negative is a nonnegative
     combination of them, decided by one LP each."""
     cols = [v.coords for v, _ in halfspaces]
     rank = len(cols[0])
@@ -431,7 +503,7 @@ def lp_bounded(halfspaces) -> bool:
 
 
 def subset_vertices(halfspaces) -> tuple[Vec, ...]:
-    """Reference for `divisors.Polytope.vertices`: the feasible unique
+    """Vertices of the polytope {u : <u, v> >= -d}: the feasible unique
     solutions of every rank-sized subsystem of <u, v> = -d, sorted."""
     rank = halfspaces[0][0].rank
     amb = dual_ambient(halfspaces[0][0].ambient)
@@ -594,6 +666,59 @@ def semigroup_member(gens, target: Vec, bound: int) -> bool:
 
 
 @dataclass(frozen=True)
+class EdgeLength:
+    """Lattice length of one edge of the divisor polytope, with its curve value."""
+
+    wall_index: int
+    value: Fraction
+    length: Fraction
+
+
+def edge_lengths(fan: Fan, d: Divisor) -> tuple[EdgeLength, ...]:
+    """For nef divisors: each wall's curve value equals the matching edge length.
+
+    The length is measured independently as the lattice length of the
+    segment from u_sigma to u_tau.  A mismatch raises RuntimeError.
+    """
+    solved = solve_divisor(fan, d).checked()
+    if not solved.nef:
+        raise ValueError("edge lengths are undefined for a divisor that is not nef")
+    local = solved.local
+    out = []
+    for wi, (w, val) in enumerate(zip(fan.walls, solved.values)):
+        diff = local[w.tau] - local[w.sigma]
+        if diff.is_zero:
+            length = Fraction(0)
+        else:
+            direction = primitivize(diff)
+            j = next(i for i, c in enumerate(direction.coords) if c != 0)
+            length = Fraction(diff.coords[j]) / direction.coords[j]
+            if direction != w.u:
+                raise RuntimeError("polytope edge is not parallel to the wall normal")
+        if length != val:
+            raise RuntimeError("edge length disagrees with the curve value")
+        out.append(EdgeLength(wi, val, length))
+    return tuple(out)
+
+
+def flip(fan: Fan, wall: Wall) -> Wall:
+    """The same wall viewed from its other side: tau's cone, the opposite
+    normal, and sigma's rays off the wall as the far side."""
+    outside = tuple(i for i in fan.max_cones[wall.sigma] if i not in wall.rays)
+    return Wall(wall.tau, wall.sigma, wall.rays, -wall.u, outside)
+
+
+def walls_of(fan: Fan, cone_index: int) -> list[Wall]:
+    """All walls of one maximal cone in fan.walls order, each flipped if
+    needed so that its sigma is that cone."""
+    return [
+        w if w.sigma == cone_index else flip(fan, w)
+        for w in fan.walls
+        if cone_index in (w.sigma, w.tau)
+    ]
+
+
+@dataclass(frozen=True)
 class ConeMinima:
     """Per-cone wall minima for a pair of divisors.
 
@@ -606,7 +731,7 @@ class ConeMinima:
 
 
 def cone_minima(fan: Fan, d: Divisor, dp: Divisor, cone_index: int) -> ConeMinima:
-    walls = fan.walls_of(cone_index)
+    walls = walls_of(fan, cone_index)
     if not walls:
         raise ValueError("maximal cone has no walls")
     local_d = local_data(fan, d)

@@ -6,6 +6,7 @@ criterion lines on success; they always appear in failure output).
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,12 +17,17 @@ from oracles import (
     box_interior_points,
     box_scan_generation,
     cone_minima,
+    edge_lengths,
+    generates,
+    lambda_max,
+    lambda_min,
     matches_lp_oracle,
     rational_coefficient_sum,
     reference_dual_cone,
     semigroup_member,
     simplex_lattice_points,
     sum_range,
+    walls_of,
 )
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
 from toricva.divisors import (
@@ -49,10 +55,9 @@ from toricva.harness import (
     random_instance,
     weighted_112,
 )
-from toricva.intersections import edge_lengths, is_nef, wall_value, wall_values
-from toricva.lambdas import lambda_max, lambda_min
+from toricva.intersections import is_nef, wall_value, wall_values
 from toricva.linalg import M, N, vec
-from toricva.semigroups import generates, hilbert_basis, lattice_points
+from toricva.semigroups import hilbert_basis
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +401,28 @@ def test_cone_minima_match_flipped_wall_oracle(pool2, pool3):
                 assert (cd.t, cd.m) == (expected.first, expected.second), (inst.label, cd)
                 rows += 1
     _ok("minima-oracle", f"{rows} per-cone rows of {len(instances)} instances agree")
+
+
+def test_floor_hypothesis_matches_flipped_wall_oracle(pool2, pool3):
+    # wall-bound --r reads each neighbour's rays off the wall from fan.walls;
+    # the oracle reads the far side of each wall flipped to the cone's side
+    verdicts = Counter()
+    from_tau = 0
+    for inst in pool2[:60] + pool3:
+        fan = inst.fan
+        for sigma in range(len(fan.max_cones)):
+            from_tau += sum(w.tau == sigma for w in fan.walls)
+            for r in (Fraction(1, 2), 2):
+                rep = check_wall_bound(inst, sigma, r)
+                (floor,) = (h for h in rep.hypotheses if h.name == "adjacent_cones_have_floor_ray")
+                expected = all(
+                    any(inst.dprime.coeffs[j] >= -r for j in w.outside)
+                    for w in walls_of(fan, sigma)
+                )
+                assert floor.holds == expected, (inst.label, sigma, r)
+                verdicts[expected] += 1
+    assert from_tau and verdicts[True] and verdicts[False], (from_tau, verdicts)
+    _ok("floor-oracle", f"{sum(verdicts.values())} floor verdicts agree, {dict(verdicts)}")
 
 
 def test_criterion_09_containment_and_bound_suites(pool2, pool3):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,52 @@ def test_input_errors_exit_one(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert "input error" in err
+
+
+def _small_doc(ray="1", coeff="1"):
+    """The plane's fan and one divisor, with raw JSON text for the first
+    ray's first coordinate and the divisor's first coefficient."""
+    return (
+        f'{{"rank": 2, "rays": [[{ray}, 0], [0, 1], [-1, -1]], '
+        f'"max_cones": [[0, 1], [1, 2], [2, 0]], "divisors": {{"D": [{coeff}, 0, 0]}}}}'
+    )
+
+
+@pytest.mark.parametrize("field", ["ray", "coeff"])
+@pytest.mark.parametrize(
+    "argv", [("analyze", "DOC"), ("verify", "nef", "DOC"), ("hilbert", "DOC", "--sigma", "0")]
+)
+def test_overlong_json_integer_is_an_input_error(tmp_path, capsys, field, argv):
+    # json.load refuses an integer past 4,300 digits with a ValueError that
+    # is not a JSONDecodeError
+    assert json.loads(_small_doc())
+    path = tmp_path / "long.json"
+    path.write_text(_small_doc(**{field: "1" * 5000}))
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert f"input error: {path}: invalid JSON: Exceeds the limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1e200000", "1e10000000", "0.5", "1/2 ", "1_000"])
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_only_integers_and_fractions_are_rationals(tmp_path, capsys, value, flags):
+    # Fraction("1e10000000") alone runs for seconds, and "1e200000" was
+    # accepted and then failed while printing
+    path = tmp_path / "exp.json"
+    path.write_text(_small_doc(coeff=json.dumps(value)))
+    for argv, where in (
+        (("analyze", str(path)), "divisor 'D'"),
+        (("verify", "wall-bound", "--builtin", "weighted_112", "--r", value), "--r"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv, *flags)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 1
+        assert out == ""
+        assert f"input error: {where}: {value!r} is not a rational" in err
+        assert "Traceback" not in err
 
 
 def test_input_validation_messages(tmp_path, capsys):

@@ -5,14 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p112_fan
-from oracles import cone_minima
+from oracles import cone_minima, edge_lengths
 from toricva.divisors import Divisor, canonical_divisor, local_data
-from toricva.intersections import (
-    edge_lengths,
-    is_nef,
-    wall_value,
-    wall_values,
-)
+from toricva.intersections import is_nef, wall_value, wall_values
 from toricva.linalg import M, vec
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,16 @@ from toricva.linalg import (
     M,
     N,
     LinearSolution,
-    _rref,
     Vec,
+    _echelon,
+    _ratio,
     diagonalize_int,
     dual_ambient,
+    integer_left_inverse,
     is_primitive,
     lattice_index,
-    left_inverse,
     matrix_rank,
     nullspace,
-    nullspace_matrix,
     pair,
     perp_basis,
     primitivize,
@@ -111,10 +112,10 @@ def test_solve_matrix_resubstitution(data):
 
 @given(st.lists(st.lists(ints, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_nullspace_annihilates(rows):
-    for v in nullspace_matrix(rows):
+    for v in nullspace(rows, 3):
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert matrix_rank(rows) + len(nullspace_matrix(rows)) == 3
+    assert matrix_rank(rows) + len(nullspace(rows, 3)) == 3
 
 
 def test_perp_basis_ambient_and_primitivity():
@@ -214,12 +215,12 @@ def test_left_inverse_of_full_column_rank(data):
     k = len(rows[0])
     if matrix_rank(rows) < k:
         with pytest.raises(ValueError):
-            left_inverse(rows)
+            integer_left_inverse(rows)
         return
-    inv = left_inverse(rows)
+    inv, den = integer_left_inverse(rows)
     for i in range(k):
         for j in range(k):
-            assert sum(inv[i][l] * rows[l][j] for l in range(m)) == int(i == j)
+            assert sum(inv[i][l] * rows[l][j] for l in range(m)) == den * int(i == j)
 
 
 def _random_matrix(rng, nrows, ncols, rational):
@@ -249,7 +250,8 @@ def test_fraction_free_rref_matches_rational_gauss_jordan():
     rng = random.Random("toricva:rref")
     for trial in range(600):
         rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), trial % 2 == 1)
-        red, pivots = _rref(rows)
+        a, pivots = _echelon(rows)
+        red = [[_ratio(x, row[c]) for x in row] for row, c in zip(a, pivots)] + a[len(pivots):]
         ref_red, ref_pivots = reference_rref(rows)
         assert (red, pivots) == (ref_red, ref_pivots), rows
         assert all(type(x) is int or x.denominator > 1 for row in red for x in row)
@@ -264,7 +266,6 @@ def test_fraction_free_rref_matches_rational_gauss_jordan():
             for r, pc in enumerate(ref_pivots):
                 v[pc] = -ref_red[r][fc]
             ref_basis.append(tuple(v))
-        assert nullspace_matrix(rows) == ref_basis
         primitive = [primitivize(vec(v, N)).coords for v in ref_basis]
         assert nullspace(rows, ncols) == primitive
         # a consistent right-hand side is solved to the reference's solution
@@ -275,6 +276,27 @@ def test_fraction_free_rref_matches_rational_gauss_jordan():
         for r, c in enumerate(aug_pivots):
             expected[c] = aug_red[r][-1]
         assert solve_matrix(rows, rhs).solution == tuple(expected)
+
+
+def test_integer_left_inverse_matches_rational_gauss_jordan():
+    # seeded square and tall integer matrices of full column rank, 1-5
+    # columns: den * L and den against L read off rref([W | I]) = [I_k | L]
+    rng = random.Random("toricva:left-inverse")
+    checked = 0
+    while checked < 400:
+        k = rng.randint(1, 5)
+        m = rng.randint(k, k + 2)
+        rows = _random_matrix(rng, m, k, False)
+        if matrix_rank(rows) < k:
+            continue
+        aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+        ref_red, _ = reference_rref(aug)
+        ref_inv = [row[k:] for row in ref_red[:k]]
+        inv, den = integer_left_inverse(rows)
+        assert den == lcm(*(x.denominator for row in ref_inv for x in row)), rows
+        assert inv == [[x * den for x in row] for row in ref_inv], rows
+        assert all(type(x) is int for row in inv for x in row)
+        checked += 1
 
 
 def test_vec_normalization_is_unchanged_by_the_int_fast_path():

@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p2_fan, pointed_cones
-from oracles import box_parallelepiped_points, semigroup_member, simplex_lattice_points
+from oracles import (
+    box_parallelepiped_points,
+    generates,
+    lattice_points,
+    semigroup_member,
+    simplex_lattice_points,
+)
 from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
 from toricva.linalg import M, N, matrix_rank, pair, vec
 from toricva import semigroups
-from toricva.semigroups import (
-    MAX_PARALLELEPIPED_POINTS,
-    _parallelepiped_points,
-    generates,
-    hilbert_basis,
-    lattice_points,
-)
+from toricva.semigroups import MAX_PARALLELEPIPED_POINTS, _parallelepiped_points, hilbert_basis
 
 
 def ncone(*coords):
