@@ -369,6 +369,9 @@ def _gather_instances(args) -> list[Instance]:
     sources = [s for s in (args.input, args.builtin, args.fuzz) if s]
     if len(sources) != 1:
         raise InputError("pass exactly one of INPUT, --builtin, or --fuzz")
+    for option in ("d", "dprime"):
+        if getattr(args, option) is not None and not args.input:
+            raise InputError(f"--{option} names a divisor of an INPUT document")
     if args.input:
         fan, divisors = load_document(args.input)
         _, d = _pick_divisor(divisors, args.d)

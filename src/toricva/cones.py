@@ -130,14 +130,10 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     return Cone(amb, rank, _sorted_vecs(extreme), normals, _sorted_vecs(eqs))
 
 
-def contains(c: Cone, x: Vec, strict: bool = False) -> bool:
-    """Cone membership; strict means topological interior (full-dim only)."""
+def contains(c: Cone, x: Vec) -> bool:
+    """Cone membership, boundary included."""
     if x.ambient != c.ambient or x.rank != c.rank:
         raise ValueError("point does not live in the cone's ambient lattice")
-    if strict:
-        if not c.is_full_dim:
-            raise ValueError("strict containment needs a full-dimensional cone")
-        return all(pair(f, x) > 0 for f in c.facet_normals)
     return all(pair(f, x) >= 0 for f in c.facet_normals) and all(
         pair(e, x) == 0 for e in c.span_equations
     )

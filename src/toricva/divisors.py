@@ -6,15 +6,23 @@ each maximal cone, when it exists) and the rational polytope
 P = {u : <u, v_i> >= -d_i} (Cox-Little-Schenck, Toric Varieties, 4.3).  A
 Polytope holds only its halfspaces: the statements ask whether it contains
 given points, never for its vertices.
+
+A maximal cone's rays R_sigma (as rows) have full column rank, so
+R_sigma u = -d_sigma has at most one solution, and if it has one it is
+L (-d_sigma) for any left inverse L.  `Fan.inverses` holds den * L, an
+integer matrix, once per fan; `local_data` writes -d_sigma = z / q with z
+integer, forms den * L z and keeps it when R_sigma times it is den * z,
+all in integers, dividing by den * q only at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .fans import Fan
-from .linalg import Scalar, Vec, _norm_coord, pair, solve_exact
+from .linalg import Scalar, Vec, _integer_row, _norm_coord, _ratio, dual_ambient, pair
 
 
 @dataclass(frozen=True)
@@ -39,10 +47,6 @@ class Divisor:
     def __rmul__(self, k) -> "Divisor":
         return self.scale(k)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
-
 
 class NotQCartier(Exception):
     """Raised when a divisor has no local data on some maximal cone."""
@@ -58,18 +62,17 @@ def _check_divisor(fan: Fan, d: Divisor):
 
 
 def local_data(fan: Fan, d: Divisor) -> tuple[Vec, ...]:
-    """u_sigma for each maximal cone; raises NotQCartier when inconsistent."""
+    """u_sigma for each maximal cone, read off its left inverse; raises
+    NotQCartier on the first cone where that does not solve the system."""
     _check_divisor(fan, d)
+    amb = dual_ambient(fan.rays[0].ambient)
     out = []
-    for ci, idxs in enumerate(fan.max_cones):
-        rows = [fan.rays[i] for i in idxs]
-        rhs = [-d.coeffs[i] for i in idxs]
-        res = solve_exact(rows, rhs)
-        if res.status == "inconsistent":
+    for ci, (idxs, (inverse, den)) in enumerate(zip(fan.max_cones, fan.inverses)):
+        z, q = _integer_row([-d.coeffs[i] for i in idxs])
+        u = [sum(map(mul, row, z)) for row in inverse]  # den * q * u_sigma
+        if any(sum(map(mul, fan.rays[i].coords, u)) != den * b for i, b in zip(idxs, z)):
             raise NotQCartier(ci)
-        if res.status != "unique":
-            raise RuntimeError("internal: full-dimensional cone gave an underdetermined solve")
-        out.append(res.solution)
+        out.append(Vec(tuple(_ratio(x, den * q) for x in u), amb))
     return tuple(out)
 
 

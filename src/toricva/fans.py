@@ -58,7 +58,7 @@ from functools import cached_property
 
 from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
-from .linalg import Vec, is_primitive, pair
+from .linalg import Vec, integer_left_inverse, is_primitive, pair
 from .semigroups import hilbert_basis
 
 
@@ -81,7 +81,19 @@ class Fan:
 
     # Derived per-cone data, built on first use and kept for the fan's
     # lifetime; cached properties are not fields, so equality and hashing
-    # ignore them.
+    # ignore them.  `inverses` serves the local data of every divisor on
+    # the fan, `duals` the statements' dual cones and what is built on them.
+    @cached_property
+    def inverses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """(den * L, den) for each maximal cone, L @ R = I for R the matrix
+        with the cone's rays as rows (in `max_cones` order): an integer
+        matrix and its least common denominator."""
+        out = []
+        for idxs in self.max_cones:
+            scaled, den = integer_left_inverse([self.rays[i].coords for i in idxs])
+            out.append((tuple(map(tuple, scaled)), den))
+        return tuple(out)
+
     @cached_property
     def duals(self) -> tuple[Cone, ...]:
         """The dual of each maximal cone."""

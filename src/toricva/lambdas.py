@@ -16,6 +16,10 @@ beta < 0, so
 
 When every generator lies on one hyperplane <w, g> = 1 (a simplicial cone,
 for one), sum a_i = <w, x> for every expression and both sums are <w, x>.
+The generators as rows have full column rank, so such a w can only be L 1
+for L their left inverse: `integer_left_inverse` gives den * L, its row
+sums give den * w, and the cone is one cell exactly when every generator
+pairs with it to den.
 
 By complementary slackness an optimal expression uses only generators on
 an optimal facet, so x lies in the cone over them, that facet's cell.  Each
@@ -40,14 +44,7 @@ from operator import mul
 
 from .cones import Cone, cone_from_generators, triangulate
 from .hulls import convex_hull
-from .linalg import (
-    Scalar,
-    Vec,
-    _integer_row,
-    _ratio,
-    integer_left_inverse,
-    solve_matrix,
-)
+from .linalg import Scalar, Vec, _integer_row, _ratio, integer_left_inverse
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,15 @@ class _Cell:
     pieces: tuple[tuple, ...]
 
 
-def _cell(rays, cell_cone: Cone, phi=None, beta=None) -> _Cell:
-    """A cell and its pieces; without phi, the hyperplane through all of
-    its generators, read off the first piece's inverse as column sums."""
+def _cell(rays, cell_cone: Cone, phi: tuple[int, ...], beta: int) -> _Cell:
+    """The cell on <phi, g> = beta and its pieces."""
     pieces = []
     for simplex in triangulate(cell_cone):
         gens = tuple(g.coords for g in simplex)
         scaled, den = integer_left_inverse([list(row) for row in zip(*gens)])
         positions = tuple(rays.index(g) for g in simplex)
         pieces.append((positions, gens, tuple(map(tuple, scaled)), den))
-    if phi is None:
-        phi, beta = tuple(map(sum, zip(*pieces[0][2]))), pieces[0][3]
-    return _Cell(tuple(phi), beta, cell_cone, tuple(pieces))
+    return _Cell(phi, beta, cell_cone, tuple(pieces))
 
 
 class CoefficientSums:
@@ -98,10 +92,10 @@ class CoefficientSums:
             raise ValueError("coefficient sums need a full-dimensional cone")
         self.cone = c
         rays = c.rays
-        if len(rays) == c.rank or (
-            solve_matrix([g.coords for g in rays], [1] * len(rays)).status != "inconsistent"
-        ):
-            self._max_cells = self._min_cells = (_cell(rays, c),)
+        inverse, den = integer_left_inverse([g.coords for g in rays])
+        w = tuple(map(sum, inverse))
+        if all(_dot(w, g.coords) == den for g in rays):
+            self._max_cells = self._min_cells = (_cell(rays, c, w, den),)
         else:
             min_cells, max_cells = [], []
             for phi, beta in convex_hull(list(rays))[0]:

@@ -11,10 +11,13 @@ All elimination goes through two kernels:
   gcd-reduced): rows scaled to integers, then integer row operations, each
   divided by its gcd.  Row scaling leaves the reduced row echelon form,
   which is unique, unchanged: dividing each row by its pivot gives it, so
-  rank, solve and `integer_left_inverse` read exactly the rational answer
-  off the integer rows, and `nullspace` reads primitive integer vectors
-  off them.  (The rational Gauss-Jordan of the test oracles is the
-  reference for `_echelon`.)
+  `matrix_rank` and `integer_left_inverse` read exactly the rational
+  answer off the integer rows, and `nullspace` reads primitive integer
+  vectors off them.  There is no general solve: every linear system the
+  package meets has a full-column-rank matrix that depends only on a cone
+  of the fan, so it is answered by that matrix's `integer_left_inverse`,
+  built once, and a consistency check.  (The rational Gauss-Jordan of the test oracles is the reference
+  for `_echelon` and for every solve.)
 - `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
   unimodular.  `lattice_index` and the parallelepiped enumeration in
   `semigroups` are built on it.
@@ -221,55 +224,6 @@ def matrix_rank(rows) -> int:
     if not rows:
         return 0
     return len(_echelon(rows)[1])
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of an exact linear solve.
-
-    status is one of "unique", "inconsistent", "underdetermined".  For
-    "unique" the solution is exact; for "underdetermined" a particular
-    solution (free variables set to zero) is still supplied so that the
-    caller can decide what to do with it.
-    """
-
-    status: str
-    solution: tuple[Scalar, ...] | None
-
-
-def solve_matrix(rows, rhs) -> LinearSolution:
-    """Solve rows @ x = rhs exactly by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rhs = list(rhs)
-    if len(rows) != len(rhs):
-        raise ValueError("row/rhs length mismatch")
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0])
-    red, pivots = _echelon([row + [b] for row, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return LinearSolution("inconsistent", None)
-    sol = [0] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = _ratio(red[r][ncols], red[r][c])
-    status = "unique" if len(pivots) == ncols else "underdetermined"
-    return LinearSolution(status, tuple(sol))
-
-
-def solve_exact(rows: list[Vec], rhs, ambient: str | None = None) -> LinearSolution:
-    """Solve <x, row_i> = rhs_i for x in the dual of the rows' ambient."""
-    if not rows:
-        raise ValueError("empty system")
-    amb = rows[0].ambient
-    if any(v.ambient != amb for v in rows):
-        raise ValueError("all rows must share one ambient")
-    if any(v.rank != rows[0].rank for v in rows):
-        raise ValueError("all rows must share one rank")
-    res = solve_matrix([list(v.coords) for v in rows], rhs)
-    if res.solution is None:
-        return res
-    target = ambient if ambient is not None else dual_ambient(amb)
-    return LinearSolution(res.status, Vec(res.solution, target))
 
 
 def nullspace(rows: list[list], rank: int) -> list[tuple[int, ...]]:

@@ -4,8 +4,14 @@ by the test suite.
 The rational Gauss-Jordan step `pivot` and `reference_rref` built on it
 are the reference for the fraction-free `linalg._echelon` and the inverse
 `integer_left_inverse` reads off it; `pivot` also runs the simplex
-tableau.  The fiber-polytope vertex enumeration here goes through plain
-subset enumeration and exact Gaussian solves, never through the simplex
+tableau.  `solve_matrix` and `solve_exact` solve linear systems by
+`reference_rref` alone, so they share nothing with the integer kernel
+they check: they are the reference for `divisors.local_data` (cone by
+cone, with "inconsistent" where a divisor is not Q-Cartier) and for the
+one-hyperplane test of `CoefficientSums`.  `strictly_inside` is cone
+interior membership, which production code never asks for.  The
+fiber-polytope vertex enumeration here goes through plain subset
+enumeration and exact Gaussian solves, never through the simplex
 tableau.  The exact simplex (`lp_solve`, with `lp_feasible` and
 `in_nonneg_span`) lives here too: production code decides coefficient
 sums in closed form from hull facets and pointedness from
@@ -66,8 +72,6 @@ from toricva.linalg import (
     nullspace,
     pair,
     primitivize,
-    solve_exact,
-    solve_matrix,
     vec,
 )
 from toricva.semigroups import hilbert_basis
@@ -144,6 +148,55 @@ def reference_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+@dataclass(frozen=True)
+class LinearSolution:
+    """Outcome of `solve_matrix`: status "unique", "inconsistent" or
+    "underdetermined".  An underdetermined solution sets every free
+    variable to zero."""
+
+    status: str
+    solution: tuple | None
+
+
+def solve_matrix(rows, rhs) -> LinearSolution:
+    """Solve rows @ x = rhs by rational Gauss-Jordan on [rows | rhs]."""
+    rows = [list(r) for r in rows]
+    rhs = list(rhs)
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    if not rows:
+        raise ValueError("empty system")
+    ncols = len(rows[0])
+    red, pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return LinearSolution("inconsistent", None)
+    sol = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = red[r][ncols]
+    status = "unique" if len(pivots) == ncols else "underdetermined"
+    return LinearSolution(status, tuple(sol))
+
+
+def solve_exact(rows: list[Vec], rhs, ambient: str | None = None) -> LinearSolution:
+    """Solve <x, row_i> = rhs_i for x in the dual of the rows' ambient (or
+    in `ambient`), by `solve_matrix`."""
+    if not rows:
+        raise ValueError("empty system")
+    res = solve_matrix([list(v.coords) for v in rows], rhs)
+    if res.solution is None:
+        return res
+    target = ambient if ambient is not None else dual_ambient(rows[0].ambient)
+    return LinearSolution(res.status, Vec(res.solution, target))
+
+
+def strictly_inside(c: Cone, x: Vec) -> bool:
+    """Is x in the interior of the full-dimensional cone c: every facet
+    normal positive on it."""
+    if not c.is_full_dim:
+        raise ValueError("the interior needs a full-dimensional cone")
+    return all(pair(f, x) > 0 for f in c.facet_normals)
 
 
 @dataclass(frozen=True)

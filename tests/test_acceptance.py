@@ -26,18 +26,22 @@ from oracles import (
     reference_dual_cone,
     semigroup_member,
     simplex_lattice_points,
+    solve_exact,
+    strictly_inside,
     sum_range,
     walls_of,
 )
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
 from toricva.divisors import (
     Divisor,
+    NotQCartier,
     canonical_divisor,
     local_data,
     poly_contains,
     polytope,
     translated_polytope,
 )
+from toricva.fans import build_fan
 from toricva.harness import (
     BUILTINS,
     Instance,
@@ -235,6 +239,45 @@ def _threshold_builtins():
     )
 
 
+def test_local_data_matches_rational_solve_oracle(pool2, pool3):
+    # cone by cone against rational Gauss-Jordan on the cone's rays: D, D',
+    # D+D' and seeded integer and p/q divisors on the pools and the threshold
+    # builtins, and the canonical, a non-Q-Cartier and seeded divisors on
+    # quadric3, whose non-simplicial cone gives a tall system, listed first
+    # and then last
+    rng = random.Random("toricva:local-data")
+    quadric = quadric3_fan()
+    cases = [(i.fan, [i.d, i.dprime, i.d + i.dprime]) for i in pool2 + pool3 + _threshold_builtins()]
+    for fan in (quadric, build_fan(quadric.rays, quadric.max_cones[::-1], quadric.rank)):
+        cases.append((fan, [canonical_divisor(fan), Divisor((1, 0, 0, 0, 0))]))
+    outcomes = Counter()
+    for fan, divisors in cases:
+        n = len(fan.rays)
+        divisors = divisors + [
+            Divisor(tuple(rng.randint(-3, 3) for _ in range(n))),
+            Divisor(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))),
+        ]
+        for d in divisors:
+            expected = [
+                solve_exact([fan.rays[i] for i in idxs], [-d.coeffs[i] for i in idxs])
+                for idxs in fan.max_cones
+            ]
+            assert {r.status for r in expected} <= {"unique", "inconsistent"}
+            first = next((ci for ci, r in enumerate(expected) if r.status == "inconsistent"), None)
+            try:
+                got = local_data(fan, d)
+            except NotQCartier as exc:
+                assert exc.cone_index == first, (fan.max_cones, d)
+                outcomes[f"no local data on cone {first}"] += 1
+            else:
+                assert first is None and got == tuple(r.solution for r in expected), (fan, d)
+                outcomes["solved"] += 1
+    last = len(quadric.max_cones) - 1
+    assert outcomes["solved"] > 500
+    assert outcomes["no local data on cone 0"] and outcomes[f"no local data on cone {last}"]
+    _ok("local-data", f"{sum(outcomes.values())} divisors agree with the rational solve")
+
+
 def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
     # the Hilbert-basis membership test against the lattice-box scan, on the
     # combined divisor of the pools and of the threshold builtins
@@ -304,7 +347,7 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
         local_dp = inst.dprime_solve.local
         box = [vec(p, M) for p in product(range(-2, 3), repeat=fan.rank)]
         for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
-            xs = [x for x in box if contains(dual, x, strict=True)]
+            xs = [x for x in box if strictly_inside(dual, x)]
             if local_dp is not None and contains(dual, local_dp[ci]):
                 xs.append(local_dp[ci])
             for x in xs:

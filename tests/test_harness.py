@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import subset_vertices
-from toricva import divisors, intersections, lambdas
+from toricva import divisors, fans, intersections, lambdas
 from toricva.cones import classify, contains
 from toricva.divisors import (
     Divisor,
@@ -42,6 +42,7 @@ from toricva.harness import (
     random_instance,
     weighted_112,
 )
+from toricva.fans import build_fan
 from toricva.intersections import is_nef, wall_value
 from toricva.linalg import M, vec
 
@@ -342,11 +343,14 @@ def test_interior_bound_refuses_a_box_over_the_cap():
 
 
 def test_each_divisor_is_solved_once_per_instance(monkeypatch):
-    # all seven statements on every cone solve D, D' and D+D' once each:
-    # one linear solve per cone and one value per wall for each divisor
-    inst = random_instance(3, 1)
-    m, walls = len(inst.fan.max_cones), len(inst.fan.walls)
-    counts = {"solve_exact": 0, "wall_value": 0}
+    # all seven statements on every cone of a fresh fan invert each maximal
+    # cone's rays once, and solve D, D' and D+D' once each: one local-data
+    # pass and one value per wall for each divisor
+    seeded = random_instance(3, 1)
+    fan = build_fan(seeded.fan.rays, seeded.fan.max_cones, seeded.fan.rank)
+    inst = Instance(fan, seeded.d, seeded.dprime, seeded.label)
+    m, walls = len(fan.max_cones), len(fan.walls)
+    counts = {"integer_left_inverse": 0, "local_data": 0, "wall_value": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -357,7 +361,9 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(divisors, "solve_exact")
+    counted(fans, "integer_left_inverse")
+    counted(divisors, "local_data")
+    counted(intersections, "local_data")
     counted(intersections, "wall_value")
     for statement in STATEMENTS.values():
         if statement.per_cone:
@@ -365,7 +371,7 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
                 statement.check(inst, ci)
         else:
             statement.check(inst)
-    assert counts == {"solve_exact": 3 * m, "wall_value": 3 * walls}
+    assert counts == {"integer_left_inverse": m, "local_data": 3, "wall_value": 3 * walls}
 
 
 def test_cached_solves_leave_equality_and_hash_alone():

@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+definition is used.
 
-`__init__.py` is exempt: it imports to re-export.  A name counts as used
-when it appears as a name anywhere in the module, quoted annotations
-included.
+`__init__.py` is exempt from the import check: it imports to re-export.  A
+name counts as used when it appears as a name anywhere in the module,
+quoted annotations included.  A top-level function, class or assignment,
+or a method or property other than a dunder, counts as used when it is
+exported in `toricva.__all__` or appears as a name or an attribute
+somewhere in the package outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import toricva
@@ -51,3 +56,75 @@ def test_the_guard_sees_an_unused_import():
         "from math import gcd, lcm\nimport os.path\n\ndef f(x: 'gcd'):\n    return x\n"
     )
     assert set(_imported(tree)) - _used(tree) == {"lcm", "os"}
+
+
+def _definitions(tree):
+    """(label, name, node) for each top-level function, class and
+    assignment target and each non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node
+
+
+def _references(node) -> Counter:
+    """Names read and attributes taken anywhere in node, quoted annotations
+    included."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        for ann in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                refs.update(_references(ast.parse(ann.value, mode="eval")))
+    return refs
+
+
+def _dead(sources: dict[str, str], exported) -> list[str]:
+    """The definitions of the given modules (name -> source) that are
+    neither exported nor referenced outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    dead = []
+    for module, tree in sorted(trees.items()):
+        if module == "__init__":
+            continue
+        for label, name, node in _definitions(tree):
+            if name not in exported and refs[name] - _references(node)[name] <= 0:
+                dead.append(f"{module}.{label}")
+    return dead
+
+
+def test_every_definition_is_exported_or_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert len(sources) >= 11
+    assert _dead(sources, set(toricva.__all__)) == []
+
+
+def test_the_guard_sees_an_unused_definition():
+    sources = {
+        "__init__": "from .m import public\n",
+        "m": (
+            "LIMIT = 3\n"
+            "UNUSED = 4\n"
+            "def public(x):\n    return helper(x) + LIMIT\n"
+            "def helper(x) -> 'Box':\n    return Box(x).size\n"
+            "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
+            "class Box:\n"
+            "    def __init__(self, x):\n        self.x = x\n"
+            "    @property\n    def size(self):\n        return self.x\n"
+            "    def unused(self):\n        return self.x\n"
+        ),
+    }
+    assert _dead(sources, {"public"}) == ["m.UNUSED", "m.recursive", "m.Box.unused"]

@@ -7,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import pointed_cones
-from oracles import lambda_max, lambda_min, m_delta_contains, matches_lp_oracle, sum_range
+from oracles import (
+    lambda_max,
+    lambda_min,
+    m_delta_contains,
+    matches_lp_oracle,
+    solve_matrix,
+    sum_range,
+)
 from toricva.cones import cone_from_generators
 from toricva.lambdas import CoefficientSums
-from toricva.linalg import M, N, solve_matrix, vec
+from toricva.linalg import M, N, vec
 
 
 def ncone(*coords):

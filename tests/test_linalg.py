@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pivot, reference_rref
+from oracles import pivot, reference_rref, solve_exact, solve_matrix
 from toricva.linalg import (
     M,
     N,
-    LinearSolution,
     Vec,
     _echelon,
     _ratio,
@@ -24,8 +23,6 @@ from toricva.linalg import (
     pair,
     perp_basis,
     primitivize,
-    solve_exact,
-    solve_matrix,
     vec,
 )
 
@@ -268,14 +265,6 @@ def test_fraction_free_rref_matches_rational_gauss_jordan():
             ref_basis.append(tuple(v))
         primitive = [primitivize(vec(v, N)).coords for v in ref_basis]
         assert nullspace(rows, ncols) == primitive
-        # a consistent right-hand side is solved to the reference's solution
-        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows[0]]
-        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-        aug_red, aug_pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)])
-        expected = [0] * len(rows[0])
-        for r, c in enumerate(aug_pivots):
-            expected[c] = aug_red[r][-1]
-        assert solve_matrix(rows, rhs).solution == tuple(expected)
 
 
 def test_integer_left_inverse_matches_rational_gauss_jordan():
