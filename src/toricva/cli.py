@@ -30,6 +30,7 @@ import json
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +54,7 @@ from .harness import (
     cone_table,
     generation_scan,
     random_instance,
+    random_label,
 )
 from .intersections import DivisorSolve, solve_divisor
 from .linalg import N, vec
@@ -61,6 +63,18 @@ from .semigroups import hilbert_basis
 
 class InputError(Exception):
     pass
+
+
+@contextmanager
+def _labelled(where: str):
+    """Prefix `where` to a ValueError, raised as an input error, and to an
+    internal RuntimeError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    except RuntimeError as exc:
+        raise RuntimeError(f"{where}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,32 +325,29 @@ def cmd_analyze(args, out) -> int:
     inst = Instance(fan, d, dp, args.input)
     total = d + dp
     remarks.append("projectivity is not certified for hand-entered fans")
-    try:
-        verdicts = {
-            "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
-            "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
-            "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
-        }
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from None
-    doc = {
-        "command": "analyze",
-        "input": args.input,
-        "instance": _instance_json(fan),
-        "divisors": {
-            "d": {"name": d_name, "coefficients": [_enc_scalar(c) for c in d.coeffs]},
-            "perturbation": {
-                "name": dp_name,
-                "coefficients": [_enc_scalar(c) for c in dp.coeffs],
+    with _labelled(args.input):
+        doc = {
+            "command": "analyze",
+            "input": args.input,
+            "instance": _instance_json(fan),
+            "divisors": {
+                "d": {"name": d_name, "coefficients": [_enc_scalar(c) for c in d.coeffs]},
+                "perturbation": {
+                    "name": dp_name,
+                    "coefficients": [_enc_scalar(c) for c in dp.coeffs],
+                },
+                "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
             },
-            "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
-        },
-        "verdicts": verdicts,
-        "cones": _cones_json(inst),
-        "walls": _walls_json(inst),
-        "remarks": remarks,
-        "exit_status": 0,
-    }
+            "verdicts": {
+                "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
+                "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
+                "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
+            },
+            "cones": _cones_json(inst),
+            "walls": _walls_json(inst),
+            "remarks": remarks,
+            "exit_status": 0,
+        }
     if args.json:
         _emit(doc, out)
         return 0
@@ -382,10 +393,11 @@ def _gather_instances(args) -> list[Instance]:
     dim, seed, count = args.fuzz
     if count < 1:
         raise InputError("fuzz count must be positive")
-    try:
-        return [random_instance(dim, seed + i) for i in range(count)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    instances = []
+    for s in range(seed, seed + count):
+        with _labelled(random_label(dim, s)):
+            instances.append(random_instance(dim, s))
+    return instances
 
 
 def _run_statement(inst: Instance, statement: Statement, args) -> list[CheckReport]:
@@ -480,10 +492,8 @@ def cmd_hilbert(args, out) -> int:
     if not 0 <= args.sigma < len(fan.max_cones):
         raise InputError(f"no maximal cone with index {args.sigma}")
     dual = fan.duals[args.sigma]
-    try:
+    with _labelled(f"{args.input}: dual of maximal cone {args.sigma}"):
         basis = hilbert_basis(dual)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: dual of maximal cone {args.sigma}: {exc}") from None
     doc = {
         "command": "hilbert",
         "input": args.input,
@@ -495,7 +505,8 @@ def cmd_hilbert(args, out) -> int:
     membership = None
     if args.d is not None:
         name, d = _pick_divisor(divisors, args.d)
-        solved = solve_divisor(fan, d)
+        with _labelled(args.input):
+            solved = solve_divisor(fan, d)
         if solved.local is None:
             raise InputError(f"divisor {name!r} has no local data on cone {solved.missing}")
         shifted = translated_polytope(polytope(fan, d), solved.local[args.sigma])

@@ -7,8 +7,9 @@ evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
 into generators; its one caller here, `cone_from_generators`, reads the facet
 normals off it (the dual's rays, which also decide pointedness without an
 LP).  A full-dimensional cone's dual needs no scan: `dual_cone`
-swaps the two descriptions.  The scan is fine at desk scale (rank <= 6, a
-couple dozen rays), which is the regime everything here operates in.
+swaps the two descriptions.  The scan suits desk scale only: it solves
+C(m, rank - 1) systems for m inequalities, and refuses more than
+`MAX_SCAN_SUBSETS` before it starts.
 `triangulate` splits a cone into simplicial cones on its own rays, for
 Hilbert bases and for the witnesses of coefficient sums.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import mul
 
 from .linalg import (
@@ -62,6 +64,12 @@ def _sorted_vecs(vecs) -> tuple[Vec, ...]:
     return tuple(sorted(set(vecs), key=lambda v: v.coords))
 
 
+# The most inequality subsets extreme_rays scans; a larger scan is refused
+# before it starts.  The cube [-1, 1]^5's face fan needs 1,820 per cone, its
+# rank-6 analogue 201,376.
+MAX_SCAN_SUBSETS = 20_000
+
+
 def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
     """Sorted primitive extreme rays of the cone
     {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}, x in `ambient`.
@@ -71,7 +79,8 @@ def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
     rank - 1 - rank(eqs) inequalities tight on it, so scanning those subsets
     finds every ray; the kernel hands it over as a primitive integer vector.
     A cone containing a line has no extreme ray; the scan then returns
-    nothing or one vector of that line.
+    nothing or one vector of that line.  A scan of more than
+    MAX_SCAN_SUBSETS subsets raises ValueError.
     """
     ineq_rows = [list(f.coords) for f in ineqs]
     eq_rows = [list(e.coords) for e in eqs]
@@ -79,6 +88,9 @@ def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
     k = rank - 1 - matrix_rank(eq_rows)
     if k < 0:
         return ()
+    subsets = comb(len(ineq_rows), k)
+    if subsets > MAX_SCAN_SUBSETS:
+        raise ValueError(f"the facet scan needs {subsets} subsets, more than {MAX_SCAN_SUBSETS}")
     found = set()
     for subset in combinations(ineq_rows, k):
         ns = nullspace(list(subset) + eq_rows, rank)

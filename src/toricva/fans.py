@@ -70,6 +70,9 @@ class Wall:
     u: Vec
     outside: tuple[int, ...]
 
+    def __str__(self):
+        return f"wall {self.rays} of cones {self.sigma} and {self.tau}"
+
 
 @dataclass(frozen=True)
 class Fan:
@@ -102,19 +105,30 @@ class Fan:
     @cached_property
     def coefficient_sums(self) -> tuple[CoefficientSums, ...]:
         """lambda_min and lambda_max on each maximal cone's dual."""
-        return tuple(CoefficientSums(d) for d in self.duals)
+        return self._each_dual(CoefficientSums)
 
     @cached_property
     def hilbert_bases(self) -> tuple[tuple[Vec, ...], ...]:
-        """The Hilbert basis of each maximal cone's dual; a dual too large
-        to enumerate is named by its cone's index."""
-        bases = []
+        """The Hilbert basis of each maximal cone's dual."""
+        return self._each_dual(hilbert_basis)
+
+    def _each_dual(self, build) -> tuple:
+        """build(dual) for each maximal cone's dual; a dual too large to
+        build is named by its cone's index."""
+        out = []
         for ci, dual in enumerate(self.duals):
             try:
-                bases.append(hilbert_basis(dual))
+                out.append(build(dual))
             except ValueError as exc:
                 raise ValueError(f"dual of maximal cone {ci}: {exc}") from None
-        return tuple(bases)
+        return tuple(out)
+
+
+# The largest rank and ray count build_fan accepts, checked before any work
+# starts.  A rank past 12 would already put interior-bound's smallest box,
+# 3^rank points, over MAX_BOX_POINTS.
+MAX_RANK = 12
+MAX_RAYS = 256
 
 
 def _refuse_overlap(rays, cones, i: int, idxs: tuple[int, ...]) -> None:
@@ -131,9 +145,14 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
 
     Raises ValueError("not a fan: ...") when cones overlap or fail face
     compatibility, and ValueError("fan not complete: ...") when some facet
-    has no neighbour.
+    has no neighbour.  A fan past MAX_RANK or MAX_RAYS, or a cone whose facet
+    scan would pass MAX_SCAN_SUBSETS, is refused before that work starts.
     """
     rays = tuple(rays)
+    if rank > MAX_RANK:
+        raise ValueError(f"the fan has rank {rank}, more than {MAX_RANK}")
+    if len(rays) > MAX_RAYS:
+        raise ValueError(f"the fan has {len(rays)} rays, more than {MAX_RAYS}")
     if not rays:
         raise ValueError("not a fan: no rays")
     for i, r in enumerate(rays):
@@ -157,6 +176,8 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
             c = cone_from_generators([rays[i] for i in idxs])
         except NotPointed:
             raise ValueError(f"not a fan: cone {ci} is not pointed") from None
+        except ValueError as exc:
+            raise ValueError(f"cone {ci}: {exc}") from None
         if not c.is_full_dim:
             raise ValueError(f"not a fan: cone {ci} is not full-dimensional")
         if set(c.rays) != {rays[i] for i in idxs}:
@@ -193,12 +214,10 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         if ci > cj:
             ci, cj, fi = cj, ci, fj
         outside = tuple(k for k in index_sets[cj] if k not in wall_rays)
+        wall = Wall(ci, cj, wall_rays, fi, outside)
         if any(pair(fi, rays[k]) >= 0 for k in outside):
-            raise RuntimeError(
-                f"internal: wall {wall_rays} of cones {ci} and {cj}: "
-                "normal not negative beyond the wall"
-            )
-        walls.append(Wall(ci, cj, wall_rays, fi, outside))
+            raise RuntimeError(f"internal: {wall}: normal not negative beyond the wall")
+        walls.append(wall)
 
     # Covering degree 1 (module docstring): cone 0's ray sum is in no other cone.
     _refuse_overlap(rays, cones, 0, index_sets[0])

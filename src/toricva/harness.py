@@ -8,14 +8,17 @@ computable, so sharpness experiments can inspect conclusions on instances
 just outside a statement's reach.
 
 `STATEMENTS` declares each statement once: its command-line name, its check
-and the options the check takes.  The four global checks share one report
-skeleton and differ only in their threshold, the projective-space exclusion
-and the conclusion they draw from the combined divisor's local data; the
-three per-cone checks take a cone index.  Every check reads D, D' and D+D'
-from the instance's solves (`intersections.solve_divisor`), and D''s
-coefficient sums in each dual cone from `Instance.dprime_sums`, each made
-once per instance on first use; a cone's wall minimum is read off the
-per-wall values.  `BUILTINS` is the table of named instance families.
+and the options the check takes.  A check computes its hypotheses and, when
+the data its conclusion needs exist, its failures and notes; `_report` alone
+builds the `CheckReport` and concludes that nothing failed.  The four global
+checks share their hypotheses and differ only in their threshold, the
+projective-space exclusion and the failures they read off the combined
+divisor's local data; the three per-cone checks take a cone index.  Every
+check reads D, D' and D+D' from the instance's solves
+(`intersections.solve_divisor`), and D''s coefficient sums in each dual cone
+from `Instance.dprime_sums`, each made once per instance on first use; a
+cone's wall minimum is read off the per-wall values.  `BUILTINS` is the
+table of named instance families.
 """
 
 from __future__ import annotations
@@ -144,18 +147,13 @@ def is_projective_space(fan: Fan) -> bool:
     pins the fan down up to a lattice automorphism.
     """
     n = fan.rank
-    if len(fan.rays) != n + 1:
+    subsets = set(combinations(range(n + 1), n))
+    # build_fan stores each maximal cone's indices sorted, as combinations does.
+    if len(fan.rays) != n + 1 or set(fan.max_cones) != subsets:
         return False
-    total = fan.rays[0]
-    for r in fan.rays[1:]:
-        total = total + r
-    if not total.is_zero:
+    if not sum(fan.rays[1:], fan.rays[0]).is_zero:
         return False
-    for subset in combinations(range(n + 1), n):
-        if lattice_index([fan.rays[i].coords for i in subset]) != 1:
-            return False
-    expected = {tuple(sorted(s)) for s in combinations(range(n + 1), n)}
-    return {tuple(sorted(c)) for c in fan.max_cones} == expected
+    return all(lattice_index([fan.rays[i].coords for i in s]) == 1 for s in subsets)
 
 
 def _cone_minimum(fan: Fan, values, sigma: int) -> Fraction:
@@ -168,17 +166,30 @@ def _q_cartier(name: str, solved: DivisorSolve) -> Hypothesis:
     return Hypothesis(name, holds, "" if holds else f"no local data on cone {solved.missing}")
 
 
+def _in_range(inst: Instance) -> Hypothesis:
+    """The perturbation's coefficients lie between zero and the canonical divisor's."""
+    return Hypothesis(
+        "perturbation_between_zero_and_canonical", dprime_in_range(inst.fan, inst.dprime)
+    )
+
+
 def _perturbation_hypotheses(inst: Instance) -> list[Hypothesis]:
     """The perturbation is Q-Cartier, with coefficients between zero and the
     canonical divisor."""
-    return [
-        _q_cartier("perturbation_q_cartier", inst.dprime_solve),
-        Hypothesis(
-            "perturbation_between_zero_and_canonical",
-            dprime_in_range(inst.fan, inst.dprime),
-            "",
-        ),
-    ]
+    return [_q_cartier("perturbation_q_cartier", inst.dprime_solve), _in_range(inst)]
+
+
+def _report(inst: Instance, statement: str, hyps, verdict, rows) -> CheckReport:
+    """The one report skeleton.  `verdict` is None when the data the
+    conclusion needs are missing, and (failures, notes) otherwise; the
+    conclusion is that nothing failed."""
+    conclusion, failures, notes = None, (), ()
+    if verdict is not None:
+        failures, notes = verdict
+        conclusion = not failures
+    return CheckReport(
+        statement, inst.label, tuple(hyps), conclusion, tuple(failures), tuple(rows), tuple(notes)
+    )
 
 
 def cone_table(inst: Instance) -> tuple[ConeData, ...]:
@@ -211,19 +222,12 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
     d = inst.d_solve
     hyps.append(_q_cartier("base_divisor_q_cartier", d))
     hyps.extend(_perturbation_hypotheses(inst))
-    if d.local is not None:
-        mv = min(d.values)
-        hyps.append(
-            Hypothesis(
-                "wall_values_meet_threshold",
-                mv >= threshold,
-                f"minimum wall value {mv}, threshold {threshold}",
-            )
-        )
+    if d.local is None:
+        holds, detail = False, "wall values unavailable"
     else:
-        hyps.append(
-            Hypothesis("wall_values_meet_threshold", False, "wall values unavailable")
-        )
+        mv = min(d.values)
+        holds, detail = mv >= threshold, f"minimum wall value {mv}, threshold {threshold}"
+    hyps.append(Hypothesis("wall_values_meet_threshold", holds, detail))
     return hyps
 
 
@@ -250,24 +254,13 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
 def _global_report(
     inst: Instance, statement: str, threshold: int, exclude_pspace: bool, conclude
 ) -> CheckReport:
-    """The report skeleton of the global statements: shared hypotheses, then
+    """A global statement's report: shared hypotheses, the verdict
     conclude(inst, solve of D+D') -> (failures, notes) when D+D' has local
-    data, then the cone table.  The conclusion holds when nothing failed."""
+    data, and the cone table."""
     hyps = _shared_hypotheses(inst, threshold, exclude_pspace)
     total = inst.total_solve
-    conclusion, failures, notes = None, (), ()
-    if total.local is not None:
-        failures, notes = conclude(inst, total)
-        conclusion = not failures
-    return CheckReport(
-        statement,
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        tuple(failures),
-        cone_table(inst),
-        tuple(notes),
-    )
+    verdict = None if total.local is None else conclude(inst, total)
+    return _report(inst, statement, hyps, verdict, cone_table(inst))
 
 
 def _generation_conclusion(inst: Instance, total: DivisorSolve):
@@ -345,13 +338,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     hyps = []
     if r is None:
         rr = Fraction(1)
-        hyps.append(
-            Hypothesis(
-                "perturbation_between_zero_and_canonical",
-                dprime_in_range(fan, inst.dprime),
-                "",
-            )
-        )
+        hyps.append(_in_range(inst))
     else:
         rr = Fraction(r)
         if rr <= 0:
@@ -379,39 +366,18 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
         )
 
     lmin, lmax = inst.dprime_sums[sigma]
+    verdict = None
     if lmin is None:
-        hyps.append(
-            Hypothesis(
-                "threshold",
-                False,
-                "perturbation's local point lies outside the dual cone",
-            )
-        )
-        conclusion = None
-        failures: tuple[Failure, ...] = ()
+        holds, detail = False, "perturbation's local point lies outside the dual cone"
     else:
-        hyps.append(
-            Hypothesis(
-                "threshold",
-                t >= lmin,
-                f"t = {t}, lambda_min = {lmin}",
-            )
-        )
+        holds, detail = t >= lmin, f"t = {t}, lambda_min = {lmin}"
         bound = t - lmin - rr
-        conclusion = m >= bound
-        failures = (
-            ()
-            if conclusion
-            else (Failure("cone", sigma, f"minimum {m} is below the bound {bound}"),)
-        )
-    return CheckReport(
-        "wall-minimum-bound",
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        failures,
-        (ConeData(sigma, t, m, lmin, lmax),),
-    )
+        failures = []
+        if m < bound:
+            failures.append(Failure("cone", sigma, f"minimum {m} is below the bound {bound}"))
+        verdict = failures, ()
+    hyps.append(Hypothesis("threshold", holds, detail))
+    return _report(inst, "wall-minimum-bound", hyps, verdict, [ConeData(sigma, t, m, lmin, lmax)])
 
 
 # The most lattice points of the box [-B, B]^rank that check_interior_bound
@@ -458,13 +424,12 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
             f"more than {MAX_BOX_POINTS}"
         )
     hyps = _perturbation_hypotheses(inst)
-    conclusion = None
-    failures: list[Failure] = []
-    notes: list[str] = []
+    verdict = None
     lmin, lmax = inst.dprime_sums[sigma]
     if lmax is not None:
         sums = fan.coefficient_sums[sigma]
         normals = [f.coords for f in fan.duals[sigma].facet_normals]
+        failures = []
         checked = 0
         for coords in interior_points(normals, fan.rank, bound):
             checked += 1
@@ -472,16 +437,11 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
                 failures.append(
                     Failure("cone", sigma, f"interior point {coords} has smaller maximum sum")
                 )
-        notes.append(f"checked {checked} interior lattice points with coordinate bound {bound}")
-        conclusion = not failures
-    return CheckReport(
-        "interior-point-bound",
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        tuple(failures),
-        (ConeData(sigma, None, None, lmin, lmax),),
-        tuple(notes),
+        verdict = failures, [
+            f"checked {checked} interior lattice points with coordinate bound {bound}"
+        ]
+    return _report(
+        inst, "interior-point-bound", hyps, verdict, [ConeData(sigma, None, None, lmin, lmax)]
     )
 
 
@@ -500,20 +460,15 @@ def check_nonregular_bound(inst: Instance, sigma: int) -> CheckReport:
         )
     ]
     hyps.extend(_perturbation_hypotheses(inst))
-    conclusion = None
-    failures: tuple[Failure, ...] = ()
+    verdict = None
     lmin, lmax = inst.dprime_sums[sigma]
     if lmin is not None:
-        conclusion = lmin <= fan.rank - 1
-        if not conclusion:
-            failures = (Failure("cone", sigma, f"lambda_min {lmin} exceeds {fan.rank - 1}"),)
-    return CheckReport(
-        "nonregular-cone-bound",
-        inst.label,
-        tuple(hyps),
-        conclusion,
-        failures,
-        (ConeData(sigma, None, None, lmin, lmax),),
+        failures = []
+        if lmin > fan.rank - 1:
+            failures.append(Failure("cone", sigma, f"lambda_min {lmin} exceeds {fan.rank - 1}"))
+        verdict = failures, ()
+    return _report(
+        inst, "nonregular-cone-bound", hyps, verdict, [ConeData(sigma, None, None, lmin, lmax)]
     )
 
 
@@ -580,12 +535,15 @@ def projective_space(n: int, t: int | None = None) -> Instance:
     return Instance(fan, d, canonical_divisor(fan), f"projective_space({n},t={t})")
 
 
+def _polygon_fan(rays) -> Fan:
+    """The complete plane fan of `rays`, listed in order around the origin,
+    with maximal cones (i, i + 1 mod k)."""
+    k = len(rays)
+    return build_fan([vec(r, N) for r in rays], [(i, (i + 1) % k) for i in range(k)], 2)
+
+
 def weighted_112(t: int = 1) -> Instance:
-    fan = build_fan(
-        [vec((1, 1), N), vec((-1, 1), N), vec((0, -1), N)],
-        [(0, 1), (1, 2), (2, 0)],
-        2,
-    )
+    fan = _polygon_fan([(1, 1), (-1, 1), (0, -1)])
     d = Divisor((t, 0, 0))
     return Instance(fan, d, canonical_divisor(fan), f"weighted_112(t={t})")
 
@@ -593,11 +551,7 @@ def weighted_112(t: int = 1) -> Instance:
 def hirzebruch(a: int, coeffs) -> Instance:
     if a < 0:
         raise ValueError("twist must be nonnegative")
-    fan = build_fan(
-        [vec((1, 0), N), vec((0, 1), N), vec((-1, a), N), vec((0, -1), N)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-        2,
-    )
+    fan = _polygon_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
     cs = tuple(coeffs)
     if len(cs) != 4:
         raise ValueError("need four coefficients")
@@ -605,11 +559,7 @@ def hirzebruch(a: int, coeffs) -> Instance:
 
 
 def product_p1(a: int, b: int) -> Instance:
-    fan = build_fan(
-        [vec((1, 0), N), vec((0, 1), N), vec((-1, 0), N), vec((0, -1), N)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-        2,
-    )
+    fan = _polygon_fan([(1, 0), (0, 1), (-1, 0), (0, -1)])
     d = Divisor((a, b, 0, 0))
     return Instance(fan, d, canonical_divisor(fan), f"product_p1({a},{b})")
 
@@ -626,13 +576,11 @@ def intro_simplex(us, t: int, corner_perturbation: bool = False) -> Instance:
     fan, base = polytope_fan([vec((0,) * n, M)] + base_pts)
     if t < 1:
         raise ValueError("scale must be positive")
-    d = t * base
     if corner_perturbation:
         dp = Divisor(tuple(-1 if c == 0 else 0 for c in base.coeffs))
     else:
         dp = canonical_divisor(fan)
-    label = f"intro_simplex(n={n},t={t})"
-    return Instance(fan, d, dp, label)
+    return Instance(fan, t * base, dp, f"intro_simplex(n={n},t={t})")
 
 
 def ew_simplex(t: int) -> Instance:
@@ -646,6 +594,11 @@ _MAX_POINTS = 6
 _BOX = {2: 4, 3: 2}
 _MAX_DENOMINATOR = 2
 _RETRIES = 60
+
+
+def random_label(dim: int, seed: int) -> str:
+    """The label of random_instance(dim, seed), which reproduces it."""
+    return f"random(dim={dim},seed={seed})"
 
 
 def random_instance(dim: int, seed: int) -> Instance:
@@ -681,9 +634,7 @@ def random_instance(dim: int, seed: int) -> Instance:
         den = rng.randint(1, _MAX_DENOMINATOR)
         num = rng.randint(-den, 0)
         coeffs.append(Fraction(num, den))
-    return Instance(
-        fan, scale * base, Divisor(tuple(coeffs)), f"random(dim={dim},seed={seed})"
-    )
+    return Instance(fan, scale * base, Divisor(tuple(coeffs)), random_label(dim, seed))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,7 @@ def affine_rank(points: list[Vec]) -> int:
     if not points:
         raise ValueError("no points")
     base = points[0]
-    diffs = [list((p - base).coords) for p in points[1:]]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
+    return matrix_rank([(p - base).coords for p in points[1:]])
 
 
 def convex_hull(points: list[Vec]) -> tuple[list[tuple[Vec, Scalar]], list[Vec]]:

@@ -27,10 +27,10 @@ def wall_value(fan: Fan, local: tuple[Vec, ...], wall: Wall) -> Fraction:
     for j in set(fan.max_cones[wall.sigma] + fan.max_cones[wall.tau]) - set(wall.rays):
         denom = -pair(wall.u, fan.rays[j])
         if denom == 0 or (denom > 0) != (j in wall.outside):
-            raise RuntimeError("internal: wall normal is not negative on the far side")
+            raise RuntimeError(f"internal: {wall}: wall normal is not negative on the far side")
         vals.add(Fraction(pair(jump, fan.rays[j])) / denom)
     if len(vals) != 1:
-        raise RuntimeError("internal: wall value depends on the chosen outside ray")
+        raise RuntimeError(f"internal: {wall}: wall value depends on the chosen outside ray")
     return vals.pop()
 
 

@@ -68,7 +68,6 @@ class _Cell:
 
     phi: tuple[int, ...]
     beta: int
-    cone: Cone
     pieces: tuple[tuple, ...]
 
 
@@ -80,7 +79,7 @@ def _cell(rays, cell_cone: Cone, phi: tuple[int, ...], beta: int) -> _Cell:
         scaled, den = integer_left_inverse([list(row) for row in zip(*gens)])
         positions = tuple(rays.index(g) for g in simplex)
         pieces.append((positions, gens, tuple(map(tuple, scaled)), den))
-    return _Cell(phi, beta, cell_cone, tuple(pieces))
+    return _Cell(phi, beta, tuple(pieces))
 
 
 class CoefficientSums:

@@ -123,27 +123,16 @@ def primitivize(v: Vec) -> Vec:
     """
     if v.is_zero:
         raise ValueError("cannot primitivize the zero vector")
-    if v.is_lattice:
-        g = gcd(*v.coords)
-        return v if g == 1 else Vec(tuple(c // g for c in v.coords), v.ambient)
-    fracs = [Fraction(c) for c in v.coords]
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    ints, q = _integer_row(v.coords)
+    g = gcd(*ints)
+    if q == 1 and g == 1:
+        return v
     return Vec(tuple(c // g for c in ints), v.ambient)
 
 
 def is_primitive(v: Vec) -> bool:
-    if not v.is_lattice or v.is_zero:
-        return False
-    g = 0
-    for c in v.coords:
-        g = gcd(g, c)
-    return g == 1
+    """A lattice vector whose coordinates have gcd 1, so never the zero vector."""
+    return v.is_lattice and gcd(*v.coords) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +209,6 @@ def integer_left_inverse(rows) -> tuple[list[list[int]], int]:
 
 
 def matrix_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
     return len(_echelon(rows)[1])
 
 

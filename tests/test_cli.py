@@ -1,6 +1,7 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from toricva import cli, fans, intersections, lambdas
+from toricva import cli, fans, intersections, lambdas, semigroups
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 
 from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
@@ -205,6 +206,67 @@ def test_internal_error_names_the_instance_and_cone(capsys, monkeypatch, source,
         "internal: witness does not certify the coefficient sum\n"
     )
     assert "Traceback" not in err
+
+
+def _raise(message):
+    def broken(*args):
+        raise RuntimeError(message)
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "argv, target, name, value, where",
+    [
+        # a --fuzz draw solves its base divisor's wall values
+        (
+            ("verify", "nef", "--fuzz", "2", "0", "2"),
+            intersections, "pair", lambda u, v: 0,
+            "internal invariant violated: random(dim=2,seed=0): internal: wall (0,) of cones 0 "
+            "and 1: wall normal is not negative on the far side",
+        ),
+        (
+            ("verify", "nef", "--builtin", "weighted_112"),
+            intersections, "pair", lambda u, v: 0,
+            "internal invariant violated: weighted_112(t=1): internal: wall (1,) of cones 0 "
+            "and 1: wall normal is not negative on the far side",
+        ),
+        (
+            ("verify", "nef", "--fuzz", "4", "0", "1"),
+            None, None, None,
+            "input error: random(dim=4,seed=0): dimension must be 2 or 3",
+        ),
+        (
+            ("analyze", "DOC"),
+            intersections, "poly_contains", lambda p, u: False,
+            "internal invariant violated: DOC: internal: curve test and polytope test "
+            "disagree on nef",
+        ),
+        (
+            ("hilbert", "DOC", "--sigma", "1"),
+            semigroups, "_parallelepiped_points",
+            _raise("internal: parallelepiped point count is off"),
+            "internal invariant violated: DOC: dual of maximal cone 1: internal: "
+            "parallelepiped point count is off",
+        ),
+        (
+            ("hilbert", "DOC", "--sigma", "1", "--d", "D"),
+            intersections, "poly_contains", lambda p, u: False,
+            "internal invariant violated: DOC: internal: curve test and polytope test "
+            "disagree on nef",
+        ),
+    ],
+    ids=["fuzz-draw", "wall", "fuzz-input", "analyze", "hilbert", "hilbert-divisor"],
+)
+def test_internal_error_names_the_input_and_wall(
+    weighted_input, capsys, monkeypatch, argv, target, name, value, where
+):
+    if target is not None:
+        monkeypatch.setattr(target, name, value)
+    code, out, err = run(capsys, *(weighted_input if a == "DOC" else a for a in argv))
+    assert code == (2 if "internal invariant" in where else 1)
+    assert out == ""
+    assert err == f"toricva: {where.replace('DOC', weighted_input)}\n"
 
 
 def test_hilbert_report(weighted_input, capsys):
@@ -503,14 +565,80 @@ def test_verify_text_tallies_hypothesis_rejections(capsys):
     assert "hypothesis rejections" not in out
 
 
-def test_sharpness_demo_script_runs():
-    repo = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "sharpness_demo.py")],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "all flips where expected" in proc.stdout
+def test_conclusions_flip_at_the_thresholds(capsys):
+    # Every check still computes its conclusion where a hypothesis fails, so
+    # a family shows its flip one step below where the statement applies.
+    # Projective space is why nef-sharp excludes it: its adjoint divisor
+    # becomes nef only at t = n + 1, one step later than on the other fans.
+    flips = {
+        "generation": ["ew_simplex(3)", "ew_simplex(4)"],
+        "nef-sharp": [
+            "projective_space(2,2)",
+            "projective_space(2,3)",
+            "projective_space(3,3)",
+            "projective_space(3,4)",
+        ],
+    }
+    for statement, builtins in flips.items():
+        for i, expr in enumerate(builtins):
+            code, doc = run_json(capsys, "verify", statement, "--builtin", expr, "--json")
+            assert code == 0
+            (entry,) = doc["instances"]
+            assert entry["conclusion"] is (i % 2 == 1), (statement, expr)
+            if expr == "ew_simplex(3)":
+                assert entry["failures"][0]["message"] == "missing semigroup generator (-1, 1, 1)"
+
+
+def _cube_face_fan(n):
+    """The face fan of [-1, 1]^n: its vertices as rays, a cone per facet."""
+    rays = [list(v) for v in itertools.product((-1, 1), repeat=n)]
+    cones = [
+        [j for j, v in enumerate(rays) if v[i] == s] for i in range(n) for s in (-1, 1)
+    ]
+    return {"rank": n, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * len(rays)}}
+
+
+def _pyramid_face_fan(k):
+    """The face fan of a pyramid over a k-gon at height 1 with its apex at
+    (0, 0, -1): the base cone has k rays, and so has its dual."""
+    rays = [[i, i * i - 1, 1] for i in range(-(k // 2), k - k // 2)] + [[0, 0, -1]]
+    cones = [list(range(k))] + [[i, (i + 1) % k, k] for i in range(k)]
+    return {"rank": 3, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * (k + 1)}}
+
+
+def _plane_fan(m):
+    """A complete plane fan on 2m + 2 rays: (1, 0), then (i, 1) for i from
+    m - 1 down to 0, then (-1, 0), then the negatives of the (i, 1)."""
+    upper = [[i, 1] for i in range(m - 1, -1, -1)]
+    rays = [[1, 0]] + upper + [[-1, 0]] + [[-x, -y] for x, y in upper]
+    cones = [[i, (i + 1) % len(rays)] for i in range(len(rays))]
+    return {"rank": 2, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * len(rays)}}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (_cube_face_fan(6), ("analyze", "DOC"), "cone 0: the facet scan needs 201376 subsets"),
+        (None, ("verify", "nef", "--builtin", "projective_space(40)"), "the fan has rank 40"),
+        (_plane_fan(128), ("analyze", "DOC"), "the fan has 258 rays, more than 256"),
+        (_plane_fan(128), ("hilbert", "DOC", "--sigma", "0"), "the fan has 258 rays"),
+        (
+            _pyramid_face_fan(51),
+            ("analyze", "DOC", "--json"),
+            "DOC: dual of maximal cone 0: the facet scan needs 20825 subsets, more than 20000",
+        ),
+    ],
+    ids=["rank-6-cube", "rank-40", "258-rays", "258-rays-hilbert", "51-gon-dual"],
+)
+def test_work_over_a_cap_is_refused_before_it_starts(tmp_path, capsys, doc, argv, message):
+    # before the caps the rank-6 cube ran for 90 s, projective_space(40)
+    # for 8 s, and the cone table past the subset cap printed a traceback
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert f"toricva: input error: {message.replace('DOC', str(path))}" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,15 @@ def test_generators_are_primitivized_and_deduped():
 def test_zero_generator_rejected():
     with pytest.raises(ValueError, match="zero generator"):
         cone((0, 0), (1, 0))
+
+
+def test_facet_scan_cap_admits_the_rank_5_cube_and_refuses_rank_6():
+    # the cone over a facet of [-1, 1]^n: 2^(n-1) rays, C(2^(n-1), n-1) subsets
+    five = [vec(v, N) for v in itertools.product((-1, 1), repeat=5) if v[0] == 1]
+    assert len(cone_from_generators(five).facet_normals) == 8
+    six = [vec(v, N) for v in itertools.product((-1, 1), repeat=6) if v[0] == 1]
+    with pytest.raises(ValueError, match="the facet scan needs 201376 subsets, more than 20000"):
+        cone_from_generators(six)
 
 
 def test_not_pointed_rejected():
