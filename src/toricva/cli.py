@@ -161,10 +161,8 @@ def load_document(path: str) -> tuple[Fan, dict[str, Divisor]]:
         if not isinstance(row, list):
             raise InputError(f"max_cones[{i}]: expected a list of ray indices")
         cones.append(tuple(_parse_int(x, f"max_cones[{i}]") for x in row))
-    try:
+    with _labelled(path):
         fan = build_fan(rays, cones, rank)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     divisors = {}
     raw_divs = doc.get("divisors", {})
     if not isinstance(raw_divs, dict):
@@ -222,10 +220,8 @@ def _builtin_from_expr(expr: str) -> Instance:
             args = tuple(int(a) for a in raw_args.split(","))
         except ValueError:
             raise InputError(f"builtin arguments must be integers: {expr!r}") from None
-    try:
+    with _labelled(expr.strip()):
         return builtin(name, args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _divisor_verdicts(fan: Fan, d: Divisor, solved: DivisorSolve, want_very_ample: bool) -> dict:

@@ -33,18 +33,11 @@ from operator import mul
 from typing import Callable
 
 from .cones import classify, contains
-from .divisors import (
-    Divisor,
-    canonical_divisor,
-    dprime_in_range,
-    poly_contains,
-    polytope,
-    translated_polytope,
-)
+from .divisors import Divisor, canonical_divisor, dprime_in_range
 from .fans import Fan, build_fan
 from .hulls import affine_rank, convex_hull
 from .intersections import DivisorSolve, solve_divisor
-from .linalg import M, N, Scalar, Vec, lattice_index, pair, vec
+from .linalg import M, N, Scalar, Vec, _integer_row, lattice_index, pair, vec
 
 
 @dataclass(frozen=True)
@@ -231,6 +224,20 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
     return hyps
 
 
+def _shifted_member(fan: Fan, d: Divisor, u: Vec) -> Callable[[Vec], bool]:
+    """Membership in d's polytope shifted by -u, in integers.
+
+    The shifted polytope is {x : <x, v_i> + e_i >= 0} with e_i = d_i + <u, v_i>;
+    scaled once by the common denominator q of the e_i, each test is a plain
+    integer dot product with a ray row.
+    """
+    rows = [r.coords for r in fan.rays]
+    offsets, q = _integer_row(
+        [c + sum(map(mul, u.coords, r)) for c, r in zip(d.coeffs, rows, strict=True)]
+    )
+    return lambda x: all(q * sum(map(mul, x.coords, r)) + e >= 0 for r, e in zip(rows, offsets))
+
+
 def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     """Test on every maximal cone whether the shifted divisor polytope's
     lattice points generate the dual-cone semigroup.
@@ -240,12 +247,11 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     the shifted polytope inside the dual cone.  A failing cone reports its
     first missing basis element in coordinate order.
     """
-    p = polytope(fan, d)
     failures = []
     for ci, u in enumerate(local):
-        shifted = translated_polytope(p, u)
+        member = _shifted_member(fan, d, u)
         for h in fan.hilbert_bases[ci]:
-            if not poly_contains(shifted, h):
+            if not member(h):
                 failures.append(Failure("cone", ci, f"missing semigroup generator {h.coords}"))
                 break
     return tuple(failures)
@@ -280,13 +286,13 @@ def _nef_conclusion(inst: Instance, total: DivisorSolve):
 
 def _corner_conclusion(inst: Instance, total: DivisorSolve):
     fan = inst.fan
-    p = polytope(fan, inst.d + inst.dprime)
+    total_d = inst.d + inst.dprime
     zero = vec((0,) * fan.rank, M)
     failures = []
     for ci, u in enumerate(total.local):
-        shifted = translated_polytope(p, u)
+        member = _shifted_member(fan, total_d, u)
         for target in (zero, *fan.duals[ci].rays):
-            if not poly_contains(shifted, target):
+            if not member(target):
                 failures.append(Failure("cone", ci, f"shifted polytope misses {target.coords}"))
     return failures, ()
 

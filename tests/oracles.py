@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
+from operator import le
 
 from toricva.cones import (
     Cone,
@@ -51,6 +52,7 @@ from toricva.cones import (
     contains,
     dual_cone,
     extreme_rays,
+    triangulate,
 )
 from toricva.divisors import (
     Divisor,
@@ -74,7 +76,7 @@ from toricva.linalg import (
     primitivize,
     vec,
 )
-from toricva.semigroups import hilbert_basis
+from toricva.semigroups import _parallelepiped_points, hilbert_basis
 
 
 def fiber_points(cols, target):
@@ -485,6 +487,27 @@ def box_parallelepiped_points(gens) -> list[Vec]:
         if all(0 <= a < 1 for a in res.solution):
             out.append(vec(coords, gens[0].ambient))
     return out
+
+
+def reference_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
+    """Reference for `semigroups.hilbert_basis` on every cone: the lattice
+    points of the fundamental parallelepiped of every simplicial piece, with
+    the rays, each kept unless another candidate lies below it on every
+    facet normal, in one scan of each candidate against all the others.
+    Its work follows the lattice index, not the basis, and it has no cap."""
+    cands = set(c.rays)
+    for simplex in triangulate(c):
+        for x in _parallelepiped_points(simplex):
+            if not x.is_zero:
+                cands.add(x)
+    levels = {h: [pair(f, h) for f in c.facet_normals] for h in cands}
+    basis = []
+    for h in sorted(cands, key=lambda v: v.coords):
+        top = levels[h]
+        reducible = any(s != h and all(map(le, levels[s], top)) for s in cands)
+        if not reducible:
+            basis.append(h)
+    return tuple(basis)
 
 
 def subset_hull_facets(points: list[Vec]) -> list[tuple[Vec, Fraction]]:

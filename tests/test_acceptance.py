@@ -23,6 +23,7 @@ from oracles import (
     lambda_min,
     matches_lp_oracle,
     rational_coefficient_sum,
+    reference_hilbert_basis,
     reference_dual_cone,
     semigroup_member,
     simplex_lattice_points,
@@ -293,6 +294,25 @@ def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
         failing += bool(expected)
     assert failing > 0
     _ok("generation-oracle", f"{len(instances)} scans agree, {failing} with failures")
+
+
+def test_hilbert_bases_match_the_reference_on_pool_and_builtin_duals(pool2, pool3):
+    # every dual cone of the pools (499 of rank 2, 120 of rank 3) and of
+    # every builtin at the benchmark's scaling-series arguments
+    builtins = (
+        [builtin("ew_simplex", (t,)) for t in range(4, 17)]
+        + [builtin("product_p1", (a, a)) for a in range(8, 33, 8)]
+        + [builtin("intro_simplex_3d", (t,)) for t in range(2, 13, 2)]
+        + [builtin("intro_simplex_2d", (t,)) for t in range(2, 13, 2)]
+        + [builtin("projective_space", (n, n + 1)) for n in range(2, 5)]
+        + [builtin(name, args) for name, calls in BUILTIN_ARGS.items() for args in calls]
+    )
+    pool_duals = [dual for inst in pool2 + pool3 for dual in inst.fan.duals]
+    assert len(pool_duals) == 619
+    duals = pool_duals + [dual for inst in builtins for dual in inst.fan.duals]
+    for dual in duals:
+        assert hilbert_basis(dual) == reference_hilbert_basis(dual), dual
+    _ok("hilbert-oracle", f"{len(duals)} dual cones agree with the parallelepiped scan")
 
 
 def test_criterion_08_coefficient_sum_oracle():

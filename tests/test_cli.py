@@ -13,8 +13,10 @@ import pytest
 
 from toricva import cli, fans, intersections, lambdas, semigroups
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
+from toricva.semigroups import MAX_BASIS_ELEMENTS
 
 from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
+from oracles import reference_hilbert_basis
 
 
 def run(capsys, *argv):
@@ -244,10 +246,10 @@ def _raise(message):
         ),
         (
             ("hilbert", "DOC", "--sigma", "1"),
-            semigroups, "_parallelepiped_points",
-            _raise("internal: parallelepiped point count is off"),
+            semigroups, "_certify_rank2",
+            _raise("internal: the rank-2 basis does not end at the second ray"),
             "internal invariant violated: DOC: dual of maximal cone 1: internal: "
-            "parallelepiped point count is off",
+            "the rank-2 basis does not end at the second ray",
         ),
         (
             ("hilbert", "DOC", "--sigma", "1", "--d", "D"),
@@ -349,11 +351,11 @@ def test_input_validation_messages(tmp_path, capsys):
         ({"rank": 1, "rays": [[1]], "max_cones": [[0]]}, "rank"),
         (
             {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1, 2]]},
-            "not a fan: cone 0 is not pointed",
+            "input error: PATH: not a fan: cone 0 is not pointed",
         ),
         (
             {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], []]},
-            "input error: not a fan: cone 1 has no rays",
+            "input error: PATH: not a fan: cone 1 has no rays",
         ),
         (
             {
@@ -379,7 +381,7 @@ def test_input_validation_messages(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 1
-        assert needle in err, (needle, err)
+        assert needle.replace("PATH", str(path)) in err, (needle, err)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +394,7 @@ def test_doubly_covering_fan_is_an_input_error(tmp_path, capsys, rank, rays, con
     path.write_text(json.dumps({"rank": rank, "rays": rays, "max_cones": cones}))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
-    assert "input error: not a fan: cones 0 and 3 overlap" in err
+    assert f"input error: {path}: not a fan: cones 0 and 3 overlap" in err
     assert "Traceback" not in err
 
 
@@ -472,7 +474,26 @@ def test_interior_bound_over_the_box_cap_is_an_input_error(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("height", [1000, 20000])
+def test_very_ample_on_a_weighted_plane_past_the_old_point_cap(tmp_path, capsys, monkeypatch):
+    # P(1,1,1000): the dual of cone 0 has lattice index 1000, which the
+    # parallelepiped cap of 999 points refused
+    doc = {
+        "rank": 2,
+        "rays": [[-1, -1000], [1, 0], [0, 1]],
+        "max_cones": [[0, 1], [1, 2], [2, 0]],
+        "divisors": {"D": [0, 0, 1], "Dprime": [0, 0, 1]},
+    }
+    path = tmp_path / "p11_1000.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path), "--very-ample", "--json")
+    assert code == 0 and err == ""
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["d"]["very_ample"] and verdicts["combined"]["very_ample"]
+    monkeypatch.setattr(fans, "hilbert_basis", reference_hilbert_basis)
+    assert run(capsys, "analyze", str(path), "--very-ample", "--json") == (0, out, "")
+
+
+@pytest.mark.parametrize("height", [MAX_BASIS_ELEMENTS, 10**30])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -482,8 +503,8 @@ def test_interior_bound_over_the_box_cap_is_an_input_error(capsys):
     ],
 )
 def test_hilbert_basis_over_the_point_cap_is_an_input_error(tmp_path, capsys, height, argv):
-    # the dual of cone 0 has lattice index `height`; before the cap,
-    # hilbert --sigma 0 ran for 10 s at 1,000 and over a minute at 20,000
+    # the dual of cone 0 has height + 1 basis elements: the count refuses it
+    # before any is built, where building 10^30 + 1 of them never finishes
     doc = {
         "rank": 2,
         "rays": [[1, 0], [-1, height], [0, -1]],
@@ -495,7 +516,10 @@ def test_hilbert_basis_over_the_point_cap_is_an_input_error(tmp_path, capsys, he
     code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
     assert code == 1
     assert out == ""
-    assert f"input error: {path}: dual of maximal cone 0: the Hilbert basis needs {height} " in err
+    assert (
+        f"input error: {path}: dual of maximal cone 0: the Hilbert basis has {height + 1} "
+        f"elements, more than {MAX_BASIS_ELEMENTS}"
+    ) in err
     assert "Traceback" not in err
 
 
@@ -618,10 +642,14 @@ def _plane_fan(m):
 @pytest.mark.parametrize(
     "doc, argv, message",
     [
-        (_cube_face_fan(6), ("analyze", "DOC"), "cone 0: the facet scan needs 201376 subsets"),
-        (None, ("verify", "nef", "--builtin", "projective_space(40)"), "the fan has rank 40"),
-        (_plane_fan(128), ("analyze", "DOC"), "the fan has 258 rays, more than 256"),
-        (_plane_fan(128), ("hilbert", "DOC", "--sigma", "0"), "the fan has 258 rays"),
+        (_cube_face_fan(6), ("analyze", "DOC"), "DOC: cone 0: the facet scan needs 201376 subsets"),
+        (
+            None,
+            ("verify", "nef", "--builtin", "projective_space(40)"),
+            "projective_space(40): the fan has rank 40",
+        ),
+        (_plane_fan(128), ("analyze", "DOC"), "DOC: the fan has 258 rays, more than 256"),
+        (_plane_fan(128), ("hilbert", "DOC", "--sigma", "0"), "DOC: the fan has 258 rays"),
         (
             _pyramid_face_fan(51),
             ("analyze", "DOC", "--json"),

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from math import gcd
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,14 +13,20 @@ from oracles import (
     box_parallelepiped_points,
     generates,
     lattice_points,
+    reference_hilbert_basis,
     semigroup_member,
     simplex_lattice_points,
 )
 from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
-from toricva.linalg import M, N, matrix_rank, pair, vec
+from toricva.linalg import M, N, lattice_index, matrix_rank, pair, vec
 from toricva import semigroups
-from toricva.semigroups import MAX_PARALLELEPIPED_POINTS, _parallelepiped_points, hilbert_basis
+from toricva.semigroups import (
+    MAX_BASIS_ELEMENTS,
+    MAX_PARALLELEPIPED_POINTS,
+    _parallelepiped_points,
+    hilbert_basis,
+)
 
 
 def ncone(*coords):
@@ -239,16 +247,88 @@ def test_parallelepiped_points_match_box_scan_oracle():
 
 
 def test_hilbert_basis_refuses_too_many_parallelepiped_points_before_enumerating(monkeypatch):
-    def never(gens):
+    def never(*args):
         raise AssertionError("enumerated a refused cone")
 
-    at_cap = mcone((0, 1), (MAX_PARALLELEPIPED_POINTS, 1))
-    assert len(hilbert_basis(at_cap)) == MAX_PARALLELEPIPED_POINTS + 1
+    at_cap = mcone((0, 1), (MAX_BASIS_ELEMENTS - 1, 1))
+    assert len(hilbert_basis(at_cap)) == MAX_BASIS_ELEMENTS
     monkeypatch.setattr(semigroups, "_parallelepiped_points", never)
+    monkeypatch.setattr(semigroups, "_hj_sequence", never)
+    with pytest.raises(ValueError, match=f"has {MAX_BASIS_ELEMENTS + 1} elements, more than"):
+        hilbert_basis(mcone((0, 1), (MAX_BASIS_ELEMENTS, 1)))
     # the cone over a 23 x 23 square splits into two pieces of index 529:
     # the cap counts the sum over the pieces
     square = mcone((0, 0, 1), (23, 0, 1), (0, 23, 1), (23, 23, 1))
     assert len(triangulate(square)) == 2
-    for c in (mcone((0, 1), (MAX_PARALLELEPIPED_POINTS + 1, 1)), square):
-        with pytest.raises(ValueError, match="parallelepiped points, more than"):
+    with pytest.raises(ValueError, match="parallelepiped points, more than"):
+        hilbert_basis(square)
+
+
+def test_huge_rank2_basis_is_refused_before_any_vector_is_built(monkeypatch):
+    def never(*args):
+        raise AssertionError("built a vector of a refused basis")
+
+    c = mcone((0, 1), (10**30, 1))
+    monkeypatch.setattr(semigroups, "_hj_sequence", never)
+    monkeypatch.setattr(semigroups, "Vec", never)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"has {10**30 + 1} elements, more than"):
+        hilbert_basis(c)
+    assert time.monotonic() - start < 1.0
+
+
+def seeded_cones(seed, rank, count, box, full_dim=True):
+    """`count` pointed cones on 2 to rank + 2 random generators in
+    [-box, box]^rank, full-dimensional or lower-dimensional."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        k = rng.randint(2, rank + 2) if full_dim else rng.randint(1, rank - 1)
+        gens = [tuple(rng.randint(-box, box) for _ in range(rank)) for _ in range(k)]
+        try:
+            c = cone_from_generators([vec(g, M) for g in gens])
+        except ValueError:
+            continue
+        if c.is_full_dim == full_dim:
+            cones.append(c)
+    return cones
+
+
+def parallelepiped_count(c):
+    return sum(lattice_index([g.coords for g in simplex]) for simplex in triangulate(c))
+
+
+def test_rank2_closed_form_matches_the_reference_up_to_index_999():
+    cones = seeded_cones("hilbert:rank2", 2, 300, 12)
+    cones += [mcone((0, 1), (h, 1)) for h in (998, 999)] + [mcone((1, 0), (-1, 999))]
+    assert max(map(parallelepiped_count, cones)) == 999
+    for c in cones:
+        assert hilbert_basis(c) == reference_hilbert_basis(c), c
+
+
+def test_rank2_basis_length_is_counted_from_the_regular_continued_fraction(monkeypatch):
+    for d in range(1, 120):
+        for k in range(d):
+            if gcd(d, k) == 1:
+                seq, coeffs = semigroups._hj_sequence(d, k)
+                assert semigroups._basis_length(d, k) == len(seq) == len(coeffs) + 2
+    # the count the cap reads, on seeded cones, is the emitted length
+    for c in seeded_cones("hilbert:length", 2, 200, 200):
+        count = len(hilbert_basis(c))
+        monkeypatch.setattr(semigroups, "MAX_BASIS_ELEMENTS", count - 1)
+        with pytest.raises(ValueError, match=f"has {count} elements, more than {count - 1}$"):
             hilbert_basis(c)
+        monkeypatch.undo()
+
+
+def test_degree_ordered_reduction_matches_the_reference_up_to_the_cap():
+    cones = seeded_cones("hilbert:rank3", 3, 60, 3)
+    cones += seeded_cones("hilbert:rank3-big", 3, 12, 12)
+    cones += seeded_cones("hilbert:rank4", 4, 20, 2)
+    cones += seeded_cones("hilbert:lower", 3, 20, 4, full_dim=False)
+    cones += seeded_cones("hilbert:lower4", 4, 20, 3, full_dim=False)
+    cones += [mcone((0, 0, 1), (27, 0, 1), (0, 37, 1)), mcone((1, 0, 0), (0, 1, 0), (1, 1, 999))]
+    kept = [c for c in cones if parallelepiped_count(c) <= MAX_PARALLELEPIPED_POINTS]
+    assert max(map(parallelepiped_count, kept)) == MAX_PARALLELEPIPED_POINTS
+    for c in kept:
+        assert hilbert_basis(c) == reference_hilbert_basis(c), c
