@@ -22,10 +22,13 @@ the box against every facet normal, where `harness.interior_points`
 reads the last coordinate's interval off the normals, and
 `lattice_points` scans the box around a polytope's vertices, which come
 from exact solves of every square subsystem (`subset_vertices`), with
-boundedness from one LP per direction (`lp_bounded`).  `generates` looks
-for every Hilbert basis element among given points, and `edge_lengths`
-checks each curve value against the lattice length of its polytope
-edge.  The hull oracles find facets by a subset scan over the points and
+boundedness from one LP per direction (`lp_bounded`).
+`reference_hilbert_basis` scans every parallelepiped candidate against
+every other, where `semigroups.hilbert_basis` takes the rank-2 closed form
+or reduces against the basis found so far in degree order.  `generates`
+looks for every Hilbert basis element among given points, and
+`edge_lengths` checks each curve value against the lattice length of its
+polytope edge.  The hull oracles find facets by a subset scan over the points and
 vertices by one LP per point, where production code builds one cone over
 the lifted points.  The fan reference intersects every pair of maximal
 cones and asks for a common face, where `fans.build_fan` reads the

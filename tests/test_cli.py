@@ -493,16 +493,43 @@ def test_very_ample_on_a_weighted_plane_past_the_old_point_cap(tmp_path, capsys,
     assert run(capsys, "analyze", str(path), "--very-ample", "--json") == (0, out, "")
 
 
-@pytest.mark.parametrize("height", [MAX_BASIS_ELEMENTS, 10**30])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("hilbert", "DOC", "--sigma", "0"),
-        ("analyze", "DOC", "--very-ample"),
-        ("verify", "generation", "DOC"),
-    ],
-)
+CAP_COMMANDS = [
+    ("hilbert", "DOC", "--sigma", "0"),
+    ("analyze", "DOC", "--very-ample"),
+    ("verify", "generation", "DOC"),
+]
+
+
+def _run_over_a_cap(tmp_path, capsys, doc, argv):
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    return f"input error: {path}: dual of maximal cone 0: ", err
+
+
+@pytest.mark.parametrize("height", [1000, 20000])
+@pytest.mark.parametrize("argv", CAP_COMMANDS)
 def test_hilbert_basis_over_the_point_cap_is_an_input_error(tmp_path, capsys, height, argv):
+    # P(1,1,1,height): the dual of cone 0 is a rank-3 cone of lattice index
+    # height^2, so the reduction would enumerate that many parallelepiped points
+    doc = {
+        "rank": 3,
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -height]],
+        "max_cones": [[0, 1, 3], [0, 1, 2], [0, 2, 3], [1, 2, 3]],
+        "divisors": {"D": [1, 1, 1, 1]},
+    }
+    where, err = _run_over_a_cap(tmp_path, capsys, doc, argv)
+    assert f"{where}the Hilbert basis needs {height**2} parallelepiped points, more than 999" in err
+
+
+@pytest.mark.parametrize("height", [MAX_BASIS_ELEMENTS, 10**30])
+@pytest.mark.parametrize("argv", CAP_COMMANDS)
+def test_rank2_hilbert_basis_over_the_element_cap_is_an_input_error(
+    tmp_path, capsys, height, argv
+):
     # the dual of cone 0 has height + 1 basis elements: the count refuses it
     # before any is built, where building 10^30 + 1 of them never finishes
     doc = {
@@ -511,16 +538,8 @@ def test_hilbert_basis_over_the_point_cap_is_an_input_error(tmp_path, capsys, he
         "max_cones": [[0, 1], [1, 2], [2, 0]],
         "divisors": {"D": [1, 1, 1]},
     }
-    path = tmp_path / "tall.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
-    assert code == 1
-    assert out == ""
-    assert (
-        f"input error: {path}: dual of maximal cone 0: the Hilbert basis has {height + 1} "
-        f"elements, more than {MAX_BASIS_ELEMENTS}"
-    ) in err
-    assert "Traceback" not in err
+    where, err = _run_over_a_cap(tmp_path, capsys, doc, argv)
+    assert f"{where}the Hilbert basis has {height + 1} elements, more than 10000" in err
 
 
 @pytest.mark.parametrize(
