@@ -2,8 +2,8 @@
 
 Everything runs over the rationals: cones and fans are validated on
 construction, torus-invariant divisors get local data, wall values, and
-polytopes, and a harness of hypothesis-to-conclusion checks measures adjoint
-divisors against sharp positivity thresholds.
+shifted-polytope membership, and a harness of hypothesis-to-conclusion
+checks measures adjoint divisors against sharp positivity thresholds.
 """
 
 from .cones import Cone, classify, cone_from_generators, contains, dual_cone
@@ -14,7 +14,6 @@ from .divisors import (
     is_cartier,
     is_q_cartier,
     local_data,
-    polytope,
 )
 from .fans import Fan, Wall, build_fan
 from .harness import (
@@ -49,7 +48,6 @@ __all__ = [
     "is_cartier",
     "is_q_cartier",
     "local_data",
-    "polytope",
     "Fan",
     "Wall",
     "build_fan",

@@ -34,14 +34,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .divisors import (
-    Divisor,
-    NotQCartier,
-    canonical_divisor,
-    poly_contains,
-    polytope,
-    translated_polytope,
-)
+from .divisors import Divisor, NotQCartier, canonical_divisor, in_shifted_polytope
 from .fans import Fan, build_fan
 from .harness import (
     BUILTINS,
@@ -67,11 +60,11 @@ class InputError(Exception):
 
 @contextmanager
 def _labelled(where: str):
-    """Prefix `where` to a ValueError, raised as an input error, and to an
-    internal RuntimeError."""
+    """Prefix `where` to an input error or a ValueError, raised as an input
+    error, and to an internal RuntimeError."""
     try:
         yield
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from None
     except RuntimeError as exc:
         raise RuntimeError(f"{where}: {exc}") from None
@@ -139,42 +132,42 @@ def load_document(path: str) -> tuple[Fan, dict[str, Divisor]]:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
-    for key in ("rank", "rays", "max_cones"):
-        if key not in doc:
-            raise InputError(f"{path}: missing key {key!r}")
-    rank = _parse_int(doc["rank"], "rank")
-    if rank < 2:
-        raise InputError("rank must be at least 2")
-    rays = []
-    if not isinstance(doc["rays"], list):
-        raise InputError("rays must be a list of integer vectors")
-    for i, row in enumerate(doc["rays"]):
-        if not isinstance(row, list) or len(row) != rank:
-            raise InputError(f"rays[{i}]: expected a list of {rank} integers")
-        rays.append(vec([_parse_int(x, f"rays[{i}]") for x in row], N))
-    if not isinstance(doc["max_cones"], list):
-        raise InputError("max_cones must be a list of index lists")
-    cones = []
-    for i, row in enumerate(doc["max_cones"]):
-        if not isinstance(row, list):
-            raise InputError(f"max_cones[{i}]: expected a list of ray indices")
-        cones.append(tuple(_parse_int(x, f"max_cones[{i}]") for x in row))
     with _labelled(path):
+        if not isinstance(doc, dict):
+            raise InputError("top level must be an object")
+        for key in ("rank", "rays", "max_cones"):
+            if key not in doc:
+                raise InputError(f"missing key {key!r}")
+        rank = _parse_int(doc["rank"], "rank")
+        if rank < 2:
+            raise InputError("rank must be at least 2")
+        rays = []
+        if not isinstance(doc["rays"], list):
+            raise InputError("rays must be a list of integer vectors")
+        for i, row in enumerate(doc["rays"]):
+            if not isinstance(row, list) or len(row) != rank:
+                raise InputError(f"rays[{i}]: expected a list of {rank} integers")
+            rays.append(vec([_parse_int(x, f"rays[{i}]") for x in row], N))
+        if not isinstance(doc["max_cones"], list):
+            raise InputError("max_cones must be a list of index lists")
+        cones = []
+        for i, row in enumerate(doc["max_cones"]):
+            if not isinstance(row, list):
+                raise InputError(f"max_cones[{i}]: expected a list of ray indices")
+            cones.append(tuple(_parse_int(x, f"max_cones[{i}]") for x in row))
         fan = build_fan(rays, cones, rank)
-    divisors = {}
-    raw_divs = doc.get("divisors", {})
-    if not isinstance(raw_divs, dict):
-        raise InputError("divisors must be an object mapping names to coefficient lists")
-    for name, coeffs in raw_divs.items():
-        if not isinstance(coeffs, list) or len(coeffs) != len(rays):
-            raise InputError(
-                f"divisor {name!r}: expected {len(rays)} coefficients, one per ray"
+        divisors = {}
+        raw_divs = doc.get("divisors", {})
+        if not isinstance(raw_divs, dict):
+            raise InputError("divisors must be an object mapping names to coefficient lists")
+        for name, coeffs in raw_divs.items():
+            if not isinstance(coeffs, list) or len(coeffs) != len(rays):
+                raise InputError(
+                    f"divisor {name!r}: expected {len(rays)} coefficients, one per ray"
+                )
+            divisors[name] = Divisor(
+                tuple(_parse_scalar(c, f"divisor {name!r}") for c in coeffs)
             )
-        divisors[name] = Divisor(
-            tuple(_parse_scalar(c, f"divisor {name!r}") for c in coeffs)
-        )
     return fan, divisors
 
 
@@ -224,8 +217,8 @@ def _builtin_from_expr(expr: str) -> Instance:
         return builtin(name, args)
 
 
-def _divisor_verdicts(fan: Fan, d: Divisor, solved: DivisorSolve, want_very_ample: bool) -> dict:
-    """Positivity verdicts of d from its solve."""
+def _divisor_verdicts(fan: Fan, solved: DivisorSolve, want_very_ample: bool) -> dict:
+    """Positivity verdicts of a divisor from its solve."""
     local = solved.local
     out = {"q_cartier": local is not None}
     if local is None:
@@ -235,7 +228,7 @@ def _divisor_verdicts(fan: Fan, d: Divisor, solved: DivisorSolve, want_very_ampl
     if out["cartier"]:
         out["basepoint_free"] = solved.nef
         if want_very_ample:
-            out["very_ample"] = solved.nef and not generation_scan(fan, d, local)
+            out["very_ample"] = solved.nef and not generation_scan(fan, solved)
     return out
 
 
@@ -335,9 +328,9 @@ def cmd_analyze(args, out) -> int:
                 "combined": {"coefficients": [_enc_scalar(c) for c in total.coeffs]},
             },
             "verdicts": {
-                "d": _divisor_verdicts(fan, d, inst.d_solve, args.very_ample),
-                "perturbation": _divisor_verdicts(fan, dp, inst.dprime_solve, False),
-                "combined": _divisor_verdicts(fan, total, inst.total_solve, args.very_ample),
+                "d": _divisor_verdicts(fan, inst.d_solve, args.very_ample),
+                "perturbation": _divisor_verdicts(fan, inst.dprime_solve, False),
+                "combined": _divisor_verdicts(fan, inst.total_solve, args.very_ample),
             },
             "cones": _cones_json(inst),
             "walls": _walls_json(inst),
@@ -505,9 +498,9 @@ def cmd_hilbert(args, out) -> int:
             solved = solve_divisor(fan, d)
         if solved.local is None:
             raise InputError(f"divisor {name!r} has no local data on cone {solved.missing}")
-        shifted = translated_polytope(polytope(fan, d), solved.local[args.sigma])
+        offsets = solved.offsets[args.sigma]
         membership = [
-            {"element": _enc_vec(b), "in_shifted_polytope": poly_contains(shifted, b)}
+            {"element": _enc_vec(b), "in_shifted_polytope": in_shifted_polytope(fan, offsets, b)}
             for b in basis
         ]
         doc["divisor"] = name

@@ -9,8 +9,10 @@ and the cones cover space exactly once, which makes them meet face to face.
 Each shared facet becomes a Wall.  Viewed from the cone sigma, a wall
 carries the primitive vector u in the dual lattice that vanishes on the
 wall, is nonnegative on sigma, and is strictly negative on the rays of the
-neighbour tau that are not on the wall.  Those far-side rays are the
-candidate test rays for wall-crossing computations; all of them are kept.
+neighbour tau that are not on the wall.  Every ray of either cone off the
+wall is a test ray for wall-crossing computations; `build_fan` checks the
+sign of u on each of them once and keeps |<u, v_j>| with the wall, so a
+divisor's wall values are read off its offsets without pairing again.
 
 One point decides the covering: the pseudo-manifold characterisation of
 triangulations (De Loera, Rambau, Santos, *Triangulations*, 2010).  Let the
@@ -64,11 +66,16 @@ from .semigroups import hilbert_basis
 
 @dataclass(frozen=True)
 class Wall:
+    """A wall of the cones sigma and tau: its rays, its normal u, and each
+    ray j of sigma (`near`) and of tau (`far`) off the wall paired with its
+    weight w_j = |<u, v_j>| > 0."""
+
     sigma: int
     tau: int
     rays: tuple[int, ...]
     u: Vec
-    outside: tuple[int, ...]
+    near: tuple[tuple[int, int], ...]
+    far: tuple[tuple[int, int], ...]
 
     def __str__(self):
         return f"wall {self.rays} of cones {self.sigma} and {self.tau}"
@@ -131,6 +138,12 @@ MAX_RANK = 12
 MAX_RAYS = 256
 
 
+def check_rank(rank: int) -> None:
+    """Refuse a rank past MAX_RANK before any work for it starts."""
+    if rank > MAX_RANK:
+        raise ValueError(f"the fan has rank {rank}, more than {MAX_RANK}")
+
+
 def _refuse_overlap(rays, cones, i: int, idxs: tuple[int, ...]) -> None:
     """Reject the fan if a maximal cone other than cone i holds the sum of
     the rays idxs (a relative-interior point of the face they span)."""
@@ -149,8 +162,7 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     scan would pass MAX_SCAN_SUBSETS, is refused before that work starts.
     """
     rays = tuple(rays)
-    if rank > MAX_RANK:
-        raise ValueError(f"the fan has rank {rank}, more than {MAX_RANK}")
+    check_rank(rank)
     if len(rays) > MAX_RAYS:
         raise ValueError(f"the fan has {len(rays)} rays, more than {MAX_RAYS}")
     if not rays:
@@ -213,9 +225,10 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
             raise ValueError("not a fan: shared facet normals are not opposite")
         if ci > cj:
             ci, cj, fi = cj, ci, fj
-        outside = tuple(k for k in index_sets[cj] if k not in wall_rays)
-        wall = Wall(ci, cj, wall_rays, fi, outside)
-        if any(pair(fi, rays[k]) >= 0 for k in outside):
+        near = tuple((k, pair(fi, rays[k])) for k in index_sets[ci] if k not in wall_rays)
+        far = tuple((k, -pair(fi, rays[k])) for k in index_sets[cj] if k not in wall_rays)
+        wall = Wall(ci, cj, wall_rays, fi, near, far)
+        if any(w <= 0 for _, w in near + far):
             raise RuntimeError(f"internal: {wall}: normal not negative beyond the wall")
         walls.append(wall)
 

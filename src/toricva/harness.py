@@ -17,8 +17,10 @@ divisor's local data; the three per-cone checks take a cone index.  Every
 check reads D, D' and D+D' from the instance's solves
 (`intersections.solve_divisor`), and D''s coefficient sums in each dual cone
 from `Instance.dprime_sums`, each made once per instance on first use; a
-cone's wall minimum is read off the per-wall values.  `BUILTINS` is the
-table of named instance families.
+cone's wall minimum is read off the per-wall values, and the generation and
+corner scans test shifted-polytope membership against D+D''s offset table
+(`divisors.in_shifted_polytope`).  `BUILTINS` is the table of named
+instance families.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from operator import mul
 from typing import Callable
 
 from .cones import classify, contains
-from .divisors import Divisor, canonical_divisor, dprime_in_range
-from .fans import Fan, build_fan
+from .divisors import Divisor, canonical_divisor, dprime_in_range, in_shifted_polytope
+from .fans import Fan, build_fan, check_rank
 from .hulls import affine_rank, convex_hull
 from .intersections import DivisorSolve, solve_divisor
-from .linalg import M, N, Scalar, Vec, _integer_row, lattice_index, pair, vec
+from .linalg import M, N, Scalar, Vec, lattice_index, pair, vec
 
 
 @dataclass(frozen=True)
@@ -224,23 +226,9 @@ def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
     return hyps
 
 
-def _shifted_member(fan: Fan, d: Divisor, u: Vec) -> Callable[[Vec], bool]:
-    """Membership in d's polytope shifted by -u, in integers.
-
-    The shifted polytope is {x : <x, v_i> + e_i >= 0} with e_i = d_i + <u, v_i>;
-    scaled once by the common denominator q of the e_i, each test is a plain
-    integer dot product with a ray row.
-    """
-    rows = [r.coords for r in fan.rays]
-    offsets, q = _integer_row(
-        [c + sum(map(mul, u.coords, r)) for c, r in zip(d.coeffs, rows, strict=True)]
-    )
-    return lambda x: all(q * sum(map(mul, x.coords, r)) + e >= 0 for r, e in zip(rows, offsets))
-
-
-def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
-    """Test on every maximal cone whether the shifted divisor polytope's
-    lattice points generate the dual-cone semigroup.
+def generation_scan(fan: Fan, solved: DivisorSolve) -> tuple[Failure, ...]:
+    """Test on every maximal cone whether the lattice points of the solved
+    divisor's shifted polytope generate the dual-cone semigroup.
 
     They do exactly when the shifted polytope contains the Hilbert basis of
     the dual cone, since the halfspaces of the cone's own rays already put
@@ -248,10 +236,9 @@ def generation_scan(fan: Fan, d: Divisor, local) -> tuple[Failure, ...]:
     first missing basis element in coordinate order.
     """
     failures = []
-    for ci, u in enumerate(local):
-        member = _shifted_member(fan, d, u)
+    for ci, offsets in enumerate(solved.offsets):
         for h in fan.hilbert_bases[ci]:
-            if not member(h):
+            if not in_shifted_polytope(fan, offsets, h):
                 failures.append(Failure("cone", ci, f"missing semigroup generator {h.coords}"))
                 break
     return tuple(failures)
@@ -270,7 +257,7 @@ def _global_report(
 
 
 def _generation_conclusion(inst: Instance, total: DivisorSolve):
-    failures = generation_scan(inst.fan, inst.d + inst.dprime, total.local)
+    failures = generation_scan(inst.fan, total)
     if not failures and all(u.is_lattice for u in total.local):
         return failures, ("combined divisor is Cartier and generates everywhere: very ample",)
     return failures, ()
@@ -286,13 +273,11 @@ def _nef_conclusion(inst: Instance, total: DivisorSolve):
 
 def _corner_conclusion(inst: Instance, total: DivisorSolve):
     fan = inst.fan
-    total_d = inst.d + inst.dprime
     zero = vec((0,) * fan.rank, M)
     failures = []
-    for ci, u in enumerate(total.local):
-        member = _shifted_member(fan, total_d, u)
+    for ci, offsets in enumerate(total.offsets):
         for target in (zero, *fan.duals[ci].rays):
-            if not member(target):
+            if not in_shifted_polytope(fan, offsets, target):
                 failures.append(Failure("cone", ci, f"shifted polytope misses {target.coords}"))
     return failures, ()
 
@@ -355,11 +340,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
         )
         # Across each wall of sigma, the neighbour's rays off the wall.
         floors = all(
-            any(
-                inst.dprime.coeffs[j] >= -rr
-                for j in fan.max_cones[w.tau if w.sigma == sigma else w.sigma]
-                if j not in w.rays
-            )
+            any(inst.dprime.coeffs[j] >= -rr for j, _ in (w.far if w.sigma == sigma else w.near))
             for w in fan.walls
             if sigma in (w.sigma, w.tau)
         )
@@ -531,6 +512,7 @@ def polytope_fan(points) -> tuple[Fan, Divisor]:
 def projective_space(n: int, t: int | None = None) -> Instance:
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    check_rank(n)  # before n + 1 rays of length n are built
     t = n + 1 if t is None else t
     rays = [vec((-1,) * n, N)] + [
         vec(tuple(int(i == j) for j in range(n)), N) for i in range(n)

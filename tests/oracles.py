@@ -23,6 +23,12 @@ reads the last coordinate's interval off the normals, and
 `lattice_points` scans the box around a polytope's vertices, which come
 from exact solves of every square subsystem (`subset_vertices`), with
 boundedness from one LP per direction (`lp_bounded`).
+The rational `Polytope`, with `polytope`, `translated_polytope` and
+`poly_contains`, is the reference for the integer offset table of
+`divisors.local_offsets` and `in_shifted_polytope`.  `wall_value` pairs
+the jump u_sigma - u_tau with every ray off the wall and divides by the
+normal's pairing, where `intersections.wall_value` divides offsets by the
+weights `build_fan` keeps on each wall.
 `reference_hilbert_basis` scans every parallelepiped candidate against
 every other, where `semigroups.hilbert_basis` takes the rank-2 closed form
 or reduces against the basis found so far in degree order.  `generates`
@@ -57,21 +63,16 @@ from toricva.cones import (
     extreme_rays,
     triangulate,
 )
-from toricva.divisors import (
-    Divisor,
-    Polytope,
-    local_data,
-    poly_contains,
-    polytope,
-    translated_polytope,
-)
+from toricva.divisors import Divisor, _check_divisor, local_data
 from toricva.fans import Fan, Wall
 from toricva.harness import Failure
 from toricva.hulls import affine_rank
-from toricva.intersections import solve_divisor, wall_value
+from toricva.intersections import solve_divisor
 from toricva.lambdas import CoefficientSums, LambdaValue
 from toricva.linalg import (
+    Scalar,
     Vec,
+    _norm_coord,
     dual_ambient,
     is_primitive,
     nullspace,
@@ -80,6 +81,55 @@ from toricva.linalg import (
     vec,
 )
 from toricva.semigroups import _parallelepiped_points, hilbert_basis
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """Rational polytope {u : <u, normal_i> >= -offset_i}."""
+
+    halfspaces: tuple[tuple[Vec, Scalar], ...]
+
+
+def poly_contains(p: Polytope, x: Vec) -> bool:
+    return all(pair(x, v) >= -d for v, d in p.halfspaces)
+
+
+def polytope_from_halfspaces(halfspaces) -> Polytope:
+    hs = tuple((v, _norm_coord(d)) for v, d in halfspaces)
+    if not hs:
+        raise ValueError("a polytope needs at least one halfspace")
+    return Polytope(hs)
+
+
+def polytope(fan: Fan, d: Divisor) -> Polytope:
+    """The divisor's polytope, one halfspace per global ray.
+
+    Complete fans make this bounded automatically; it may be empty.
+    """
+    _check_divisor(fan, d)
+    return polytope_from_halfspaces(list(zip(fan.rays, d.coeffs)))
+
+
+def translated_polytope(p: Polytope, u: Vec) -> Polytope:
+    """The polytope shifted by -u, so that u becomes the origin."""
+    return Polytope(tuple((v, _norm_coord(d + pair(u, v))) for v, d in p.halfspaces))
+
+
+def wall_value(fan: Fan, local: tuple[Vec, ...], wall: Wall) -> Fraction:
+    """Reference for `intersections.wall_value`: the jump u_sigma - u_tau
+    paired with each ray of either cone off the wall, over minus the wall
+    normal's pairing with that ray, which must be the same for all of them
+    and which checks the normal's sign on both sides."""
+    jump = local[wall.sigma] - local[wall.tau]
+    vals = set()
+    for j in set(fan.max_cones[wall.sigma] + fan.max_cones[wall.tau]) - set(wall.rays):
+        denom = -pair(wall.u, fan.rays[j])
+        if denom == 0 or (denom > 0) != (j in fan.max_cones[wall.tau]):
+            raise RuntimeError(f"internal: {wall}: wall normal is not negative on the far side")
+        vals.add(Fraction(pair(jump, fan.rays[j])) / denom)
+    if len(vals) != 1:
+        raise RuntimeError(f"internal: {wall}: wall value depends on the chosen outside ray")
+    return vals.pop()
 
 
 def fiber_points(cols, target):
@@ -780,18 +830,17 @@ def edge_lengths(fan: Fan, d: Divisor) -> tuple[EdgeLength, ...]:
     return tuple(out)
 
 
-def flip(fan: Fan, wall: Wall) -> Wall:
+def flip(wall: Wall) -> Wall:
     """The same wall viewed from its other side: tau's cone, the opposite
     normal, and sigma's rays off the wall as the far side."""
-    outside = tuple(i for i in fan.max_cones[wall.sigma] if i not in wall.rays)
-    return Wall(wall.tau, wall.sigma, wall.rays, -wall.u, outside)
+    return Wall(wall.tau, wall.sigma, wall.rays, -wall.u, wall.far, wall.near)
 
 
 def walls_of(fan: Fan, cone_index: int) -> list[Wall]:
     """All walls of one maximal cone in fan.walls order, each flipped if
     needed so that its sigma is that cone."""
     return [
-        w if w.sigma == cone_index else flip(fan, w)
+        w if w.sigma == cone_index else flip(w)
         for w in fan.walls
         if cone_index in (w.sigma, w.tau)
     ]

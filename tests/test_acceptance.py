@@ -22,6 +22,8 @@ from oracles import (
     lambda_max,
     lambda_min,
     matches_lp_oracle,
+    poly_contains,
+    polytope,
     rational_coefficient_sum,
     reference_hilbert_basis,
     reference_dual_cone,
@@ -30,6 +32,8 @@ from oracles import (
     solve_exact,
     strictly_inside,
     sum_range,
+    translated_polytope,
+    wall_value,
     walls_of,
 )
 from toricva.cones import classify, cone_from_generators, contains, dual_cone
@@ -37,10 +41,8 @@ from toricva.divisors import (
     Divisor,
     NotQCartier,
     canonical_divisor,
+    in_shifted_polytope,
     local_data,
-    poly_contains,
-    polytope,
-    translated_polytope,
 )
 from toricva.fans import build_fan
 from toricva.harness import (
@@ -60,7 +62,7 @@ from toricva.harness import (
     random_instance,
     weighted_112,
 )
-from toricva.intersections import is_nef, wall_value, wall_values
+from toricva.intersections import is_nef, solve_divisor, wall_values
 from toricva.linalg import M, N, vec
 from toricva.semigroups import hilbert_basis
 
@@ -133,8 +135,7 @@ def test_criterion_03_wall_identity_and_edge_lengths(pool2, pool3):
         fan = inst.fan
         local = local_data(fan, inst.d)
         assert is_nef(fan, inst.d)
-        for w in fan.walls:
-            value = wall_value(fan, local, w)
+        for w, value in zip(fan.walls, wall_values(fan, inst.d)):
             assert local[w.tau] - local[w.sigma] == value * w.u
             walls += 1
         for e in edge_lengths(fan, inst.d):
@@ -227,7 +228,7 @@ def test_criterion_07_projective_plane_sharpness():
     combined = edge.d + edge.dprime
     assert wall_values(edge.fan, combined) == (0, 0, 0)
     assert is_nef(edge.fan, combined)
-    failures = generation_scan(edge.fan, combined, local_data(edge.fan, combined))
+    failures = generation_scan(edge.fan, solve_divisor(edge.fan, combined))
     assert len(failures) == 3  # nef yet not very ample, on every cone
     _ok(7, "threshold-n case hits -1 walls; threshold-n+1 case is nef but not very ample")
 
@@ -290,16 +291,16 @@ def test_generation_scan_matches_box_scan_oracle(pool2, pool3):
         expected, clipped = box_scan_generation(inst.fan, combined, local)
         # the rays' own halfspaces keep every shifted polytope in its dual cone
         assert not clipped, inst.label
-        assert generation_scan(inst.fan, combined, local) == expected, inst.label
+        assert generation_scan(inst.fan, solve_divisor(inst.fan, combined)) == expected, inst.label
         failing += bool(expected)
     assert failing > 0
     _ok("generation-oracle", f"{len(instances)} scans agree, {failing} with failures")
 
 
-def test_hilbert_bases_match_the_reference_on_pool_and_builtin_duals(pool2, pool3):
-    # every dual cone of the pools (499 of rank 2, 120 of rank 3) and of
-    # every builtin at the benchmark's scaling-series arguments
-    builtins = (
+def _series_and_fixture_builtins():
+    """Every builtin at the benchmark's scaling-series arguments and at the
+    fixture arguments."""
+    return (
         [builtin("ew_simplex", (t,)) for t in range(4, 17)]
         + [builtin("product_p1", (a, a)) for a in range(8, 33, 8)]
         + [builtin("intro_simplex_3d", (t,)) for t in range(2, 13, 2)]
@@ -307,12 +308,53 @@ def test_hilbert_bases_match_the_reference_on_pool_and_builtin_duals(pool2, pool
         + [builtin("projective_space", (n, n + 1)) for n in range(2, 5)]
         + [builtin(name, args) for name, calls in BUILTIN_ARGS.items() for args in calls]
     )
+
+
+def test_hilbert_bases_match_the_reference_on_pool_and_builtin_duals(pool2, pool3):
+    # every dual cone of the pools (499 of rank 2, 120 of rank 3) and of
+    # every builtin at the benchmark's scaling-series and fixture arguments
     pool_duals = [dual for inst in pool2 + pool3 for dual in inst.fan.duals]
     assert len(pool_duals) == 619
-    duals = pool_duals + [dual for inst in builtins for dual in inst.fan.duals]
+    duals = pool_duals + [
+        dual for inst in _series_and_fixture_builtins() for dual in inst.fan.duals
+    ]
     for dual in duals:
         assert hilbert_basis(dual) == reference_hilbert_basis(dual), dual
     _ok("hilbert-oracle", f"{len(duals)} dual cones agree with the parallelepiped scan")
+
+
+def test_offset_table_matches_the_rational_polytope(pool2, pool3):
+    # D, D' and D+D' of the pools, of every builtin at the scaling-series
+    # and fixture arguments, and of quadric3, whose non-simplicial cone has
+    # walls with two rays off them on its side: the integer table's
+    # membership against the rational polytope shifted by u_sigma on the
+    # origin, the dual rays and the Hilbert basis; the wall values against
+    # the jump of the local data; nef against the polytope holding every
+    # u_sigma
+    quadric = quadric3_fan()
+    seen = Counter()
+    for inst in pool2 + pool3 + _series_and_fixture_builtins() + [
+        Instance(quadric, Divisor((1, 1, 0, 0, 0)), canonical_divisor(quadric), "quadric3")
+    ]:
+        fan = inst.fan
+        zero = vec((0,) * fan.rank, M)
+        for d in (inst.d, inst.dprime, inst.d + inst.dprime):
+            solved = solve_divisor(fan, d)
+            if solved.local is None:
+                seen["no local data"] += 1
+                continue
+            p = polytope(fan, d)
+            for ci, (u, offsets) in enumerate(zip(solved.local, solved.offsets)):
+                shifted = translated_polytope(p, u)
+                for x in (zero, *fan.duals[ci].rays, *fan.hilbert_bases[ci]):
+                    inside = in_shifted_polytope(fan, offsets, x)
+                    assert inside == poly_contains(shifted, x), (inst.label, d, ci, x)
+                    seen["in" if inside else "out"] += 1
+            assert solved.values == tuple(wall_value(fan, solved.local, w) for w in fan.walls)
+            assert solved.nef == all(poly_contains(p, u) for u in solved.local), inst.label
+            seen["nef" if solved.nef else "not nef"] += 1
+    assert seen["in"] and seen["out"] and seen["nef"] and seen["not nef"], seen
+    _ok("offset-oracle", f"{dict(seen)}")
 
 
 def test_criterion_08_coefficient_sum_oracle():
@@ -479,7 +521,7 @@ def test_floor_hypothesis_matches_flipped_wall_oracle(pool2, pool3):
                 rep = check_wall_bound(inst, sigma, r)
                 (floor,) = (h for h in rep.hypotheses if h.name == "adjacent_cones_have_floor_ray")
                 expected = all(
-                    any(inst.dprime.coeffs[j] >= -r for j in w.outside)
+                    any(inst.dprime.coeffs[j] >= -r for j, _ in w.far)
                     for w in walls_of(fan, sigma)
                 )
                 assert floor.holds == expected, (inst.label, sigma, r)

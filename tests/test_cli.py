@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from toricva import cli, fans, intersections, lambdas, semigroups
+from toricva import cli, divisors, fans, harness, intersections, lambdas, linalg, semigroups
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 from toricva.semigroups import MAX_BASIS_ELEMENTS
 
@@ -112,10 +113,11 @@ def test_very_ample_analysis_computes_each_hilbert_basis_once(tmp_path, capsys, 
 
 
 def test_analyze_checks_nef_against_the_polytope(weighted_input, capsys, monkeypatch):
-    monkeypatch.setattr(intersections, "poly_contains", lambda p, u: False)
+    # D is nef, so its offsets are all nonnegative; negative curve values disagree
+    monkeypatch.setattr(intersections, "wall_value", lambda offsets, wall: Fraction(-1))
     code, out, err = run(capsys, "analyze", weighted_input, "--json")
     assert code == 2
-    assert "curve test and polytope test disagree on nef" in err
+    assert f"{weighted_input}: internal: curve test and polytope test disagree on nef" in err
 
 
 def test_verify_wall_bound_report(capsys):
@@ -217,21 +219,27 @@ def _raise(message):
     return broken
 
 
+def _offsets_bent_on_cone_0(fan, d):
+    """The true local data, with every offset of cone 0 raised by one."""
+    local, ((es, q), *rest) = divisors.local_offsets(fan, d)
+    return local, ((tuple(e + 1 for e in es), q), *rest)
+
+
 @pytest.mark.parametrize(
     "argv, target, name, value, where",
     [
-        # a --fuzz draw solves its base divisor's wall values
+        # a --fuzz draw builds its fan, which checks the wall normals' signs
         (
             ("verify", "nef", "--fuzz", "2", "0", "2"),
-            intersections, "pair", lambda u, v: 0,
+            fans, "pair", lambda u, v: abs(linalg.pair(u, v)),
             "internal invariant violated: random(dim=2,seed=0): internal: wall (0,) of cones 0 "
-            "and 1: wall normal is not negative on the far side",
+            "and 1: normal not negative beyond the wall",
         ),
         (
             ("verify", "nef", "--builtin", "weighted_112"),
-            intersections, "pair", lambda u, v: 0,
-            "internal invariant violated: weighted_112(t=1): internal: wall (1,) of cones 0 "
-            "and 1: wall normal is not negative on the far side",
+            fans, "pair", lambda u, v: abs(linalg.pair(u, v)),
+            "internal invariant violated: weighted_112: internal: wall (0,) of cones 0 "
+            "and 2: normal not negative beyond the wall",
         ),
         (
             ("verify", "nef", "--fuzz", "4", "0", "1"),
@@ -240,9 +248,15 @@ def _raise(message):
         ),
         (
             ("analyze", "DOC"),
-            intersections, "poly_contains", lambda p, u: False,
+            intersections, "wall_value", lambda offsets, wall: Fraction(-1),
             "internal invariant violated: DOC: internal: curve test and polytope test "
             "disagree on nef",
+        ),
+        (
+            ("verify", "nef", "DOC"),
+            intersections, "local_offsets", _offsets_bent_on_cone_0,
+            "internal invariant violated: DOC: internal: wall (1,) of cones 0 and 1: "
+            "wall value depends on the chosen outside ray",
         ),
         (
             ("hilbert", "DOC", "--sigma", "1"),
@@ -253,12 +267,14 @@ def _raise(message):
         ),
         (
             ("hilbert", "DOC", "--sigma", "1", "--d", "D"),
-            intersections, "poly_contains", lambda p, u: False,
+            intersections, "wall_value", lambda offsets, wall: Fraction(-1),
             "internal invariant violated: DOC: internal: curve test and polytope test "
             "disagree on nef",
         ),
     ],
-    ids=["fuzz-draw", "wall", "fuzz-input", "analyze", "hilbert", "hilbert-divisor"],
+    ids=[
+        "fuzz-draw", "wall", "fuzz-input", "analyze", "wall-value", "hilbert", "hilbert-divisor"
+    ],
 )
 def test_internal_error_names_the_input_and_wall(
     weighted_input, capsys, monkeypatch, argv, target, name, value, where
@@ -330,7 +346,7 @@ def test_only_integers_and_fractions_are_rationals(tmp_path, capsys, value, flag
     path = tmp_path / "exp.json"
     path.write_text(_small_doc(coeff=json.dumps(value)))
     for argv, where in (
-        (("analyze", str(path)), "divisor 'D'"),
+        (("analyze", str(path)), f"{path}: divisor 'D'"),
         (("verify", "wall-bound", "--builtin", "weighted_112", "--r", value), "--r"),
     ):
         start = time.monotonic()
@@ -689,3 +705,51 @@ def test_work_over_a_cap_is_refused_before_it_starts(tmp_path, capsys, doc, argv
     assert out == ""
     assert f"toricva: input error: {message.replace('DOC', str(path))}" in err
     assert "Traceback" not in err
+
+
+def test_projective_space_past_the_rank_cap_builds_nothing(capsys, monkeypatch):
+    # n + 1 rays of length n took 4.6 s at n = 4,000 before build_fan refused them
+    def no_vectors(*args):
+        raise AssertionError("projective_space built a vector past the rank cap")
+
+    monkeypatch.setattr(harness, "vec", no_vectors)
+    code, out, err = run(capsys, "verify", "nef", "--builtin", "projective_space(1000000)")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "toricva: input error: projective_space(1000000): "
+        "the fan has rank 1000000, more than 12\n"
+    )
+
+
+_PLANE = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_PLANE, "rank": 1}, "rank must be at least 2"),
+        ({**_PLANE, "rays": {"0": [1, 0]}}, "rays must be a list of integer vectors"),
+        ({**_PLANE, "rays": [[1, 0], [0, 1], [-1]]}, "rays[2]: expected a list of 2 integers"),
+        ({**_PLANE, "rays": [[1, 0], [0, "1"], [-1, -1]]}, "rays[1]: expected an integer"),
+        ({**_PLANE, "max_cones": 3}, "max_cones must be a list of index lists"),
+        ({**_PLANE, "max_cones": [[0, 1], 2]}, "max_cones[1]: expected a list of ray indices"),
+        ({**_PLANE, "max_cones": [[0, 1.0]]}, "max_cones[0]: expected an integer"),
+        ({**_PLANE, "divisors": [1, 0, 0]}, "divisors must be an object mapping names"),
+        ({**_PLANE, "divisors": {"X": [1, 0]}}, "divisor 'X': expected 3 coefficients"),
+        ({**_PLANE, "divisors": {"X": [0.5, 0, 0]}}, "divisor 'X': floats are not accepted"),
+        ({**_PLANE, "divisors": {"X": ["1/0", 0, 0]}}, "divisor 'X': '1/0' is not a rational"),
+        ({**_PLANE, "divisors": {"X": [True, 0, 0]}}, "divisor 'X': expected a rational"),
+    ],
+    ids=[
+        "rank", "rays-type", "ray-length", "ray-entry", "cones-type", "cone-type",
+        "cone-entry", "divisors-type", "coefficient-count", "float", "non-rational", "boolean",
+    ],
+)
+def test_every_document_error_names_the_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"toricva: input error: {path}: {message}"), err

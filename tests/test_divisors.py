@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures import p2_fan, p3_fan, p112_fan, quadric3_fan
-from oracles import lp_bounded, subset_vertices
+from oracles import (
+    lp_bounded,
+    poly_contains,
+    polytope,
+    polytope_from_halfspaces,
+    subset_vertices,
+    translated_polytope,
+)
 from toricva.divisors import (
     Divisor,
     NotQCartier,
@@ -14,10 +21,7 @@ from toricva.divisors import (
     is_cartier,
     is_q_cartier,
     local_data,
-    poly_contains,
-    polytope,
-    polytope_from_halfspaces,
-    translated_polytope,
+    local_offsets,
 )
 from toricva.linalg import M, N, vec
 
@@ -93,6 +97,10 @@ def test_translated_polytope():
     assert offsets[(-1, -1)] == 0
     assert offsets[(1, 0)] == 3
     assert offsets[(0, 1)] == 0
+    # the same offsets, over denominator 1, are cone 1's row of the table
+    assert local_offsets(fan, Divisor((3, 0, 0)))[1][1] == (
+        tuple(offsets[r.coords] for r in fan.rays), 1
+    )
 
 
 def test_unbounded_region_detected():

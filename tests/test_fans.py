@@ -35,7 +35,7 @@ def test_p2_structure():
         assert len(walls_of(fan, i)) == 2
     for w in fan.walls:
         assert len(w.rays) == 1
-        assert len(w.outside) == 1
+        assert len(w.far) == 1
 
 
 def test_p3_wall_count():
@@ -61,16 +61,16 @@ def test_wall_normal_orientation():
                 assert pair(w.u, fan.rays[k]) >= 0
             for k in w.rays:
                 assert pair(w.u, fan.rays[k]) == 0
-            for k in w.outside:
-                assert pair(w.u, fan.rays[k]) < 0
+            for k, weight in w.far:
+                assert pair(w.u, fan.rays[k]) == -weight < 0
 
 
 def test_quadric3_has_multi_candidate_walls():
     fan = quadric3_fan()
     assert len(fan.walls) == 8
-    sizes = sorted(len(w.outside) for w in walls_of(fan, 0))
+    sizes = sorted(len(w.far) for w in walls_of(fan, 0))
     assert sizes == [1, 1, 1, 1]
-    multi = [w for i in range(1, 5) for w in walls_of(fan, i) if len(w.outside) > 1]
+    multi = [w for i in range(1, 5) for w in walls_of(fan, i) if len(w.far) > 1]
     assert multi, "expected some wall with several far-side candidate rays"
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
-from oracles import subset_vertices
+from oracles import poly_contains, polytope, subset_vertices, wall_value
 from toricva import divisors, fans, intersections, lambdas
 from toricva.cones import classify, contains
 from toricva.divisors import (
@@ -16,8 +16,6 @@ from toricva.divisors import (
     canonical_divisor,
     dprime_in_range,
     local_data,
-    poly_contains,
-    polytope,
 )
 from toricva.harness import (
     BUILTINS,
@@ -43,7 +41,7 @@ from toricva.harness import (
     weighted_112,
 )
 from toricva.fans import build_fan
-from toricva.intersections import is_nef, wall_value
+from toricva.intersections import is_nef
 from toricva.linalg import M, vec
 
 
@@ -344,13 +342,13 @@ def test_interior_bound_refuses_a_box_over_the_cap():
 
 def test_each_divisor_is_solved_once_per_instance(monkeypatch):
     # all seven statements on every cone of a fresh fan invert each maximal
-    # cone's rays once, and solve D, D' and D+D' once each: one local-data
-    # pass and one value per wall for each divisor
+    # cone's rays once, and solve D, D' and D+D' once each: one offset table
+    # and one value per wall read off it for each divisor
     seeded = random_instance(3, 1)
     fan = build_fan(seeded.fan.rays, seeded.fan.max_cones, seeded.fan.rank)
     inst = Instance(fan, seeded.d, seeded.dprime, seeded.label)
     m, walls = len(fan.max_cones), len(fan.walls)
-    counts = {"integer_left_inverse": 0, "local_data": 0, "wall_value": 0}
+    counts = {"integer_left_inverse": 0, "local_offsets": 0, "wall_value": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -362,8 +360,8 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(fans, "integer_left_inverse")
-    counted(divisors, "local_data")
-    counted(intersections, "local_data")
+    counted(divisors, "local_offsets")
+    counted(intersections, "local_offsets")
     counted(intersections, "wall_value")
     for statement in STATEMENTS.values():
         if statement.per_cone:
@@ -371,7 +369,7 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
                 statement.check(inst, ci)
         else:
             statement.check(inst)
-    assert counts == {"integer_left_inverse": m, "local_data": 3, "wall_value": 3 * walls}
+    assert counts == {"integer_left_inverse": m, "local_offsets": 3, "wall_value": 3 * walls}
 
 
 def test_cached_solves_leave_equality_and_hash_alone():

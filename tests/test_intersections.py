@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p112_fan
 from oracles import cone_minima, edge_lengths
-from toricva.divisors import Divisor, canonical_divisor, local_data
+from toricva.divisors import Divisor, canonical_divisor, local_data, local_offsets
 from toricva.intersections import is_nef, wall_value, wall_values
-from toricva.linalg import M, vec
 
 
 def wall_by_ray(fan, ray_index):
@@ -110,20 +109,24 @@ def test_product_nef_criterion(cs):
 @given(st.lists(coeff, min_size=4, max_size=4))
 def test_jump_parallel_to_wall_normal(cs):
     fan = p1xp1_fan()
-    local = local_data(fan, Divisor(tuple(cs)))
-    for w in fan.walls:
+    d = Divisor(tuple(cs))
+    local = local_data(fan, d)
+    for w, val in zip(fan.walls, wall_values(fan, d)):
         jump = local[w.tau] - local[w.sigma]
-        val = wall_value(fan, local, w)
         assert jump == val * w.u
 
 
 def test_wall_value_is_checked_from_both_sides():
-    # local data that jumps along the wall gives the two far-side rays two
-    # different values; a rank-2 wall has one ray on each side
+    # a table whose offset on tau's far ray disagrees with the one on sigma's
+    # gives the two sides two different values; a rank-2 wall has one ray
+    # on each side
     fan = p2_fan()
     w = fan.walls[0]
-    zero = vec((0, 0), M)
-    local = [zero, zero, zero]
-    local[w.tau] = vec((1, 0), M) if w.u.coords[1] != 0 else vec((0, 1), M)
+    table = local_offsets(fan, Divisor((1, 0, 0)))[1]
+    assert wall_value(table, w) == 1
+    ((j, _),) = w.near
+    es, q = table[w.tau]
+    bent = list(table)
+    bent[w.tau] = (tuple(e + (i == j) for i, e in enumerate(es)), q)
     with pytest.raises(RuntimeError, match="depends on the chosen outside ray"):
-        wall_value(fan, tuple(local), w)
+        wall_value(tuple(bent), w)

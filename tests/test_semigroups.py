@@ -13,12 +13,14 @@ from oracles import (
     box_parallelepiped_points,
     generates,
     lattice_points,
+    polytope,
+    polytope_from_halfspaces,
     reference_hilbert_basis,
     semigroup_member,
     simplex_lattice_points,
 )
 from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
-from toricva.divisors import Divisor, polytope, polytope_from_halfspaces
+from toricva.divisors import Divisor
 from toricva.linalg import M, N, lattice_index, matrix_rank, pair, vec
 from toricva import semigroups
 from toricva.semigroups import (
