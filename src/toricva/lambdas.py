@@ -24,22 +24,36 @@ pairs with it to den.
 By complementary slackness an optimal expression uses only generators on
 an optimal facet, so x lies in the cone over them, that facet's cell.  Each
 cell is split once into simplicial pieces, each stored with den times its
-inverse, an integer matrix.  A point is written once as x = z / q with z
-integer, and from then on everything is an integer: the pairings <phi, z>,
-the piece coefficients of z (den * q times x's) and the checks that they
-are nonnegative, reproduce den * z and sum to den * <phi, z> / beta.  A
-feasible expression whose sum meets a feasible dual value certifies both
-optimal; only the returned value and witness are divided by den * q.
-`CoefficientSums(c)` builds a cone's cells once and is the only entry
-point; `Fan.coefficient_sums` keeps one per maximal cone's dual.  One
-integer certificate, `_certify`, runs these checks for `minimum` and
-`maximum`, which package a `LambdaValue`, and for `max_value`, which takes
-an integer tuple as it is (q = 1) and returns only lambda_max's value.
+inverse, an integer matrix.  Three conditions are checked once per cone,
+at construction.  Two are identities, linear in the point, so they hold at
+every point: each piece's generators times its scaled inverse are den * I,
+so piece coefficients a = (den * inverse) z reproduce den * z; and beta
+times the inverse's column sums is den * phi, so a sums to
+den * <phi, z> / beta.  The third is dual feasibility: every generator
+pairs with each maximal cell's phi to at least beta (at most, for a minimal
+cell), so <phi, x> / beta bounds lambda_max(x) from above (lambda_min(x)
+from below) by weak duality.  After that a point needs
+only its cell and a piece holding it: a feasible expression whose sum meets
+a feasible dual value certifies both optimal.  A point is written once as
+x = z / q with z integer, and `_certify` runs that test in integers for
+`minimum` and `maximum`, which package a `LambdaValue`; only the returned
+value and witness are divided by den * q.  `CoefficientSums(c)` builds a
+cone's cells once and is the only entry point; `Fan.coefficient_sums`
+keeps one per maximal cone's dual.
+
+`max_below_on_line` settles a whole line of lattice points at once.  With
+all coordinates but the last fixed, a piece's coefficients and each cell's
+pairing are affine in the last one, t, so the t a piece holds and the t a
+cell puts below a given value are intervals, read off by floor division.
+Once the pieces of the maximal cells cover the line, every point on it has
+lambda_max = min <phi, x> / beta over the maximal cells, and the points
+below the value are the union of the cells' intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .cones import Cone, cone_from_generators, triangulate
@@ -106,10 +120,14 @@ class CoefficientSums:
                         _cell(rays, cone_from_generators(tight), coords, side * beta)
                     )
             self._min_cells, self._max_cells = tuple(min_cells), tuple(max_cells)
-        # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
-        for g in rays:
-            if not self.minimum(g).value == 1 == self.maximum(g).value:
-                raise RuntimeError("internal: a generator's coefficient sums are not 1")
+        for cells, sign in ((self._max_cells, -1), (self._min_cells, 1)):
+            for cell in cells:
+                _check_cell(cell, rays, sign)
+            # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
+            for g in rays:
+                cell, top, _, _, _ = self._certify(cells, g.coords, sign)
+                if top != cell.beta:
+                    raise RuntimeError("internal: a generator's coefficient sums are not 1")
 
     def minimum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._min_cells, x, 1)
@@ -117,13 +135,62 @@ class CoefficientSums:
     def maximum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._max_cells, x, -1)
 
-    def max_value(self, z) -> Scalar:
-        """lambda_max at the integer point z, a tuple of the cone's rank: the
-        value of `maximum`, certified the same way, without its witness."""
-        if len(z) != self.cone.rank:
-            raise ValueError("point does not live in the cone's ambient lattice")
-        cell, top, _, _, _ = self._certify(self._max_cells, z, -1)
-        return _ratio(top, cell.beta)
+    @cached_property
+    def _max_lines(self):
+        """The maximal cells as (phi's head, phi's last entry, beta) and the
+        rows of their pieces' scaled inverses as (head, last entry)."""
+        cells = tuple((k.phi[:-1], k.phi[-1], k.beta) for k in self._max_cells)
+        pieces = tuple(
+            tuple((row[:-1], row[-1]) for row in inverse)
+            for k in self._max_cells
+            for _, _, inverse, _ in k.pieces
+        )
+        return cells, pieces
+
+    def max_below_on_line(self, head, lo: int, hi: int, value: Scalar) -> list[int]:
+        """The t in [lo, hi], ascending, where lambda_max of the integer point
+        (*head, t) is below `value`.  Every point of the line must lie in the
+        cone: the t each piece holds are read off its coefficients
+        s + c * t >= 0, and a t that no piece of a maximal cell holds raises."""
+        cells, pieces = self._max_lines
+        spans = []
+        for rows in pieces:
+            a, b = lo, hi
+            for rh, rn in rows:
+                s = _dot(rh, head)
+                if rn > 0:
+                    a = max(a, -(s // rn))
+                elif rn < 0:
+                    b = min(b, s // -rn)
+                elif s < 0:
+                    break
+            else:
+                if a <= b:
+                    spans.append((a, b))
+        reach = lo
+        for a, b in sorted(spans):
+            if a > reach:
+                break
+            reach = max(reach, b + 1)
+        if reach <= hi:
+            raise RuntimeError(
+                f"internal: no piece of a maximal cell holds the lattice point {(*head, reach)}"
+            )
+        # A cell puts t below value when den * <phi, x> < num * beta, that is
+        # c * t < r; the union of these half-lines is t <= below or t >= above.
+        num, den = value.numerator, value.denominator
+        below, above = lo - 1, hi + 1
+        for ph, pn, beta in cells:
+            r, c = num * beta - den * _dot(ph, head), den * pn
+            if c > 0:
+                below = max(below, (r - 1) // c)
+            elif c < 0:
+                above = min(above, r // c + 1)
+            elif r > 0:
+                return list(range(lo, hi + 1))
+        if above <= below + 1:
+            return list(range(lo, hi + 1))
+        return [*range(lo, min(below, hi) + 1), *range(max(above, lo), hi + 1)]
 
     def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
         """The certified value at x = z / q and its witness, both divided by q."""
@@ -143,8 +210,8 @@ class CoefficientSums:
     def _certify(self, cells, z, sign: int):
         """<phi, z> / beta on the cell where sign times it is largest, for an
         integer z, as (cell, <phi, z>, piece positions, piece coefficients a,
-        den): a >= 0 reproduces den * z and sums to den * <phi, z> / beta, so
-        a / den is an expression of z certifying the value."""
+        den): a >= 0, so by the identities `_check_cell` verified a / den is
+        an expression of z certifying the value."""
         # c is full-dimensional, so its facet normals alone decide membership.
         if any(_dot(f.coords, z) < 0 for f in self.cone.facet_normals):
             raise ValueError("point outside cone")
@@ -155,14 +222,27 @@ class CoefficientSums:
             t = _dot(k.phi, z)
             if cell is None or sign * t * cell.beta > sign * top * k.beta:
                 cell, top = k, t
-        for positions, gens, inverse, den in cell.pieces:
+        for positions, _, inverse, den in cell.pieces:
             a = [_dot(row, z) for row in inverse]
             if min(a) >= 0:
-                break
-        else:
-            raise RuntimeError("internal: no piece of the optimal cell holds the point")
-        recon = [_dot(a, col) for col in zip(*gens)]
-        if recon != [den * v for v in z] or sum(a) * cell.beta != top * den:
-            raise RuntimeError("internal: witness does not certify the coefficient sum")
-        return cell, top, positions, a, den
+                return cell, top, positions, a, den
+        raise RuntimeError("internal: no piece of the optimal cell holds the point")
 
+
+def _check_cell(cell: _Cell, rays, sign: int) -> None:
+    """The identities that make a nonnegative piece coefficient vector a
+    certificate at every point: each piece's generators times its scaled
+    inverse are den * I and beta times the inverse's column sums is
+    den * phi; and <phi, g> / beta is dual feasible, at least 1 on every
+    generator for a maximal cell (sign -1), at most 1 for a minimal one."""
+    phi, beta = cell.phi, cell.beta
+    for _, gens, inverse, den in cell.pieces:
+        columns = list(zip(*inverse))
+        for i, g_row in enumerate(zip(*gens)):
+            for j, col in enumerate(columns):
+                if _dot(g_row, col) != (den if i == j else 0):
+                    raise RuntimeError("internal: a piece's inverse does not reproduce the point")
+        if [beta * sum(col) for col in columns] != [den * v for v in phi]:
+            raise RuntimeError("internal: a piece's coefficients do not sum to the cell's value")
+    if any(sign * _dot(phi, g.coords) > sign * beta for g in rays):
+        raise RuntimeError("internal: a cell's functional is not dual feasible")

@@ -19,7 +19,9 @@ sums in closed form from hull facets and pointedness from
 scans enumerate every lattice point of a bounding box, which the
 production code never does: `box_interior_points` tests each point of
 the box against every facet normal, where `harness.interior_points`
-reads the last coordinate's interval off the normals, and
+reads the last coordinate's interval off the normals;
+`interior_max_values` certifies lambda_max point by point (`max_value`),
+where `CoefficientSums.max_below_on_line` settles one line at a time; and
 `lattice_points` scans the box around a polytope's vertices, which come
 from exact solves of every square subsystem (`subset_vertices`), with
 boundedness from one LP per direction (`lp_bounded`).
@@ -446,6 +448,42 @@ def box_interior_points(normals, rank: int, bound: int) -> list[tuple[int, ...]]
         for x in product(range(-bound, bound + 1), repeat=rank)
         if all(sum(f_i * x_i for f_i, x_i in zip(f, x)) > 0 for f in normals)
     ]
+
+
+def max_value(sums, z) -> Scalar:
+    """Reference for `CoefficientSums.max_below_on_line`, one point at a
+    time: lambda_max at the integer tuple z, certified at z itself.  z must
+    lie in the cone; the first maximal cell with the smallest <phi, z> / beta
+    gives the value, and a piece of it that holds z gives coefficients that
+    must reproduce den * z and sum to den times the value."""
+    c = sums.cone
+    if len(z) != c.rank:
+        raise ValueError("point does not live in the cone's ambient lattice")
+    if any(sum(f_i * z_i for f_i, z_i in zip(f.coords, z)) < 0 for f in c.facet_normals):
+        raise ValueError("point outside cone")
+
+    def dot(a, b):
+        return sum(u * v for u, v in zip(a, b))
+
+    value, cell = min(
+        ((Fraction(dot(k.phi, z), k.beta), k) for k in sums._max_cells), key=lambda vk: vk[0]
+    )
+    for _, gens, inverse, den in cell.pieces:
+        a = [dot(row, z) for row in inverse]
+        if min(a) >= 0:
+            break
+    else:
+        raise RuntimeError("internal: no piece of the optimal cell holds the point")
+    if [dot(a, col) for col in zip(*gens)] != [den * v for v in z] or sum(a) != den * value:
+        raise RuntimeError("internal: witness does not certify the coefficient sum")
+    return int(value) if value.denominator == 1 else value
+
+
+def interior_max_values(sums, normals, rank: int, bound: int) -> list[tuple[tuple, Scalar]]:
+    """Reference for `check_interior_bound`'s line scan: each interior point
+    of [-bound, bound]^rank (`box_interior_points`) with its `max_value`,
+    in `product` order."""
+    return [(z, max_value(sums, z)) for z in box_interior_points(normals, rank, bound)]
 
 
 def lattice_points(p: Polytope) -> tuple[Vec, ...]:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to see the printed
 criterion lines on success; they always appear in failure output).
 """
 
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -19,9 +20,11 @@ from oracles import (
     cone_minima,
     edge_lengths,
     generates,
+    interior_max_values,
     lambda_max,
     lambda_min,
     matches_lp_oracle,
+    max_value,
     poly_contains,
     polytope,
     rational_coefficient_sum,
@@ -63,6 +66,7 @@ from toricva.harness import (
     weighted_112,
 )
 from toricva.intersections import is_nef, solve_divisor, wall_values
+from toricva.lambdas import CoefficientSums
 from toricva.linalg import M, N, vec
 from toricva.semigroups import hilbert_basis
 
@@ -417,14 +421,15 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
                 assert sums.minimum(x) == rational_coefficient_sum(sums, x, False), x
                 assert sums.maximum(x) == rational_coefficient_sum(sums, x, True), x
                 if all(type(v) is int for v in x.coords):
-                    assert sums.max_value(x.coords) == sums.maximum(x).value, x
+                    assert max_value(sums, x.coords) == sums.maximum(x).value, x
             points += len(xs)
     _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
 
 
 def test_interior_points_match_box_filter_oracle(pool2, pool3):
-    # the last coordinate's interval read off the normals gives the box
-    # filter's points in the same order: seeded normals in ranks 1-4 with
+    # the last coordinate's interval read off the normals, expanded line by
+    # line, gives the box filter's points in the same order, and no line is
+    # empty: seeded normals in ranks 1-4 with
     # bounds 1-5, normals with a zero last coordinate or an empty interval,
     # and every pool dual at the default bound 5
     rng = random.Random("acceptance:interior-points")
@@ -451,10 +456,114 @@ def test_interior_points_match_box_filter_oracle(pool2, pool3):
         cases += [([f.coords for f in d.facet_normals], inst.fan.rank, 5) for d in inst.fan.duals]
     points = 0
     for normals, rank, bound in cases:
-        got = list(interior_points(normals, rank, bound))
+        lines = list(interior_points(normals, rank, bound))
+        assert all(lo <= hi for _, lo, hi in lines)
+        got = [(*head, t) for head, lo, hi in lines for t in range(lo, hi + 1)]
         assert got == box_interior_points(normals, rank, bound), (normals, rank, bound)
         points += len(got)
     _ok("interior-points", f"{len(cases)} normal sets, {points} interior points agree")
+
+
+def _line_scan(sums, normals, rank, bound, value):
+    """The failing points and the checked count of `check_interior_bound`'s
+    line scan, one line at a time."""
+    failing, checked = [], 0
+    for head, lo, hi in interior_points(normals, rank, bound):
+        checked += hi - lo + 1
+        failing += [(*head, t) for t in sums.max_below_on_line(head, lo, hi, value)]
+    return failing, checked
+
+
+def _interior_cases(pool2, pool3):
+    """(label, fan) for the pools, every builtin at the scaling-series and
+    fixture arguments, quadric3 and the rank-1 fan."""
+    line = build_fan([vec((1,), N), vec((-1,), N)], [(0,), (1,)], 1)
+    fans = [(i.label, i.fan) for i in pool2 + pool3 + _series_and_fixture_builtins()]
+    return fans + [("quadric3", quadric3_fan()), ("p1", line)]
+
+
+def test_line_scan_matches_the_per_point_reference(pool2, pool3):
+    # every dual cone of the pools, of every builtin at the scaling-series
+    # and fixture arguments (ranks 2-4), of quadric3 (whose non-simplicial
+    # cone's dual has two pieces) and of the rank-1 fan, at bounds 1-5:
+    # the certified lines give the per-point reference's failing points in
+    # the same order and the same checked count, for values that fail no
+    # point, some points and every point
+    ranks, failing, pairs = Counter(), 0, 0
+    for label, fan in _interior_cases(pool2, pool3):
+        ranks[fan.rank] += 1
+        for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
+            normals = [f.coords for f in dual.facet_normals]
+            table = interior_max_values(sums, normals, fan.rank, 5)
+            # a thin dual can hold no interior point of the box
+            seen = sorted({lam for _, lam in table}) or [1]
+            values = {0, 1, Fraction(3, 2), seen[len(seen) // 2], seen[-1] + 1}
+            values |= {v + Fraction(1, 3) for v in seen[:2]}
+            for bound in range(1, 6):
+                # a smaller box's points are the larger one's within it, in order
+                box = [(z, lam) for z, lam in table if max(map(abs, z)) <= bound]
+                for value in values:
+                    got = _line_scan(sums, normals, fan.rank, bound, value)
+                    expected = [z for z, lam in box if lam < value]
+                    assert got == (expected, len(box)), (label, ci, bound, value)
+                    failing += bool(expected)
+                    pairs += 1
+    assert set(ranks) == {1, 2, 3, 4}
+    assert failing > pairs // 4
+    _ok("interior-lines", f"{pairs} cone/bound/value scans agree, {failing} with failures")
+
+
+def test_interior_bound_reports_match_the_per_point_reference(pool2, pool3, monkeypatch):
+    # every cone of the same instances and of p2 with a perturbation that
+    # makes interior points fail, at the default bound: with each instance's
+    # sums built first and the per-point certificate refusing to run, the
+    # report's failures and checked note are the per-point reference's
+    p2 = Instance(p2_fan(), Divisor((1, 0, 0)), Divisor((-2, -2, -2)), "p2")
+    cases = pool2 + pool3 + _series_and_fixture_builtins() + [p2]
+    for inst in cases:
+        inst.fan.coefficient_sums, inst.dprime_sums
+
+    def refused(*args):
+        raise AssertionError("interior-bound certified a single point")
+
+    monkeypatch.setattr(CoefficientSums, "_certify", refused)
+    failing = 0
+    for inst in cases:
+        fan = inst.fan
+        for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
+            rep = check_interior_bound(inst, ci)
+            lmax = inst.dprime_sums[ci][1]
+            if lmax is None:
+                assert rep.notes == () and rep.failures == ()
+                continue
+            normals = [f.coords for f in dual.facet_normals]
+            table = interior_max_values(sums, normals, fan.rank, 5)
+            points = [z for z, lam in table if lam < lmax]
+            assert [f.message for f in rep.failures] == [
+                f"interior point {z} has smaller maximum sum" for z in points
+            ], (inst.label, ci)
+            assert rep.notes == (
+                f"checked {len(table)} interior lattice points with coordinate bound 5",
+            )
+            failing += bool(points)
+    assert failing > 0
+    _ok("interior-reports", f"{len(cases)} instances agree, {failing} cones with failures")
+
+
+def test_a_gap_in_the_pieces_is_an_internal_error():
+    # quadric3's non-simplicial cone has a dual of two pieces; without one
+    # of them some interior line is no longer covered
+    fan = quadric3_fan()
+    sums = CoefficientSums(fan.duals[0])
+    (cell,) = sums._max_cells
+    assert len(cell.pieces) == 2
+    normals = [f.coords for f in fan.duals[0].facet_normals]
+    assert _line_scan(sums, normals, 3, 5, 1)[1] > 0
+    for kept in cell.pieces:
+        gapped = CoefficientSums(fan.duals[0])
+        gapped._max_cells = (dataclasses.replace(cell, pieces=(kept,)),)
+        with pytest.raises(RuntimeError, match="no piece of a maximal cell holds"):
+            _line_scan(gapped, normals, 3, 5, 1)
 
 
 def test_dual_cones_match_biduality_oracle(pool2, pool3):

@@ -601,6 +601,87 @@ def test_interior_bound_defaults_to_five(capsys):
     assert "coordinate bound 5" in out
 
 
+P2_FAILING_JSON = """{
+  "command": "verify",
+  "exit_status": 0,
+  "instances": [
+    {
+      "applicable": false,
+      "conclusion": false,
+      "cones": [
+        {
+          "index": 0,
+          "lambda_max": 4,
+          "lambda_min": 4,
+          "m": null,
+          "t": null
+        }
+      ],
+      "failures": [
+        {
+          "index": 0,
+          "kind": "cone",
+          "message": "interior point (1, 1) has smaller maximum sum"
+        },
+        {
+          "index": 0,
+          "kind": "cone",
+          "message": "interior point (1, 2) has smaller maximum sum"
+        },
+        {
+          "index": 0,
+          "kind": "cone",
+          "message": "interior point (2, 1) has smaller maximum sum"
+        }
+      ],
+      "hypotheses": [
+        {
+          "detail": "",
+          "holds": true,
+          "name": "perturbation_q_cartier"
+        },
+        {
+          "detail": "",
+          "holds": false,
+          "name": "perturbation_between_zero_and_canonical"
+        }
+      ],
+      "label": "p2.json",
+      "notes": [
+        "checked 9 interior lattice points with coordinate bound 3"
+      ],
+      "statement": "interior-point-bound",
+      "status": "not_applicable"
+    }
+  ],
+  "remarks": [
+    "projectivity is not certified for hand-entered fans"
+  ],
+  "statement": "interior-bound",
+  "summary": {
+    "fail": 0,
+    "not_applicable": 1,
+    "pass": 0,
+    "total": 1
+  }
+}
+"""
+
+
+def test_interior_bound_failures_are_pinned(tmp_path, monkeypatch, capsys):
+    doc = {
+        "rank": 2,
+        "rays": [[-1, -1], [1, 0], [0, 1]],
+        "max_cones": [[1, 2], [0, 2], [0, 1]],
+        "divisors": {"D": [1, 0, 0], "Dprime": [-2, -2, -2]},
+    }
+    (tmp_path / "p2.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    args = ("verify", "interior-bound", "p2.json", "--dprime", "Dprime", "--sigma", "0")
+    code, out, err = run(capsys, *args, "--interior-bound", "3", "--json")
+    assert (code, out, err) == (0, P2_FAILING_JSON, "")
+
+
 def test_verify_choices_follow_the_statement_table():
     verify = next(
         a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction)

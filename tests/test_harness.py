@@ -21,6 +21,10 @@ from toricva.harness import (
     BUILTINS,
     MAX_BOX_POINTS,
     STATEMENTS,
+    CheckReport,
+    ConeData,
+    Failure,
+    Hypothesis,
     Instance,
     builtin,
     check_corner_containment,
@@ -219,6 +223,29 @@ def test_interior_bound_zero_perturbation():
     rep = check_interior_bound(inst, 0, bound=3)
     assert rep.status == "pass"
     assert rep.cone_data[0].lambda_max_dual == 0
+
+
+def test_interior_bound_reports_failing_points():
+    # outside the range hypothesis, lambda_max = 4 at the perturbation's
+    # local point and three interior points of the dual weigh less
+    inst = Instance(p2_fan(), Divisor((1, 0, 0)), Divisor((-2, -2, -2)), "p2")
+    rep = check_interior_bound(inst, 0, bound=3)
+    assert rep == CheckReport(
+        "interior-point-bound",
+        "p2",
+        (
+            Hypothesis("perturbation_q_cartier", True),
+            Hypothesis("perturbation_between_zero_and_canonical", False),
+        ),
+        False,
+        tuple(
+            Failure("cone", 0, f"interior point {z} has smaller maximum sum")
+            for z in ((1, 1), (1, 2), (2, 1))
+        ),
+        (ConeData(0, None, None, 4, 4),),
+        ("checked 9 interior lattice points with coordinate bound 3",),
+    )
+    assert rep.status == "not_applicable"
 
 
 def test_nonregular_bound_on_weighted_surface():

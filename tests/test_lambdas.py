@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,14 +9,18 @@ from hypothesis import strategies as st
 
 from fixtures import pointed_cones
 from oracles import (
+    interior_max_values,
     lambda_max,
     lambda_min,
     m_delta_contains,
     matches_lp_oracle,
+    max_value,
     solve_matrix,
     sum_range,
 )
+from toricva import lambdas
 from toricva.cones import cone_from_generators
+from toricva.harness import interior_points
 from toricva.lambdas import CoefficientSums
 from toricva.linalg import M, N, vec
 
@@ -58,13 +63,66 @@ def test_point_outside_cone_raises():
 
 
 def test_max_value_refuses_what_maximum_refuses():
+    # the per-point reference for the line scan refuses what `maximum` does
     sums = CoefficientSums(ncone((1, 0), (0, 1)))
-    assert sums.max_value((2, 3)) == 5 == sums.maximum(vec((2, 3), N)).value
+    assert max_value(sums, (2, 3)) == 5 == sums.maximum(vec((2, 3), N)).value
     with pytest.raises(ValueError, match="outside"):
-        sums.max_value((-1, 0))
+        max_value(sums, (-1, 0))
+    with pytest.raises(ValueError, match="outside"):
+        sums.maximum(vec((-1, 0), N))
     for z in ((1,), (1, 0, 0), ()):
         with pytest.raises(ValueError, match="ambient lattice"):
-            sums.max_value(z)
+            max_value(sums, z)
+
+
+def _bend_cells(monkeypatch, bend):
+    real = lambdas._cell
+    monkeypatch.setattr(lambdas, "_cell", lambda *args: bend(real(*args)))
+
+
+BENT_CONES = (
+    ((1, 0), (0, 1)),
+    ((1, 0), (1, 3)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1)),
+    ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
+)
+
+
+@pytest.mark.parametrize("rays", BENT_CONES)
+def test_a_bent_inverse_entry_is_refused_at_construction(monkeypatch, rays):
+    def bend(cell):
+        positions, gens, inverse, den = cell.pieces[-1]
+        row = (inverse[0][0] + 1, *inverse[0][1:])
+        piece = (positions, gens, (row, *inverse[1:]), den)
+        return dataclasses.replace(cell, pieces=(*cell.pieces[:-1], piece))
+
+    _bend_cells(monkeypatch, bend)
+    with pytest.raises(RuntimeError, match="inverse does not reproduce the point"):
+        CoefficientSums(ncone(*rays))
+
+
+@pytest.mark.parametrize("rays", BENT_CONES)
+def test_a_bent_phi_is_refused_at_construction(monkeypatch, rays):
+    def bend(cell):
+        return dataclasses.replace(cell, phi=(cell.phi[0] + 1, *cell.phi[1:]))
+
+    _bend_cells(monkeypatch, bend)
+    with pytest.raises(RuntimeError, match="do not sum to the cell's value"):
+        CoefficientSums(ncone(*rays))
+
+
+def test_a_cell_that_is_not_dual_feasible_is_refused(monkeypatch):
+    # the four-generator cone's minimal cells passed off as maximal ones:
+    # their identities hold, but a generator off each pairs with it below beta
+    c = ncone((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1))
+    sums = CoefficientSums(c)
+    for cell in sums._min_cells:
+        with pytest.raises(RuntimeError, match="not dual feasible"):
+            lambdas._check_cell(cell, c.rays, -1)
+    for cell in sums._max_cells:
+        lambdas._check_cell(cell, c.rays, -1)
+        with pytest.raises(RuntimeError, match="not dual feasible"):
+            lambdas._check_cell(cell, c.rays, 1)
 
 
 def test_truncation_membership():
@@ -180,10 +238,46 @@ def test_closed_form_matches_lp_oracle_on_seeded_cones():
         for x in points:
             assert matches_lp_oracle(sums, x), (c, x)
             if all(type(v) is int for v in x.coords):
-                assert sums.max_value(x.coords) == sums.maximum(x).value, (c, x)
+                assert max_value(sums, x.coords) == sums.maximum(x).value, (c, x)
     assert sum(kinds.values()) == 120
     assert {rank for rank, _, _ in kinds} == {2, 3, 4}
     # non-simplicial cones over a polytope, and ones whose generators need the hull
     assert sum(n for (_, simp, flat), n in kinds.items() if not simp and flat) >= 10
     assert sum(n for (_, simp, flat), n in kinds.items() if not simp and not flat) >= 20
 
+
+
+def test_line_scan_matches_the_per_point_reference_on_seeded_cones():
+    # every seeded cone (ranks 2-4, cells from the hull or one hyperplane) and
+    # rank-1 cones: the lines' points below a value are the reference's
+    cones = _seeded_cones() + [ncone((1,)), ncone((-3,))]
+    scans = 0
+    for c in cones:
+        sums = CoefficientSums(c)
+        normals = [f.coords for f in c.facet_normals]
+        bound = 3 if c.rank < 4 else 2
+        table = interior_max_values(sums, normals, c.rank, bound)
+        values = sorted({1, 2, Fraction(5, 2)} | {lam for _, lam in table[::7]})
+        for value in values:
+            got = [
+                (*head, t)
+                for head, lo, hi in interior_points(normals, c.rank, bound)
+                for t in sums.max_below_on_line(head, lo, hi, value)
+            ]
+            assert got == [z for z, lam in table if lam < value], (c, value)
+            scans += 1
+    assert scans > 500
+
+
+def test_a_line_leaving_the_cone_is_an_internal_error():
+    # on the cone over (1, 0) and (1, 2) the line x_1 = 1 holds 0 <= t <= 2;
+    # one step past either end no piece holds the point, and on the positive
+    # quadrant no point of the line x_1 = -1
+    with pytest.raises(RuntimeError, match=r"holds the lattice point \(-1, 0\)"):
+        CoefficientSums(ncone((1, 0), (0, 1))).max_below_on_line((-1,), 0, 1, 1)
+    sums = CoefficientSums(ncone((1, 0), (1, 2)))
+    assert sums.max_below_on_line((1,), 0, 2, 2) == [0, 1, 2]
+    assert sums.max_below_on_line((1,), 0, 2, 1) == []
+    for lo, hi, point in ((-1, 2, r"\(1, -1\)"), (0, 3, r"\(1, 3\)")):
+        with pytest.raises(RuntimeError, match=f"holds the lattice point {point}"):
+            sums.max_below_on_line((1,), lo, hi, 2)
