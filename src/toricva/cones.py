@@ -3,11 +3,14 @@
 A Cone eagerly stores both its primitive extreme rays and its primitive
 inner facet normals.  Cones of lower dimension than the ambient lattice
 additionally carry span equations, so membership tests stay a matter of
-evaluating pairings.  One subset scan, `extreme_rays`, turns inequalities
-into generators; its one caller here, `cone_from_generators`, reads the facet
-normals off it (the dual's rays, which also decide pointedness without an
-LP).  A full-dimensional cone's dual needs no scan: `dual_cone`
-swaps the two descriptions.  The scan suits desk scale only: it solves
+evaluating pairings.  `cone_from_generators` does work in proportion to
+the cone: a full-dimensional simplicial cone costs one
+`integer_left_inverse`, whose columns are its facet normals.  Any other
+cone reads its facet normals off the one subset scan, `extreme_rays` (the
+dual's rays, which also decide pointedness without an LP), and its
+extreme rays off the normals tight on each generator (the tight-set
+rule).  A full-dimensional cone's dual needs no scan: `dual_cone` swaps
+the two descriptions.  The scan suits desk scale only: it solves
 C(m, rank - 1) systems for m inequalities, and refuses more than
 `MAX_SCAN_SUBSETS` before it starts.
 `triangulate` splits a cone into simplicial cones on its own rays, for
@@ -24,6 +27,7 @@ from operator import mul
 from .linalg import (
     Vec,
     dual_ambient,
+    integer_left_inverse,
     lattice_index,
     matrix_rank,
     nullspace,
@@ -114,6 +118,20 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
 
     Raises ValueError on an empty list or a zero generator, and NotPointed
     on a non-pointed generating set.
+
+    Rank many distinct primitive generators with no span equation are a
+    basis: each is extreme, the cone is pointed, and column j of the
+    inverse of the matrix with rows g_i pairs to 0 with every g_i but g_j
+    and positively with g_j, so the primitive columns are the facet normals.
+
+    Any other cone scans for its facet normals and reads extremality off
+    tight sets, tight(x) being the indices of the normals vanishing at x.
+    The normals in tight(g) cut out the smallest face through g, within the
+    span for a lower-dimensional cone (Ziegler, Lectures on Polytopes,
+    1995, section 2.2), and that face is generated by the generators it
+    holds: the h with tight(h) containing tight(g).  So it is the ray
+    through g exactly when no other generator h has tight(h) containing
+    tight(g).
     """
     gens = list(gens)
     if not gens:
@@ -125,21 +143,21 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     if any(g.is_zero for g in gens):
         raise ValueError("zero generator")
     prim = sorted({primitivize(g) for g in gens}, key=lambda v: v.coords)
+    eqs = perp_basis(prim)
+    if not eqs and len(prim) == rank:
+        inv, _ = integer_left_inverse([g.coords for g in prim])
+        normals = (primitivize(Vec(col, dual_ambient(amb))) for col in zip(*inv))
+        return Cone(amb, rank, tuple(prim), _sorted_vecs(normals), ())
 
     # The facet normals are the rays of the dual, taken orthogonal to the
     # span equations; the cone is pointed iff they span that complement.
-    eqs = perp_basis(prim)
     normals = extreme_rays(prim, eqs, dual_ambient(amb))
     if matrix_rank([list(f.coords) for f in normals]) != rank - len(eqs):
         raise NotPointed("not pointed")
-
-    eq_rows = [list(e.coords) for e in eqs]
-    extreme = []
-    for g in prim:
-        tight = [list(f.coords) for f in normals if pair(f, g) == 0]
-        if len(nullspace(tight + eq_rows, rank)) == 1:
-            extreme.append(g)
-    return Cone(amb, rank, _sorted_vecs(extreme), normals, _sorted_vecs(eqs))
+    tight = [{i for i, f in enumerate(normals) if pair(f, g) == 0} for g in prim]
+    # g's own tight set is the only one containing it
+    extreme = [g for g, t in zip(prim, tight) if sum(t <= u for u in tight) == 1]
+    return Cone(amb, rank, tuple(extreme), normals, _sorted_vecs(eqs))
 
 
 def contains(c: Cone, x: Vec) -> bool:

@@ -3,9 +3,9 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toricva.cones import cone_from_generators
+from toricva.cones import Cone, cone_from_generators
 from toricva.fans import build_fan
-from toricva.linalg import N, matrix_rank, vec
+from toricva.linalg import N, matrix_rank, primitivize, vec
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -52,6 +52,27 @@ def pointed_cones(draw, rank=None):
 
 def nvecs(*coords):
     return [vec(c, N) for c in coords]
+
+
+def cone_outcome(build, gens):
+    """build(gens), or the type and message of the ValueError it raises, so
+    that a cone kernel and its reference compare in one equality."""
+    try:
+        return build(list(gens))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def cone_path(gens, outcome) -> str:
+    """The refusal's type name, or which path of `cone_from_generators`
+    built the cone: "simplicial" for rank many distinct primitive
+    generators with no span equation, "scanned" for any other
+    full-dimensional cone, "lower" otherwise."""
+    if not isinstance(outcome, Cone):
+        return outcome[0].__name__
+    if not outcome.is_full_dim:
+        return "lower"
+    return "simplicial" if len({primitivize(g) for g in gens}) == outcome.rank else "scanned"
 
 
 def p2_fan():

@@ -42,7 +42,11 @@ the lifted points.  The fan reference intersects every pair of maximal
 cones and asks for a common face, where `fans.build_fan` reads the
 covering degree off one point.  The dual-cone reference rebuilds each
 dual by the extreme-ray scan and checks biduality, where
-`cones.dual_cone` swaps the two descriptions.  `walls_of` flips each wall
+`cones.dual_cone` swaps the two descriptions.
+`reference_cone_from_generators` scans for the facet normals of every
+cone and asks one nullspace per generator whether it is extreme, where
+`cones.cone_from_generators` inverts a simplicial cone's generators and
+compares tight sets.  `walls_of` flips each wall
 to its cone's side, and the cone minima evaluate each there, where
 `harness` reads one value per wall.  `lambda_min` and `lambda_max` build
 a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
@@ -59,6 +63,7 @@ from operator import le
 from toricva.cones import (
     Cone,
     NotPointed,
+    _sorted_vecs,
     cone_from_generators,
     contains,
     dual_cone,
@@ -77,8 +82,10 @@ from toricva.linalg import (
     _norm_coord,
     dual_ambient,
     is_primitive,
+    matrix_rank,
     nullspace,
     pair,
+    perp_basis,
     primitivize,
     vec,
 )
@@ -683,6 +690,34 @@ def subset_vertices(halfspaces) -> tuple[Vec, ...]:
         if all(pair(u, v) >= -d for v, d in halfspaces):
             verts.add(u)
     return tuple(sorted(verts, key=lambda v: v.coords))
+
+
+def reference_cone_from_generators(gens: list[Vec]) -> Cone:
+    """Reference for `cones.cone_from_generators`: facet normals by the
+    extreme-ray scan for every cone, simplicial ones included, pointedness by
+    their rank, and each generator extreme when the normals tight on it and
+    the span equations leave a one-dimensional nullspace."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("cone needs at least one generator")
+    amb = gens[0].ambient
+    rank = gens[0].rank
+    if any(g.ambient != amb or g.rank != rank for g in gens):
+        raise ValueError("generators must share ambient and rank")
+    if any(g.is_zero for g in gens):
+        raise ValueError("zero generator")
+    prim = sorted({primitivize(g) for g in gens}, key=lambda v: v.coords)
+    eqs = perp_basis(prim)
+    normals = extreme_rays(prim, eqs, dual_ambient(amb))
+    if matrix_rank([list(f.coords) for f in normals]) != rank - len(eqs):
+        raise NotPointed("not pointed")
+    eq_rows = [list(e.coords) for e in eqs]
+    extreme = []
+    for g in prim:
+        tight = [list(f.coords) for f in normals if pair(f, g) == 0]
+        if len(nullspace(tight + eq_rows, rank)) == 1:
+            extreme.append(g)
+    return Cone(amb, rank, _sorted_vecs(extreme), normals, _sorted_vecs(eqs))
 
 
 def reference_dual_cone(c: Cone) -> Cone:

@@ -13,7 +13,16 @@ from itertools import product
 
 import pytest
 
-from fixtures import BUILTIN_ARGS, p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
+from fixtures import (
+    BUILTIN_ARGS,
+    cone_outcome,
+    cone_path,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+    quadric3_fan,
+)
 from oracles import (
     box_interior_points,
     box_scan_generation,
@@ -28,6 +37,7 @@ from oracles import (
     poly_contains,
     polytope,
     rational_coefficient_sum,
+    reference_cone_from_generators,
     reference_hilbert_basis,
     reference_dual_cone,
     semigroup_member,
@@ -39,7 +49,8 @@ from oracles import (
     wall_value,
     walls_of,
 )
-from toricva.cones import classify, cone_from_generators, contains, dual_cone
+from toricva import cones, fans, hulls, lambdas
+from toricva.cones import classify, cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import (
     Divisor,
     NotQCartier,
@@ -593,6 +604,54 @@ def test_dual_cones_match_biduality_oracle(pool2, pool3):
         assert dual_cone(c) == reference_dual_cone(c), c
     assert any(len(c.rays) > c.rank for c in cones)
     _ok("dual-oracle", f"{len(cones)} duals agree with the biduality rebuild")
+
+
+def test_cone_kernel_matches_the_reference_on_every_cone_it_builds(monkeypatch):
+    # every generator set the kernel is given while the 130:30 pools (hull
+    # draws accepted and rejected), every builtin at the scaling-series and
+    # fixture arguments and quadric3 are built, and while their cones and
+    # duals are triangulated and their coefficient sums built
+    seen, callers = {}, Counter()
+    real = cones.cone_from_generators
+    for module in (cones, fans, hulls, lambdas):
+
+        def recording(gens, module=module):
+            seen.setdefault(tuple(gens), module.__name__)
+            return real(gens)
+
+        monkeypatch.setattr(module, "cone_from_generators", recording)
+    instances = [random_instance(2, s) for s in range(130)]
+    instances += [random_instance(3, s) for s in range(30)]
+    all_fans = [inst.fan for inst in instances + _series_and_fixture_builtins()]
+    all_fans.append(quadric3_fan())
+    for fan in all_fans:
+        fan.coefficient_sums
+        for c in fan.cones + fan.duals:
+            triangulate(c)
+    monkeypatch.undo()
+    for gens, caller in seen.items():
+        got = cone_outcome(cone_from_generators, gens)
+        assert got == cone_outcome(reference_cone_from_generators, gens), gens
+        callers[caller, cone_path(gens, got)] += 1
+    # maximal cones by inversion; hulls and quadric3's cone by the scan;
+    # triangulation faces below full dimension
+    assert callers["toricva.fans", "simplicial"] > 500
+    assert callers["toricva.fans", "scanned"] and callers["toricva.hulls", "scanned"] > 150
+    assert callers["toricva.hulls", "simplicial"] and callers["toricva.cones", "lower"]
+    _ok("cone-oracle", f"{len(seen)} generator sets agree with the reference")
+
+
+def test_pool_and_builtin_fans_build_without_the_facet_scan(pool2, pool3, monkeypatch):
+    # every maximal cone there is simplicial, so build_fan never scans
+    built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
+
+    def refused(*args):
+        raise AssertionError("scanned a simplicial cone")
+
+    monkeypatch.setattr(cones, "extreme_rays", refused)
+    for fan in built:
+        assert build_fan(fan.rays, fan.max_cones, fan.rank) == fan
+    _ok("simplicial-fans", f"{len(built)} fans built without a facet scan")
 
 
 def test_cone_minima_match_flipped_wall_oracle(pool2, pool3):

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import in_nonneg_span, intersect_cones, is_face, lp_pointed, strictly_inside
-from toricva.cones import NotPointed, classify, cone_from_generators, contains, dual_cone
+from fixtures import cone_outcome, cone_path
+from oracles import (
+    in_nonneg_span,
+    intersect_cones,
+    is_face,
+    lp_pointed,
+    reference_cone_from_generators,
+    strictly_inside,
+)
+from toricva.cones import Cone, NotPointed, classify, cone_from_generators, contains, dual_cone
 from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
 
 
@@ -230,3 +238,89 @@ def test_intersect_cones_matches_membership(rank):
         for x in sample_points(rng, rank, list(a.rays + b.rays), count=12):
             assert contains(f, x) == (contains(a, x) and contains(b, x)), (a, b, x)
     assert lower, "expected some lower-dimensional intersections"
+
+
+def matches_reference(gens):
+    """The kernel's Cone (rays, facet normals and span equations, in order)
+    or refusal equals the reference's; returns it."""
+    got = cone_outcome(cone_from_generators, gens)
+    assert got == cone_outcome(reference_cone_from_generators, gens), gens
+    return got
+
+
+def test_cone_from_generators_matches_the_reference_in_rank_1():
+    # every nonempty set of these generators; random_generators can draw a
+    # zero basis in rank 1 and then never returns
+    kinds = Counter()
+    for size in range(1, 5):
+        for gens in itertools.combinations((-2, -1, 1, 3), size):
+            gens = nvecs(*((g,) for g in gens))
+            kinds[cone_path(gens, matches_reference(gens))] += 1
+    assert kinds == {"simplicial": 6, "NotPointed": 9}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_cone_from_generators_matches_the_reference_on_seeded_sets(rank):
+    # the generator sets of the LP-oracle test above, also at rank 5
+    rng = random.Random(f"cone_from_generators:{rank}")
+    kinds = Counter()
+    for _ in range(60):
+        gens = random_generators(rng, rank)
+        outcome = matches_reference(gens)
+        kinds[cone_path(gens, outcome)] += 1
+        if isinstance(outcome, Cone):
+            sample_points(rng, rank, gens)  # the LP test's draws, so its sets recur
+    assert all(kinds[k] for k in ("NotPointed", "simplicial", "scanned", "lower")), kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones(), st.lists(st.lists(small, min_size=3, max_size=3), max_size=3))
+def test_cone_from_generators_matches_the_reference_on_pointed_cones(c, extra):
+    # the rays alone, with extra generators (redundant, new rays or a line)
+    # and the dual's generators
+    extras = [vec(e[: c.rank], N) for e in extra if any(e[: c.rank])]
+    for gens in (list(c.rays), list(c.rays) + extras, list(c.facet_normals)):
+        matches_reference(gens)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_cube_facet_cones_match_the_reference(rank):
+    gens = [vec(v, N) for v in itertools.product((-1, 1), repeat=rank) if v[0] == 1]
+    c = matches_reference(gens)
+    assert len(c.rays) == 2 ** (rank - 1) and len(c.facet_normals) == 2 * (rank - 1)
+
+
+PYRAMID = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [(1, 1, 2)],  # on the 2-face spanned by (1, 0, 1) and (0, 1, 1)
+        [(1, 1, 2), (2, 1, 3)],  # two generators inside that 2-face
+        [(0, 0, 1)],  # interior
+        [(0, 0, 1), (1, 1, 2), (-1, -1, 2)],
+    ],
+)
+def test_tight_sets_drop_non_extreme_generators_of_the_square_pyramid(extra):
+    c = matches_reference(nvecs(*PYRAMID, *extra))
+    assert sorted(r.coords for r in c.rays) == sorted(PYRAMID)
+    assert len(c.facet_normals) == 4
+
+
+def test_tight_sets_on_equal_tight_sets_single_rays_and_lower_dimensions():
+    # two generators inside one 2-face of the orthant share their tight set
+    orthant = nvecs((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    c = matches_reference(orthant + nvecs((1, 1, 0, 0), (1, 2, 0, 0)))
+    assert len(c.rays) == 4
+    # the two alone span a 2-dimensional cone, both extreme
+    c = matches_reference(nvecs((1, 1, 0, 0), (1, 2, 0, 0)))
+    assert [r.coords for r in c.rays] == [(1, 1, 0, 0), (1, 2, 0, 0)] and c.dim == 2
+    c = matches_reference(nvecs((2, 4, 6)))
+    assert [r.coords for r in c.rays] == [(1, 2, 3)] and c.dim == 1
+    c = matches_reference(nvecs((3,)))
+    assert [r.coords for r in c.rays] == [(1,)] and c.is_full_dim
+    c = matches_reference(nvecs((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)))
+    assert [r.coords for r in c.rays] == [(0, 1, 0), (1, 0, 0)] and c.dim == 2
+    assert c.span_equations == (vec((0, 0, 1), M),)
+
