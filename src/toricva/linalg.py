@@ -18,9 +18,10 @@ All elimination goes through two kernels:
   of the fan, so it is answered by that matrix's `integer_left_inverse`,
   built once, and a consistency check.  (The rational Gauss-Jordan of the test oracles is the reference
   for `_echelon` and for every solve.)
-- `diagonalize_int`, an integer factorization W = P @ D @ Q with P and Q
-  unimodular.  `lattice_index` and the parallelepiped enumeration in
-  `semigroups` are built on it.
+- `hermite_int`, a row-Hermite reduction W = P @ [T; 0] by Euclid row
+  steps alone, P unimodular and T upper triangular (Schrijver, Theory of
+  Linear and Integer Programming, 1986, 4.1).  `lattice_index` and the
+  parallelepiped enumeration in `semigroups` are built on it.
 """
 
 from __future__ import annotations
@@ -245,87 +246,37 @@ def perp_basis(vecs: list[Vec]) -> list[Vec]:
     return [Vec(coords, amb) for coords in nullspace([v.coords for v in vecs], vecs[0].rank)]
 
 
-def diagonalize_int(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Factor an integer matrix as W = P @ D @ Q with P, Q unimodular, D diagonal.
+def hermite_int(mat) -> tuple[list[list[int]], list[int]]:
+    """Row-Hermite reduction W = P @ [T; 0] of an n x k integer matrix, k <= n,
+    as (P, t): P is unimodular and T upper triangular with diagonal t, which
+    holds a 0 exactly when the columns are dependent.
 
-    Plain integer diagonalization by gcd row/column steps; D's entries are
-    not forced into a divisibility chain, which no caller here needs.
+    Euclid row steps clear each column below the diagonal, each mirrored on
+    P's columns so that P @ [T; 0] stays the input.  With no column steps,
+    T Z^k x 0 is P^-1 W Z^k, so P maps it onto W Z^k and, when no t_i is 0,
+    Z^k x 0 onto the lattice points of span(W).
     """
-    w = [[int(x) for x in row] for row in mat]
-    m = len(w)
-    n = len(w[0]) if w else 0
-    p = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    # Row op on w is matched by the inverse op on p's columns, so that
-    # p @ w @ q stays equal to the input throughout.
-    def row_swap(i, j):
-        w[i], w[j] = w[j], w[i]
-        for r in p:
-            r[i], r[j] = r[j], r[i]
-
-    def row_add(dst, src, k):  # w[dst] += k*w[src]
-        w[dst] = [a + k * b for a, b in zip(w[dst], w[src])]
-        for r in p:
-            r[src] -= k * r[dst]
-
-    def col_swap(i, j):
-        for r in w:
-            r[i], r[j] = r[j], r[i]
-        q[i], q[j] = q[j], q[i]
-
-    def col_add(dst, src, k):  # col dst += k*col src
-        for r in w:
-            r[dst] += k * r[src]
-        q[src] = [a - k * b for a, b in zip(q[src], q[dst])]
-
-    def row_negate(i):
-        w[i] = [-a for a in w[i]]
-        for r in p:
-            r[i] = -r[i]
-
-    for k in range(min(m, n)):
-        while True:
-            # Move the smallest nonzero of the trailing block to (k, k).
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if w[i][j] != 0 and (best is None or abs(w[i][j]) < abs(w[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            if bi != k:
-                row_swap(k, bi)
-            if bj != k:
-                col_swap(k, bj)
-            if w[k][k] < 0:
-                row_negate(k)
-            dirty = False
-            for i in range(k + 1, m):
-                if w[i][k] != 0:
-                    qq = w[i][k] // w[k][k]
-                    row_add(i, k, -qq)
-                    if w[i][k] != 0:
-                        dirty = True
-            for j in range(k + 1, n):
-                if w[k][j] != 0:
-                    qq = w[k][j] // w[k][k]
-                    col_add(j, k, -qq)
-                    if w[k][j] != 0:
-                        dirty = True
-            if not dirty:
-                break
-    return p, w, q
+    w = [list(map(int, row)) for row in mat]
+    n = len(w)
+    k = len(w[0]) if w else 0
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(k):
+        for i in range(c + 1, n):
+            while w[i][c]:
+                # (row c, row i) <- (row i, row c - q row i)
+                q = w[c][c] // w[i][c]
+                w[c], w[i] = w[i], [a - q * b for a, b in zip(w[c], w[i])]
+                for r in p:
+                    r[c], r[i] = q * r[c] + r[i], r[c]
+    return p, [w[c][c] for c in range(k)]
 
 
 def lattice_index(cols) -> int:
     """Index of the lattice spanned by k <= rank integer columns in the
-    lattice points of their span: the product of |D_ii| from
-    `diagonalize_int`.
+    lattice points of their span: |t_1 ... t_k| for t the diagonal of
+    `hermite_int`.
 
     It is |det| for k = rank, so 1 exactly for a lattice basis, and 0 when
     the columns are dependent.
     """
-    _, d, _ = diagonalize_int([list(row) for row in zip(*cols)])
-    return prod(abs(d[i][i]) for i in range(len(cols)))
+    return abs(prod(hermite_int(list(zip(*cols)))[1]))

@@ -19,10 +19,10 @@ the second ray.
 Every other cone is triangulated, and the lattice points of the half-open
 fundamental parallelepiped of every simplicial piece, with the rays, are
 the candidates.  The parallelepiped points come from the two linalg
-kernels: `diagonalize_int` lists one lattice point per class modulo the
-piece's generators, and `integer_left_inverse` (den times the left
-inverse, read off the fraction-free `_echelon`) reduces each into the
-parallelepiped in integer arithmetic.  The candidates are visited in order
+kernels: the Hermite reduction `hermite_int` lists one lattice point per
+class modulo the piece's generators, and `integer_left_inverse` (den times
+the left inverse, read off the fraction-free `_echelon`) reduces each into
+the parallelepiped in integer arithmetic.  The candidates are visited in order
 of their level sum on the facet normals, a positive grading, and each is
 kept unless a basis element found before it lies below it on every
 normal.  A piece has as many parallelepiped points as its lattice index,
@@ -37,24 +37,26 @@ from math import prod
 from operator import le, mul
 
 from .cones import Cone, triangulate
-from .linalg import Vec, diagonalize_int, integer_left_inverse, lattice_index
+from .linalg import Vec, hermite_int, integer_left_inverse, lattice_index
 
 
 def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
     """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i.
 
-    With W = P @ D @ Q (the g_i as columns), the lattice points of the span
-    are P @ (Z^k, 0) and the g_i span P @ (D Z^k, 0), so the points
-    P @ (kappa, 0) with 0 <= kappa_i < |D_ii| meet every class once.  Taking
-    the fractional parts of each one's coordinates in the g_i moves it into
-    the parallelepiped.  Full- and lower-dimensional pieces go the same way.
+    With W = P @ [T; 0] (the g_i as columns, T upper triangular with
+    diagonal t), the lattice points of the span are P @ (Z^k, 0) and the g_i
+    span P @ (T Z^k, 0).  T is triangular, so the box 0 <= y_i < |t_i| meets
+    every class of Z^k modulo T Z^k once, and the points P @ (y, 0) meet
+    every class modulo the g_i once.  Taking the fractional parts of each
+    one's coordinates in the g_i moves it into the parallelepiped.  Full-
+    and lower-dimensional pieces go the same way.
     """
     n = gens[0].rank
     k = len(gens)
     amb = gens[0].ambient
     w = [[g.coords[i] for g in gens] for i in range(n)]
-    p_mat, d_mat, _ = diagonalize_int(w)
-    dets = [abs(d_mat[i][i]) for i in range(k)]
+    p_mat, t = hermite_int(w)
+    dets = [abs(x) for x in t]
     vol = prod(dets)
     if vol == 0:
         raise ValueError("generators are linearly dependent")
@@ -62,8 +64,8 @@ def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
     # the fractional parts of the coordinates is den * L @ z modulo den.
     w_inv, den = integer_left_inverse(w)
     out = []
-    for kappa in product(*[range(d) for d in dets]):
-        z = [sum(map(mul, row[:k], kappa)) for row in p_mat]
+    for y in product(*[range(d) for d in dets]):
+        z = [sum(map(mul, row[:k], y)) for row in p_mat]
         frac = [sum(map(mul, row, z)) % den for row in w_inv]
         x = [sum(map(mul, frac, row)) for row in w]
         if any(xi % den for xi in x):

@@ -25,6 +25,7 @@ from fixtures import (
 )
 from oracles import (
     box_interior_points,
+    box_parallelepiped_points,
     box_scan_generation,
     cone_minima,
     edge_lengths,
@@ -79,7 +80,7 @@ from toricva.harness import (
 from toricva.intersections import is_nef, solve_divisor, wall_values
 from toricva.lambdas import CoefficientSums
 from toricva.linalg import M, N, vec
-from toricva.semigroups import hilbert_basis
+from toricva.semigroups import _parallelepiped_points, hilbert_basis
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +337,22 @@ def test_hilbert_bases_match_the_reference_on_pool_and_builtin_duals(pool2, pool
     for dual in duals:
         assert hilbert_basis(dual) == reference_hilbert_basis(dual), dual
     _ok("hilbert-oracle", f"{len(duals)} dual cones agree with the parallelepiped scan")
+
+
+def test_parallelepiped_points_match_box_scan_on_pool_and_builtin_duals(pool2, pool3):
+    # every simplicial piece of every dual cone of the pools, of every
+    # builtin at the scaling-series and fixture arguments and of quadric3,
+    # each distinct piece once: the enumeration against the lattice-box scan
+    fans = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
+    pieces = {p for fan in fans + [quadric3_fan()] for d in fan.duals for p in triangulate(d)}
+    assert len(pieces) == 540
+    points = 0
+    for piece in pieces:
+        got = _parallelepiped_points(piece)
+        assert len(got) == len(set(got))
+        assert set(got) == set(box_parallelepiped_points(piece)), piece
+        points += len(got)
+    _ok("parallelepiped-oracle", f"{len(pieces)} pieces, {points} points agree with the box scan")
 
 
 def test_offset_table_matches_the_rational_polytope(pool2, pool3):

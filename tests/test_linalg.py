@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from toricva.linalg import (
     Vec,
     _echelon,
     _ratio,
-    diagonalize_int,
     dual_ambient,
+    hermite_int,
     integer_left_inverse,
     is_primitive,
     lattice_index,
@@ -165,23 +166,47 @@ def test_lattice_index_matches_permutation_expansion(mat):
     assert lattice_index(mat) == abs(_det_permutation(mat))
 
 
-@settings(max_examples=60)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-)
-def test_diagonalize_reconstructs(mat):
-    p, d, q = diagonalize_int(mat)
-    n = len(mat)
+@st.composite
+def tall_matrices(draw):
+    """n x k integer matrices, k <= n <= 4, whose last column is sometimes
+    an integer combination of the others, so dependent columns occur."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=n))
+    mat = draw(st.lists(st.lists(ints, min_size=k, max_size=k), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        for row in mat:
+            row[-1] = sum(c * x for c, x in zip(coeffs, row))
+    return mat
+
+
+@settings(max_examples=100)
+@given(tall_matrices())
+def test_hermite_reconstructs(mat):
+    n, k = len(mat), len(mat[0])
+    p, t = hermite_int(mat)
     assert abs(_det_permutation(p)) == 1
-    assert abs(_det_permutation(q)) == 1
+    # [T; 0] = P^-1 W, one column at a time by the rational oracle solve
+    cols = [solve_matrix(p, [row[j] for row in mat]).solution for j in range(k)]
+    tz = [[cols[j][i] for j in range(k)] for i in range(n)]
+    assert all(x.denominator == 1 for row in tz for x in row)
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-            got = sum(p[i][k] * d[k][l] * q[l][j] for k in range(n) for l in range(n))
-            assert got == mat[i][j]
+        for j in range(k):
+            if i > j:
+                assert tz[i][j] == 0
+            assert sum(p[i][l] * tz[l][j] for l in range(n)) == mat[i][j]
+    assert t == [tz[i][i] for i in range(k)]
+    assert (0 in t) == (matrix_rank(mat) < k)
+
+
+@settings(max_examples=100)
+@given(tall_matrices())
+def test_lattice_index_is_the_gcd_of_maximal_minors(mat):
+    # the index of W Z^k in the lattice points of its span is the gcd of
+    # the k x k minors of W, and 0 for dependent columns
+    k = len(mat[0])
+    minors = [_det_permutation([mat[i] for i in rows]) for rows in combinations(range(len(mat)), k)]
+    assert lattice_index([list(col) for col in zip(*mat)]) == gcd(*minors)
 
 
 def test_lattice_index_of_fewer_columns():
