@@ -32,6 +32,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .divisors import Divisor, NotQCartier, canonical_divisor, in_shifted_polytope
@@ -79,6 +80,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _enc_scalar(x):
+    if type(x) is int:  # not bool, which encodes as 0 or 1
+        return x
     f = Fraction(x)
     if f.denominator == 1:
         return int(f)
@@ -546,7 +549,13 @@ def cmd_examples(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: `main` may run many times in one process.  Callers must not mutate
+    it.  Parsing fills a fresh namespace each time, and usage errors read
+    sys.stderr when raised, so nothing carries over from one call to the
+    next."""
     parser = _Parser(prog="toricva", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

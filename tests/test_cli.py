@@ -690,6 +690,61 @@ def test_verify_choices_follow_the_statement_table():
     assert statement.choices == list(STATEMENTS)
 
 
+def run_exiting(capsys, *argv):
+    """run(), with an argparse exit read as its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_builds_its_parser_once(weighted_input, capsys, monkeypatch):
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    commands = [
+        ("examples",),
+        ("analyze", weighted_input, "--json"),
+        ("verify", "nef", weighted_input),
+        ("hilbert", weighted_input, "--sigma", "0"),
+        ("verify", "bogus"),
+    ]
+    for _ in range(3):
+        for argv in commands:
+            assert run_exiting(capsys, *argv)[0] == (1 if argv[-1] == "bogus" else 0)
+    # The root parser and one subparser per subcommand, all in the first call.
+    assert len(built) == 5
+    assert built[0] == "toricva"
+
+
+def test_shared_parser_carries_nothing_between_calls(weighted_input, capsys):
+    commands = [
+        ("verify", "wall-bound", weighted_input, "--sigma", "0", "--r", "1", "--json"),
+        ("verify", "wall-bound", weighted_input, "--json"),
+        ("verify", "nef", "--fuzz", "2", "0", "1"),
+        ("verify", "bogus"),
+        ("verify", "--help"),
+        ("hilbert", weighted_input, "--sigma", "0", "--d", "D", "--json"),
+        ("analyze", weighted_input, "--very-ample"),
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_exiting(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(run_exiting(capsys, *argv))
+    assert [r[0] for r in shared] == [0, 0, 0, 1, 0, 0, 0]
+    assert shared == fresh
+
+
 def test_verify_text_tallies_hypothesis_rejections(capsys):
     code, out, err = run(capsys, "verify", "generation", "--builtin", "projective_space(2,2)")
     assert code == 0
