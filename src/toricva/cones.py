@@ -4,24 +4,30 @@ A Cone eagerly stores both its primitive extreme rays and its primitive
 inner facet normals.  Cones of lower dimension than the ambient lattice
 additionally carry span equations, so membership tests stay a matter of
 evaluating pairings.  `cone_from_generators` does work in proportion to
-the cone: a full-dimensional simplicial cone costs one
-`integer_left_inverse`, whose columns are its facet normals.  Any other
+the cone: rank many generators cost one `integer_left_inverse`, which also
+decides whether they are independent.  If they are, its columns are the
+facet normals, and the cone keeps it as `Cone.inverse`; its dual derives
+its own from it with no elimination, and so the fan's local data, the
+coefficient sums and the Hilbert bases on the dual need none.  Any other
 cone reads its facet normals off the one subset scan, `extreme_rays` (the
 dual's rays, which also decide pointedness without an LP), and its
 extreme rays off the normals tight on each generator (the tight-set
 rule).  A full-dimensional cone's dual needs no scan: `dual_cone` swaps
-the two descriptions.  The scan suits desk scale only: it solves
+the two descriptions, and an inverse derived without elimination is
+checked where it is made.  The scan suits desk scale only: it solves
 C(m, rank - 1) systems for m inequalities, and refuses more than
 `MAX_SCAN_SUBSETS` before it starts.
 `triangulate` splits a cone into simplicial cones on its own rays, for
-Hilbert bases and for the witnesses of coefficient sums.
+Hilbert bases and for the witnesses of coefficient sums; `piece_inverse`
+gives each piece's inverse, the cone's own when the piece is the cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from operator import mul
 
 from .linalg import (
@@ -52,6 +58,17 @@ class Cone:
     @property
     def is_full_dim(self) -> bool:
         return not self.span_equations
+
+    # Not a field, so equality and hashing ignore it.
+    @cached_property
+    def inverse(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(den * L, den) with L @ R = I for R the matrix with the rays as
+        rows: an integer matrix and its least common denominator.  Defined
+        for full-dimensional cones.  `cone_from_generators` and `dual_cone`
+        fill it in for a simplicial cone from the elimination that built it;
+        any other cone runs one `integer_left_inverse` on first use."""
+        scaled, den = integer_left_inverse([r.coords for r in self.rays])
+        return tuple(map(tuple, scaled)), den
 
     def __repr__(self):
         rays = ", ".join(repr(r) for r in self.rays)
@@ -119,10 +136,12 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     Raises ValueError on an empty list or a zero generator, and NotPointed
     on a non-pointed generating set.
 
-    Rank many distinct primitive generators with no span equation are a
+    Rank many distinct primitive generators are inverted first, and the
+    inversion fails exactly when they are dependent.  Otherwise they are a
     basis: each is extreme, the cone is pointed, and column j of the
     inverse of the matrix with rows g_i pairs to 0 with every g_i but g_j
     and positively with g_j, so the primitive columns are the facet normals.
+    The cone keeps the inverse.
 
     Any other cone scans for its facet normals and reads extremality off
     tight sets, tight(x) being the indices of the normals vanishing at x.
@@ -143,12 +162,18 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     if any(g.is_zero for g in gens):
         raise ValueError("zero generator")
     prim = sorted({primitivize(g) for g in gens}, key=lambda v: v.coords)
-    eqs = perp_basis(prim)
-    if not eqs and len(prim) == rank:
-        inv, _ = integer_left_inverse([g.coords for g in prim])
-        normals = (primitivize(Vec(col, dual_ambient(amb))) for col in zip(*inv))
-        return Cone(amb, rank, tuple(prim), _sorted_vecs(normals), ())
+    if len(prim) == rank:
+        try:
+            scaled, den = integer_left_inverse([g.coords for g in prim])
+        except ValueError:
+            pass  # dependent generators: their span equations decide below
+        else:
+            normals = (primitivize(Vec(col, dual_ambient(amb))) for col in zip(*scaled))
+            c = Cone(amb, rank, tuple(prim), _sorted_vecs(normals), ())
+            c.__dict__["inverse"] = (tuple(map(tuple, scaled)), den)
+            return c
 
+    eqs = perp_basis(prim)
     # The facet normals are the rays of the dual, taken orthogonal to the
     # span equations; the cone is pointed iff they span that complement.
     normals = extreme_rays(prim, eqs, dual_ambient(amb))
@@ -169,12 +194,41 @@ def contains(c: Cone, x: Vec) -> bool:
     )
 
 
+def check_inverse(inverse, den: int, rays, name: str) -> None:
+    """Raise RuntimeError naming `name` unless inverse @ R = den * I, for R
+    the matrix with the rays as rows."""
+    columns = list(zip(*(r.coords for r in rays)))
+    for i, row in enumerate(inverse):
+        for j, col in enumerate(columns):
+            if sum(map(mul, row, col)) != (den if i == j else 0):
+                raise RuntimeError(f"internal: {name}: the inverse does not invert the rays")
+
+
 def dual_cone(c: Cone) -> Cone:
     """Dual of a full-dimensional pointed cone, read off c: its rays are c's
-    facet normals and its facet normals c's rays."""
+    facet normals and its facet normals c's rays.
+
+    A simplicial c hands its inverse on.  With (den * L, den) = c.inverse,
+    column j of den * L is g_j n_j, for n_j the dual ray it spans and
+    g_j = gcd of the column, and it pairs to den with r_j and to 0 with every
+    other ray of c.  So g_j r_j / den pairs to 1 with n_j and to 0 with every
+    other dual ray: these are the columns of the dual's inverse, in the
+    dual's ray order, brought to their least common denominator."""
     if not c.is_full_dim:
         raise ValueError("dual_cone requires a full-dimensional cone")
-    return Cone(dual_ambient(c.ambient), c.rank, c.facet_normals, c.rays, ())
+    d = Cone(dual_ambient(c.ambient), c.rank, c.facet_normals, c.rays, ())
+    if len(c.rays) == c.rank:
+        scaled, den = c.inverse
+        columns = []
+        for r, col in zip(c.rays, zip(*scaled)):
+            g = gcd(*col)
+            columns.append((tuple(x // g for x in col), g, r.coords))
+        columns.sort(key=lambda entry: entry[0])
+        d_den = lcm(*(den // gcd(den, g) for _, g, _ in columns))
+        inverse = tuple(zip(*([x * (g * d_den // den) for x in r] for _, g, r in columns)))
+        check_inverse(inverse, d_den, d.rays, f"the dual of {c!r}")
+        d.__dict__["inverse"] = (inverse, d_den)
+    return d
 
 
 def triangulate(c: Cone) -> list[tuple[Vec, ...]]:
@@ -190,6 +244,17 @@ def triangulate(c: Cone) -> list[tuple[Vec, ...]]:
         for simplex in triangulate(cone_from_generators(tight)):
             out.append(simplex + (pivot,))
     return out
+
+
+def piece_inverse(c: Cone, piece: tuple[Vec, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(den * L, den) with L @ W = I, for W the matrix with the piece's
+    generators as columns: c's inverse transposed when the piece is all of
+    the full-dimensional cone c, else one `integer_left_inverse`."""
+    if piece == c.rays and c.is_full_dim:
+        scaled, den = c.inverse
+        return tuple(zip(*scaled)), den
+    scaled, den = integer_left_inverse(list(zip(*(g.coords for g in piece))))
+    return tuple(map(tuple, scaled)), den
 
 
 def classify(c: Cone) -> ConeClass:

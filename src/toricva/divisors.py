@@ -14,11 +14,13 @@ tests a point against a cone's row in integers.
 A maximal cone's rays R_sigma (as rows) have full column rank, so
 R_sigma u = -d_sigma has at most one solution, and if it has one it is
 L (-d_sigma) for any left inverse L.  `Fan.inverses` holds den * L, an
-integer matrix, once per fan; `local_offsets` writes d = z / q with z
-integer and forms den * L (-z_sigma), which is den * q * u_sigma when a
-solution exists.  Pairing it with every ray gives den * q * e_i; the
-system is solved exactly when these vanish on the cone's own rays.  All of
-it is in integers, divided by den * q only at the end.
+integer matrix, once per fan: each cone's own inverse, made when the cone
+was built, with its columns in `max_cones` order.  `local_offsets` writes
+d = z / q with z integer and forms den * L (-z_sigma), which is
+den * q * u_sigma when a solution exists.  Pairing it with every ray
+gives den * q * e_i; the system is solved exactly when these vanish on the
+cone's own rays.  All of it is in integers, divided by den * q only at the
+end.
 """
 
 from __future__ import annotations

@@ -58,9 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
+from .cones import Cone, NotPointed, check_inverse, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
-from .linalg import Vec, integer_left_inverse, is_primitive, pair
+from .linalg import Vec, is_primitive, pair
 from .semigroups import hilbert_basis
 
 
@@ -92,16 +92,22 @@ class Fan:
     # Derived per-cone data, built on first use and kept for the fan's
     # lifetime; cached properties are not fields, so equality and hashing
     # ignore them.  `inverses` serves the local data of every divisor on
-    # the fan, `duals` the statements' dual cones and what is built on them.
+    # the fan, `duals` the statements' dual cones and what is built on them;
+    # each simplicial cone's one inverse serves all of them.
     @cached_property
     def inverses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
         """(den * L, den) for each maximal cone, L @ R = I for R the matrix
         with the cone's rays as rows (in `max_cones` order): an integer
-        matrix and its least common denominator."""
+        matrix and its least common denominator.  It is the cone's own
+        inverse with its columns permuted, so no elimination runs."""
         out = []
-        for idxs in self.max_cones:
-            scaled, den = integer_left_inverse([self.rays[i].coords for i in idxs])
-            out.append((tuple(map(tuple, scaled)), den))
+        for ci, (idxs, c) in enumerate(zip(self.max_cones, self.cones)):
+            scaled, den = c.inverse
+            columns = dict(zip(c.rays, zip(*scaled)))
+            rays = [self.rays[i] for i in idxs]
+            inverse = tuple(zip(*(columns[r] for r in rays)))
+            check_inverse(inverse, den, rays, f"maximal cone {ci}")
+            out.append((inverse, den))
         return tuple(out)
 
     @cached_property

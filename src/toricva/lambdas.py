@@ -17,16 +17,18 @@ beta < 0, so
 When every generator lies on one hyperplane <w, g> = 1 (a simplicial cone,
 for one), sum a_i = <w, x> for every expression and both sums are <w, x>.
 The generators as rows have full column rank, so such a w can only be L 1
-for L their left inverse: `integer_left_inverse` gives den * L, its row
-sums give den * w, and the cone is one cell exactly when every generator
-pairs with it to den.
+for L their left inverse: the cone's `inverse` gives den * L (for the dual
+of a simplicial maximal cone, carried over from the cone with no
+elimination), its row sums give den * w, and the cone is one cell exactly
+when every generator pairs with it to den.
 
 By complementary slackness an optimal expression uses only generators on
 an optimal facet, so x lies in the cone over them, that facet's cell.  Each
 cell is split once into simplicial pieces, each stored with den times its
-inverse, an integer matrix.  Three conditions are checked once per cone,
-at construction.  Two are identities, linear in the point, so they hold at
-every point: each piece's generators times its scaled inverse are den * I,
+inverse, an integer matrix: the transpose of the cell's own inverse when
+the cell is one simplicial cone.  Three conditions are checked once per
+cone, at construction.  Two are identities, linear in the point, so they
+hold at every point: each piece's generators times its scaled inverse are den * I,
 so piece coefficients a = (den * inverse) z reproduce den * z; and beta
 times the inverse's column sums is den * phi, so a sums to
 den * <phi, z> / beta.  The third is dual feasibility: every generator
@@ -56,9 +58,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .cones import Cone, cone_from_generators, triangulate
+from .cones import Cone, cone_from_generators, piece_inverse, triangulate
 from .hulls import convex_hull
-from .linalg import Scalar, Vec, _integer_row, _ratio, integer_left_inverse
+from .linalg import Scalar, Vec, _integer_row, _ratio
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,9 @@ def _cell(rays, cell_cone: Cone, phi: tuple[int, ...], beta: int) -> _Cell:
     """The cell on <phi, g> = beta and its pieces."""
     pieces = []
     for simplex in triangulate(cell_cone):
-        gens = tuple(g.coords for g in simplex)
-        scaled, den = integer_left_inverse([list(row) for row in zip(*gens)])
         positions = tuple(rays.index(g) for g in simplex)
-        pieces.append((positions, gens, tuple(map(tuple, scaled)), den))
+        gens = tuple(g.coords for g in simplex)
+        pieces.append((positions, gens, *piece_inverse(cell_cone, simplex)))
     return _Cell(phi, beta, tuple(pieces))
 
 
@@ -105,7 +106,7 @@ class CoefficientSums:
             raise ValueError("coefficient sums need a full-dimensional cone")
         self.cone = c
         rays = c.rays
-        inverse, den = integer_left_inverse([g.coords for g in rays])
+        inverse, den = c.inverse
         w = tuple(map(sum, inverse))
         if all(_dot(w, g.coords) == den for g in rays):
             self._max_cells = self._min_cells = (_cell(rays, c, w, den),)

@@ -15,9 +15,11 @@ All elimination goes through two kernels:
   answer off the integer rows, and `nullspace` reads primitive integer
   vectors off them.  There is no general solve: every linear system the
   package meets has a full-column-rank matrix that depends only on a cone
-  of the fan, so it is answered by that matrix's `integer_left_inverse`,
-  built once, and a consistency check.  (The rational Gauss-Jordan of the test oracles is the reference
-  for `_echelon` and for every solve.)
+  of the fan, so it is answered by that matrix's `integer_left_inverse`
+  and a consistency check.  The inverse is built once per simplicial cone,
+  by the elimination that builds the cone, and carried to its dual (see
+  `cones`).  (The rational Gauss-Jordan of the test oracles is the
+  reference for `_echelon` and for every solve.)
 - `hermite_int`, a row-Hermite reduction W = P @ [T; 0] by Euclid row
   steps alone, P unimodular and T upper triangular (Schrijver, Theory of
   Linear and Integer Programming, 1986, 4.1).  `lattice_index` and the

@@ -20,11 +20,12 @@ Every other cone is triangulated, and the lattice points of the half-open
 fundamental parallelepiped of every simplicial piece, with the rays, are
 the candidates.  The parallelepiped points come from the two linalg
 kernels: the Hermite reduction `hermite_int` lists one lattice point per
-class modulo the piece's generators, and `integer_left_inverse` (den times
-the left inverse, read off the fraction-free `_echelon`) reduces each into
-the parallelepiped in integer arithmetic.  The candidates are visited in order
-of their level sum on the facet normals, a positive grading, and each is
-kept unless a basis element found before it lies below it on every
+class modulo the piece's generators, and the piece's integer inverse (den
+times the left inverse: the cone's own when the piece is the whole
+simplicial cone, else read off the fraction-free `_echelon`) reduces each
+into the parallelepiped in integer arithmetic.  The candidates are visited
+in order of their level sum on the facet normals, a positive grading, and
+each is kept unless a basis element found before it lies below it on every
 normal.  A piece has as many parallelepiped points as its lattice index,
 so `hilbert_basis` sums those indices first and refuses a cone that needs
 more than `MAX_PARALLELEPIPED_POINTS`.
@@ -36,11 +37,11 @@ from itertools import product
 from math import prod
 from operator import le, mul
 
-from .cones import Cone, triangulate
+from .cones import Cone, piece_inverse, triangulate
 from .linalg import Vec, hermite_int, integer_left_inverse, lattice_index
 
 
-def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
+def _parallelepiped_points(gens: tuple[Vec, ...], inverse=None) -> list[Vec]:
     """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i.
 
     With W = P @ [T; 0] (the g_i as columns, T upper triangular with
@@ -62,7 +63,8 @@ def _parallelepiped_points(gens: tuple[Vec, ...]) -> list[Vec]:
         raise ValueError("generators are linearly dependent")
     # With den * L an integer matrix for L the left inverse of W, den times
     # the fractional parts of the coordinates is den * L @ z modulo den.
-    w_inv, den = integer_left_inverse(w)
+    # `inverse`, when given, is (den * L, den).
+    w_inv, den = inverse or integer_left_inverse(w)
     out = []
     for y in product(*[range(d) for d in dets]):
         z = [sum(map(mul, row[:k], y)) for row in p_mat]
@@ -173,7 +175,8 @@ def _reduced_basis(c: Cone) -> list[Vec]:
         )
     cands = set(c.rays)
     for simplex in pieces:
-        cands.update(x for x in _parallelepiped_points(simplex) if not x.is_zero)
+        points = _parallelepiped_points(simplex, piece_inverse(c, simplex))
+        cands.update(x for x in points if not x.is_zero)
     # h - s lies in c exactly when s is at most h on every facet normal,
     # since both lie in c's span; then s has the smaller level sum unless
     # s = h, so only candidates visited earlier can reduce h.

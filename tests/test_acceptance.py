@@ -79,7 +79,7 @@ from toricva.harness import (
 )
 from toricva.intersections import is_nef, solve_divisor, wall_values
 from toricva.lambdas import CoefficientSums
-from toricva.linalg import M, N, vec
+from toricva.linalg import M, N, integer_left_inverse, vec
 from toricva.semigroups import _parallelepiped_points, hilbert_basis
 
 
@@ -669,6 +669,48 @@ def test_pool_and_builtin_fans_build_without_the_facet_scan(pool2, pool3, monkey
     for fan in built:
         assert build_fan(fan.rays, fan.max_cones, fan.rank) == fan
     _ok("simplicial-fans", f"{len(built)} fans built without a facet scan")
+
+
+def _direct_inverse(rows):
+    scaled, den = integer_left_inverse([list(row) for row in rows])
+    return tuple(map(tuple, scaled)), den
+
+
+def test_carried_inverses_match_a_direct_elimination(pool2, pool3):
+    # every maximal cone of the pools, of every builtin at the scaling-series
+    # and fixture arguments and of quadric3: the inverse each cone carries,
+    # its dual's, the fan's local-data inverse and each coefficient-sum
+    # piece's, against integer_left_inverse of the same matrix
+    built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
+    built.append(quadric3_fan())
+    kinds = Counter()
+    for fan in built:
+        fresh = build_fan(fan.rays, fan.max_cones, fan.rank)
+        for ci, (idxs, c) in enumerate(zip(fresh.max_cones, fresh.cones)):
+            simplicial = len(c.rays) == c.rank
+            # a simplicial cone is handed its inverse by its own elimination
+            assert ("inverse" in c.__dict__) == simplicial, c
+            assert c.inverse == _direct_inverse(r.coords for r in c.rays), c
+            dual = dual_cone(c)
+            assert ("inverse" in dual.__dict__) == simplicial, c
+            assert dual.inverse == _direct_inverse(r.coords for r in dual.rays), c
+            rows = [fresh.rays[i].coords for i in idxs]
+            if simplicial:
+                assert fresh.inverses[ci] == _direct_inverse(rows), c
+            else:
+                # one of many left inverses: c's, columns in max_cones order
+                scaled, den = _direct_inverse(r.coords for r in c.rays)
+                columns = dict(zip(c.rays, zip(*scaled)))
+                permuted = tuple(zip(*(columns[fresh.rays[i]] for i in idxs)))
+                assert fresh.inverses[ci] == (permuted, den), c
+            sums = fresh.coefficient_sums[ci]
+            for cell in sums._min_cells + sums._max_cells:
+                for _, gens, inverse, den in cell.pieces:
+                    assert (inverse, den) == _direct_inverse(zip(*gens)), (c, gens)
+                    kinds["piece"] += 1
+            kinds["simplicial" if simplicial else "other"] += 1
+    assert kinds == {"simplicial": 778, "other": 1, "piece": 1560}
+    _ok("carried-inverses", f"{kinds['simplicial'] + kinds['other']} cones and their duals agree")
 
 
 def test_cone_minima_match_flipped_wall_oracle(pool2, pool3):

@@ -1,23 +1,34 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import dataclasses
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import toricva
 from toricva import cli, divisors, fans, harness, intersections, lambdas, linalg, semigroups
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 from toricva.semigroups import MAX_BASIS_ELEMENTS
 
-from fixtures import DOUBLE_WOUND_CONES, DOUBLE_WOUND_RAYS, SUSPENDED_CONES, SUSPENDED_RAYS
+from fixtures import (
+    BUILTIN_ARGS,
+    DOUBLE_WOUND_CONES,
+    DOUBLE_WOUND_RAYS,
+    SUSPENDED_CONES,
+    SUSPENDED_RAYS,
+)
 from oracles import reference_hilbert_basis
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -889,3 +900,74 @@ def test_every_document_error_names_the_document(tmp_path, capsys, doc, message)
     assert code == 1
     assert out == ""
     assert err.startswith(f"toricva: input error: {path}: {message}"), err
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"z": 1, "a": -2, "m": 10**40, "t": True, "f": False, "n": None},
+        {"nested": {"b": [1, [2, {"x": "y"}], []], "a": {"k": [None, True]}}},
+        {"s": "café ☃ \U0001f600", "q": 'quote " back \\ slash', "c": "\n\t\x00\x7f"},
+        {"é": 1, "E": 2, "": 3, "e": 4},
+        [1, "two", [3]],
+        "bare",
+    ],
+)
+def test_emitter_writes_json_dumps_bytes(doc):
+    out = io.StringIO()
+    cli._emit(doc, out)
+    assert out.getvalue() == _dumps(doc)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), (1, 2), {1, 2}, object()])
+def test_emitter_refuses_types_a_report_never_holds(value):
+    for doc in ({"v": value}, {"v": [value]}):
+        with pytest.raises(TypeError):
+            cli._emit(doc, io.StringIO())
+    with pytest.raises(TypeError):
+        cli._emit({1: "int key"}, io.StringIO())
+
+
+def test_emitter_matches_json_dumps_on_every_benchmark_report(tmp_path, monkeypatch, capsys):
+    # every cli-docs command over the pools, `analyze --very-ample` over the
+    # scaling series and `examples --emit` of every builtin at BUILTIN_ARGS:
+    # each document the CLI emits is also encoded by json.dumps, byte for byte
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    real, seen = cli._emit, []
+
+    def checked(doc, out):
+        buf = io.StringIO()
+        real(doc, buf)
+        assert buf.getvalue() == _dumps(doc)
+        seen.append(doc["command"] if "command" in doc else "examples")
+        out.write(buf.getvalue())
+
+    monkeypatch.setattr(cli, "_emit", checked)
+    monkeypatch.chdir(tmp_path)
+    for name in ("cli-docs", "ample-scale"):
+        wl = workloads.WORKLOADS[name](toricva, cli)
+        keys = wl.universe()
+        wl.prepare(keys)
+        for key in keys:
+            assert wl.run(key)[1] is None, (name, key)
+    for name, calls in BUILTIN_ARGS.items():
+        for args in calls:
+            expr = f"{name}({','.join(map(str, args))})"
+            assert cli.main(["examples", "--emit", expr, "--dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    examples = sum(len(calls) for calls in BUILTIN_ARGS.values())
+    assert Counter(seen) == {
+        "analyze": 160 + len(workloads.SCALING_SERIES),
+        "verify": 320,
+        "hilbert": 160,
+        "examples": examples,
+    }

@@ -16,6 +16,7 @@ from oracles import (
     reference_cone_from_generators,
     strictly_inside,
 )
+from toricva import cones
 from toricva.cones import Cone, NotPointed, classify, cone_from_generators, contains, dual_cone
 from toricva.linalg import M, N, matrix_rank, pair, primitivize, vec
 
@@ -331,3 +332,70 @@ def test_tight_sets_on_equal_tight_sets_single_rays_and_lower_dimensions():
     assert [r.coords for r in c.rays] == [(0, 1, 0), (1, 0, 0)] and c.dim == 2
     assert c.span_equations == (vec((0, 0, 1), M),)
 
+
+
+def _as_built(c: Cone) -> Cone:
+    """c's fields in a fresh Cone, whose inverse has never been read."""
+    return Cone(c.ambient, c.rank, c.rays, c.facet_normals, c.span_equations)
+
+
+def test_a_carried_inverse_leaves_equality_and_hash_alone():
+    for gens in [((2, 1), (-1, 3)), ((1, 0, 0), (1, 2, 0), (1, 1, 5)), ((1, 0), (1, 1), (0, 1))]:
+        c = cone(*gens)
+        twin = _as_built(c)
+        assert "inverse" not in twin.__dict__
+        assert c == twin and hash(c) == hash(twin) and len({c, twin}) == 1
+        d = dual_cone(c)
+        d_twin = _as_built(d)
+        assert d == d_twin and hash(d) == hash(d_twin)
+        assert "inverse" not in twin.__dict__ and "inverse" not in d_twin.__dict__
+        assert c.inverse == twin.inverse and d.inverse == d_twin.inverse
+        assert c == twin and hash(c) == hash(twin) and d == d_twin and hash(d) == hash(d_twin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones())
+def test_the_bidual_carries_the_cone_and_its_inverse(c):
+    # twice dualised, a simplicial cone comes back with the inverse it had,
+    # derived twice without an elimination
+    dd = dual_cone(dual_cone(c))
+    assert dd == c and hash(dd) == hash(c)
+    if len(c.rays) == c.rank:
+        assert "inverse" in dd.__dict__ and dd.inverse == c.inverse == _as_built(c).inverse
+
+
+@pytest.mark.parametrize(
+    "gens, path",
+    [
+        # as many distinct primitive generators as the rank, but dependent
+        (((1, 2), (-1, -2)), "NotPointed"),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0)), "lower"),
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), "NotPointed"),
+        (((1, 0, 1), (0, 1, 1), (1, 1, 2)), "lower"),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)), "lower"),
+        (((1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 1)), "lower"),
+        (((1, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "NotPointed"),
+        # independent: the inversion alone decides full rank
+        (((1, 2), (-1, 3)), "simplicial"),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 3)), "simplicial"),
+    ],
+)
+def test_square_generator_sets_take_the_span_path_only_when_dependent(gens, path, monkeypatch):
+    calls = []
+    real = cones.perp_basis
+    monkeypatch.setattr(cones, "perp_basis", lambda vecs: calls.append(vecs) or real(vecs))
+    gens = nvecs(*gens)
+    got = cone_outcome(cone_from_generators, gens)
+    monkeypatch.undo()
+    assert cone_path(gens, got) == path
+    assert len(calls) == (path != "simplicial")
+    assert got == cone_outcome(reference_cone_from_generators, gens)
+
+
+def test_a_wrong_derived_dual_inverse_is_refused_naming_the_cone():
+    # dual_cone checks the inverse it derives against the dual's rays
+    c = cone((1, 0, 0), (1, 2, 0), (1, 1, 5))
+    scaled, den = c.inverse
+    c.__dict__["inverse"] = (tuple(tuple(2 * x for x in row) for row in scaled), den)
+    with pytest.raises(RuntimeError, match=r"^internal: the dual of Cone\[N\(1, 0, 0\), "):
+        dual_cone(c)

@@ -266,3 +266,12 @@ def test_build_fan_matches_pairwise_oracle():
             # every facet is matched, so only the covering degree rejects
             assert verdict.startswith("not a fan: cones 0 and "), verdict
     assert seen == {"complete": 174, "drop": 160, "swap": 160, "wind": 9, "crafted": 2}, seen
+
+
+def test_a_wrong_carried_inverse_is_refused_naming_the_cone():
+    # Fan.inverses checks the permuted inverse against the cone's rays
+    fan = p3_fan()
+    scaled, den = fan.cones[2].inverse
+    fan.cones[2].__dict__["inverse"] = (scaled[1:] + scaled[:1], den)
+    with pytest.raises(RuntimeError, match=r"^internal: maximal cone 2: the inverse does not"):
+        fan.inverses

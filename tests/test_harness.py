@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import poly_contains, polytope, subset_vertices, wall_value
-from toricva import divisors, fans, intersections, lambdas
+from toricva import cones, divisors, intersections, lambdas, semigroups
 from toricva.cones import classify, contains
 from toricva.divisors import (
     Divisor,
@@ -368,13 +368,12 @@ def test_interior_bound_refuses_a_box_over_the_cap():
 
 
 def test_each_divisor_is_solved_once_per_instance(monkeypatch):
-    # all seven statements on every cone of a fresh fan invert each maximal
-    # cone's rays once, and solve D, D' and D+D' once each: one offset table
-    # and one value per wall read off it for each divisor
+    # building a fresh simplicial fan and running all seven statements on
+    # every cone eliminates once per maximal cone, in cone_from_generators:
+    # the fan's local data, the duals, their coefficient sums and Hilbert
+    # bases reuse that inverse.  D, D' and D+D' are solved once each: one
+    # offset table and one value per wall read off it for each divisor
     seeded = random_instance(3, 1)
-    fan = build_fan(seeded.fan.rays, seeded.fan.max_cones, seeded.fan.rank)
-    inst = Instance(fan, seeded.d, seeded.dprime, seeded.label)
-    m, walls = len(fan.max_cones), len(fan.walls)
     counts = {"integer_left_inverse": 0, "local_offsets": 0, "wall_value": 0}
 
     def counted(module, name):
@@ -386,10 +385,15 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(fans, "integer_left_inverse")
+    counted(cones, "integer_left_inverse")
+    counted(semigroups, "integer_left_inverse")
     counted(divisors, "local_offsets")
     counted(intersections, "local_offsets")
     counted(intersections, "wall_value")
+    fan = build_fan(seeded.fan.rays, seeded.fan.max_cones, seeded.fan.rank)
+    inst = Instance(fan, seeded.d, seeded.dprime, seeded.label)
+    m, walls = len(fan.max_cones), len(fan.walls)
+    assert all(len(c.rays) == fan.rank for c in fan.cones)
     for statement in STATEMENTS.values():
         if statement.per_cone:
             for ci in range(m):
