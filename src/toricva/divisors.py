@@ -13,14 +13,14 @@ tests a point against a cone's row in integers.
 
 A maximal cone's rays R_sigma (as rows) have full column rank, so
 R_sigma u = -d_sigma has at most one solution, and if it has one it is
-L (-d_sigma) for any left inverse L.  `Fan.inverses` holds den * L, an
-integer matrix, once per fan: each cone's own inverse, made when the cone
-was built, with its columns in `max_cones` order.  `local_offsets` writes
-d = z / q with z integer and forms den * L (-z_sigma), which is
-den * q * u_sigma when a solution exists.  Pairing it with every ray
-gives den * q * e_i; the system is solved exactly when these vanish on the
-cone's own rays.  All of it is in integers, divided by den * q only at the
-end.
+L (-d_sigma) for any left inverse L.  Each maximal cone carries den * L,
+an integer matrix, as `Cone.inverse`, made when the cone was built, and
+local data reads it as it is: `local_offsets` writes d = z / q with z
+integer, takes -z_sigma in the cone's own ray order and forms
+den * L (-z_sigma), which is den * q * u_sigma when a solution exists.
+Pairing it with every ray gives den * q * e_i; the system is solved
+exactly when these vanish on the cone's own rays.  All of it is in
+integers, divided by den * q only at the end.
 """
 
 from __future__ import annotations
@@ -82,10 +82,12 @@ def local_offsets(fan: Fan, d: Divisor) -> tuple[tuple[Vec, ...], tuple[Offsets,
     _check_divisor(fan, d)
     amb = dual_ambient(fan.rays[0].ambient)
     rows = [r.coords for r in fan.rays]
+    index = {r.coords: i for i, r in enumerate(fan.rays)}
     z, q = _integer_row(d.coeffs)
     local, offsets = [], []
-    for ci, (idxs, (inverse, den)) in enumerate(zip(fan.max_cones, fan.inverses)):
-        b = [-z[i] for i in idxs]
+    for ci, (idxs, cone) in enumerate(zip(fan.max_cones, fan.cones)):
+        inverse, den = cone.inverse
+        b = [-z[index[r.coords]] for r in cone.rays]
         u = [sum(map(mul, row, b)) for row in inverse]  # den * q * u_sigma
         es = [den * c + sum(map(mul, r, u)) for c, r in zip(z, rows)]  # den * q * e_i
         if any(es[i] for i in idxs):

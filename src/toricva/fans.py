@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cones import Cone, NotPointed, check_inverse, cone_from_generators, contains, dual_cone
+from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
 from .linalg import Vec, is_primitive, pair
 from .semigroups import hilbert_basis
@@ -91,25 +91,8 @@ class Fan:
 
     # Derived per-cone data, built on first use and kept for the fan's
     # lifetime; cached properties are not fields, so equality and hashing
-    # ignore them.  `inverses` serves the local data of every divisor on
-    # the fan, `duals` the statements' dual cones and what is built on them;
-    # each simplicial cone's one inverse serves all of them.
-    @cached_property
-    def inverses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-        """(den * L, den) for each maximal cone, L @ R = I for R the matrix
-        with the cone's rays as rows (in `max_cones` order): an integer
-        matrix and its least common denominator.  It is the cone's own
-        inverse with its columns permuted, so no elimination runs."""
-        out = []
-        for ci, (idxs, c) in enumerate(zip(self.max_cones, self.cones)):
-            scaled, den = c.inverse
-            columns = dict(zip(c.rays, zip(*scaled)))
-            rays = [self.rays[i] for i in idxs]
-            inverse = tuple(zip(*(columns[r] for r in rays)))
-            check_inverse(inverse, den, rays, f"maximal cone {ci}")
-            out.append((inverse, den))
-        return tuple(out)
-
+    # ignore them.  `duals` serves the statements' dual cones and what is
+    # built on them; a divisor's local data reads each cone's own inverse.
     @cached_property
     def duals(self) -> tuple[Cone, ...]:
         """The dual of each maximal cone."""
@@ -212,7 +195,9 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         raise ValueError("not a fan: duplicate maximal cones")
 
     # Facet matching: every facet of every maximal cone must be shared with
-    # exactly one other maximal cone, with opposite inner normals.
+    # exactly one other maximal cone, with opposite inner normals.  Owners
+    # are listed in cone order, and a cone's facets have distinct ray sets,
+    # so each wall's owners come as sigma < tau.
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for ci, (c, idxs) in enumerate(zip(cones, index_sets)):
         for f in c.facet_normals:
@@ -229,8 +214,6 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         (ci, fi), (cj, fj) = owners
         if fj != -fi:
             raise ValueError("not a fan: shared facet normals are not opposite")
-        if ci > cj:
-            ci, cj, fi = cj, ci, fj
         near = tuple((k, pair(fi, rays[k])) for k in index_sets[ci] if k not in wall_rays)
         far = tuple((k, -pair(fi, rays[k])) for k in index_sets[cj] if k not in wall_rays)
         wall = Wall(ci, cj, wall_rays, fi, near, far)

@@ -34,14 +34,15 @@ times the inverse's column sums is den * phi, so a sums to
 den * <phi, z> / beta.  The third is dual feasibility: every generator
 pairs with each maximal cell's phi to at least beta (at most, for a minimal
 cell), so <phi, x> / beta bounds lambda_max(x) from above (lambda_min(x)
-from below) by weak duality.  After that a point needs
-only its cell and a piece holding it: a feasible expression whose sum meets
-a feasible dual value certifies both optimal.  A point is written once as
-x = z / q with z integer, and `_certify` runs that test in integers for
-`minimum` and `maximum`, which package a `LambdaValue`; only the returned
-value and witness are divided by den * q.  `CoefficientSums(c)` builds a
-cone's cells once and is the only entry point; `Fan.coefficient_sums`
-keeps one per maximal cone's dual.
+from below) by weak duality.  A one-cell cone's cell is both maximal and
+minimal, with every generator on it, and is checked once.  After that a
+point needs only its cell and a piece holding it: a feasible expression
+whose sum meets a feasible dual value certifies both optimal.  A point is
+written once as x = z / q with z integer, and `_certify` runs that test in
+integers for `minimum` and `maximum`, which package a `LambdaValue`; only
+the returned value and witness are divided by den * q.
+`CoefficientSums(c)` builds a cone's cells once and is the only entry
+point; `Fan.coefficient_sums` keeps one per maximal cone's dual.
 
 `max_below_on_line` settles a whole line of lattice points at once.  With
 all coordinates but the last fixed, a piece's coefficients and each cell's
@@ -110,6 +111,7 @@ class CoefficientSums:
         w = tuple(map(sum, inverse))
         if all(_dot(w, g.coords) == den for g in rays):
             self._max_cells = self._min_cells = (_cell(rays, c, w, den),)
+            sides = ((self._max_cells, -1),)
         else:
             min_cells, max_cells = [], []
             for phi, beta in convex_hull(list(rays))[0]:
@@ -121,7 +123,8 @@ class CoefficientSums:
                         _cell(rays, cone_from_generators(tight), coords, side * beta)
                     )
             self._min_cells, self._max_cells = tuple(min_cells), tuple(max_cells)
-        for cells, sign in ((self._max_cells, -1), (self._min_cells, 1)):
+            sides = ((self._max_cells, -1), (self._min_cells, 1))
+        for cells, sign in sides:
             for cell in cells:
                 _check_cell(cell, rays, sign)
             # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
@@ -139,7 +142,7 @@ class CoefficientSums:
     @cached_property
     def _max_lines(self):
         """The maximal cells as (phi's head, phi's last entry, beta) and the
-        rows of their pieces' scaled inverses as (head, last entry)."""
+        rows of each piece's scaled inverse as (head, last entry)."""
         cells = tuple((k.phi[:-1], k.phi[-1], k.beta) for k in self._max_cells)
         pieces = tuple(
             tuple((row[:-1], row[-1]) for row in inverse)

@@ -21,13 +21,13 @@ fundamental parallelepiped of every simplicial piece, with the rays, are
 the candidates.  The parallelepiped points come from the two linalg
 kernels: the Hermite reduction `hermite_int` lists one lattice point per
 class modulo the piece's generators, and the piece's integer inverse (den
-times the left inverse: the cone's own when the piece is the whole
-simplicial cone, else read off the fraction-free `_echelon`) reduces each
-into the parallelepiped in integer arithmetic.  The candidates are visited
-in order of their level sum on the facet normals, a positive grading, and
-each is kept unless a basis element found before it lies below it on every
-normal.  A piece has as many parallelepiped points as its lattice index,
-so `hilbert_basis` sums those indices first and refuses a cone that needs
+times the left inverse, from `cones.piece_inverse`: the cone's own when
+the piece is the whole simplicial cone) reduces each into the
+parallelepiped in integer arithmetic.  The candidates are visited in order
+of their level sum on the facet normals, a positive grading, and each is
+kept unless a basis element found before it lies below it on every normal.
+A piece has as many parallelepiped points as its lattice index, so
+`hilbert_basis` sums those indices first and refuses a cone that needs
 more than `MAX_PARALLELEPIPED_POINTS`.
 """
 
@@ -38,10 +38,10 @@ from math import prod
 from operator import le, mul
 
 from .cones import Cone, piece_inverse, triangulate
-from .linalg import Vec, hermite_int, integer_left_inverse, lattice_index
+from .linalg import Vec, hermite_int, lattice_index
 
 
-def _parallelepiped_points(gens: tuple[Vec, ...], inverse=None) -> list[Vec]:
+def _parallelepiped_points(gens: tuple[Vec, ...], inverse) -> list[Vec]:
     """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i.
 
     With W = P @ [T; 0] (the g_i as columns, T upper triangular with
@@ -61,10 +61,10 @@ def _parallelepiped_points(gens: tuple[Vec, ...], inverse=None) -> list[Vec]:
     vol = prod(dets)
     if vol == 0:
         raise ValueError("generators are linearly dependent")
-    # With den * L an integer matrix for L the left inverse of W, den times
-    # the fractional parts of the coordinates is den * L @ z modulo den.
-    # `inverse`, when given, is (den * L, den).
-    w_inv, den = inverse or integer_left_inverse(w)
+    # `inverse` is (den * L, den), an integer matrix for L the left inverse
+    # of W: den times the fractional parts of the coordinates is
+    # den * L @ z modulo den.
+    w_inv, den = inverse
     out = []
     for y in product(*[range(d) for d in dets]):
         z = [sum(map(mul, row[:k], y)) for row in p_mat]

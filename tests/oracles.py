@@ -81,6 +81,7 @@ from toricva.linalg import (
     Vec,
     _norm_coord,
     dual_ambient,
+    integer_left_inverse,
     is_primitive,
     matrix_rank,
     nullspace,
@@ -595,7 +596,8 @@ def reference_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     Its work follows the lattice index, not the basis, and it has no cap."""
     cands = set(c.rays)
     for simplex in triangulate(c):
-        for x in _parallelepiped_points(simplex):
+        inverse = integer_left_inverse(list(zip(*(g.coords for g in simplex))))
+        for x in _parallelepiped_points(simplex, inverse):
             if not x.is_zero:
                 cands.add(x)
     levels = {h: [pair(f, h) for f in c.facet_normals] for h in cands}

@@ -887,10 +887,14 @@ _PLANE = {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [
         ({**_PLANE, "divisors": {"X": [0.5, 0, 0]}}, "divisor 'X': floats are not accepted"),
         ({**_PLANE, "divisors": {"X": ["1/0", 0, 0]}}, "divisor 'X': '1/0' is not a rational"),
         ({**_PLANE, "divisors": {"X": [True, 0, 0]}}, "divisor 'X': expected a rational"),
+        ({**_PLANE, "divisors": {"X": [[1], 0, 0]}}, "divisor 'X': expected a rational, got list"),
+        ({**_PLANE, "divisors": {"X": [{}, 0, 0]}}, "divisor 'X': expected a rational, got dict"),
+        ([_PLANE], "top level must be an object"),
     ],
     ids=[
         "rank", "rays-type", "ray-length", "ray-entry", "cones-type", "cone-type",
         "cone-entry", "divisors-type", "coefficient-count", "float", "non-rational", "boolean",
+        "coefficient-list", "coefficient-object", "top-level-array",
     ],
 )
 def test_every_document_error_names_the_document(tmp_path, capsys, doc, message):
@@ -900,6 +904,54 @@ def test_every_document_error_names_the_document(tmp_path, capsys, doc, message)
     assert code == 1
     assert out == ""
     assert err.startswith(f"toricva: input error: {path}: {message}"), err
+
+
+def test_a_lone_divisor_not_named_d_is_the_base_divisor(tmp_path, capsys):
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({**_PLANE, "divisors": {"X": [1, 0, 0]}}))
+    code, doc = run_json(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    assert doc["divisors"]["d"] == {"coefficients": [1, 0, 0], "name": "X"}
+
+
+# The plane with two divisors, neither named D, and the cone over a square
+# completed below, whose D has no local data on the square cone 0.
+_TWO_DIVISORS = {**_PLANE, "divisors": {"X": [1, 0, 0], "Y": [0, 1, 0]}}
+_QUADRIC = {
+    "rank": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1], [-1, -1, -1]],
+    "max_cones": [[0, 1, 2, 3], [0, 1, 4], [0, 2, 4], [1, 3, 4], [2, 3, 4]],
+    "divisors": {"D": [1, 0, 0, 0, 0]},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (_TWO_DIVISORS, ("analyze", "DOC"), "pass --d NAME: the file does not name a divisor 'D'"),
+        (None, ("verify", "nef", "--builtin", "ew_simplex(4"),
+         "cannot parse builtin expression 'ew_simplex(4'"),
+        (None, ("verify", "nef", "--builtin", "ew_simplex(x)"),
+         "builtin arguments must be integers: 'ew_simplex(x)'"),
+        (None, ("verify", "nef", "--fuzz", "2", "0", "0"), "fuzz count must be positive"),
+        (None, ("verify", "wall-bound", "--builtin", "weighted_112", "--sigma", "99"),
+         "no maximal cone with index 99"),
+        (_PLANE, ("hilbert", "DOC", "--sigma", "99"), "no maximal cone with index 99"),
+        (_QUADRIC, ("verify", "wall-bound", "DOC"), "DOC: divisor has no local data on cone 0"),
+    ],
+    ids=[
+        "two-divisors", "builtin-syntax", "builtin-argument", "fuzz-count",
+        "verify-sigma", "hilbert-sigma", "wall-bound-not-q-cartier",
+    ],
+)
+def test_source_and_selection_errors_exit_one(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"toricva: input error: {message.replace('DOC', str(path))}\n"
 
 
 def _dumps(doc) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -268,10 +269,26 @@ def test_build_fan_matches_pairwise_oracle():
     assert seen == {"complete": 174, "drop": 160, "swap": 160, "wind": 9, "crafted": 2}, seen
 
 
-def test_a_wrong_carried_inverse_is_refused_naming_the_cone():
-    # Fan.inverses checks the permuted inverse against the cone's rays
-    fan = p3_fan()
-    scaled, den = fan.cones[2].inverse
-    fan.cones[2].__dict__["inverse"] = (scaled[1:] + scaled[:1], den)
-    with pytest.raises(RuntimeError, match=r"^internal: maximal cone 2: the inverse does not"):
-        fan.inverses
+_PLANE_RAYS = [(1, 0), (0, 1), (-1, -1)]
+_PLANE_CONES = [(0, 1), (1, 2), (2, 0)]
+
+
+@pytest.mark.parametrize(
+    "rays, cones, message",
+    [
+        ([], _PLANE_CONES, "not a fan: no rays"),
+        ([(1, 0), (0, 1, 0), (-1, -1)], _PLANE_CONES, "not a fan: ray 1 has rank 3, expected 2"),
+        (_PLANE_RAYS + [(0, 1)], _PLANE_CONES, "not a fan: duplicate rays"),
+        (_PLANE_RAYS, [], "not a fan: no maximal cones"),
+        (_PLANE_RAYS, _PLANE_CONES + [(1, 0)], "not a fan: duplicate maximal cones"),
+        (
+            [(1, 0), (0, 1), (0, -1), (1, 1)],
+            [(0, 1), (0, 2), (0, 3)],
+            "not a fan: a facet is shared by more than two cones",
+        ),
+    ],
+    ids=["no-rays", "ray-rank", "duplicate-rays", "no-cones", "duplicate-cones", "three-owners"],
+)
+def test_malformed_fan_data_is_refused(rays, cones, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_fan([vec(r, N) for r in rays], cones, 2)

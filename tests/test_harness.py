@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import poly_contains, polytope, subset_vertices, wall_value
-from toricva import cones, divisors, intersections, lambdas, semigroups
+from toricva import cones, divisors, intersections, lambdas
 from toricva.cones import classify, contains
 from toricva.divisors import (
     Divisor,
@@ -192,6 +192,22 @@ def test_wall_bound_rejects_bad_inputs():
     bad = Instance(inst.fan, Divisor((-1, 0, 0)), inst.dprime, "bad")
     with pytest.raises(ValueError):
         check_wall_bound(bad, 0)
+
+
+@pytest.mark.parametrize("r", [None, 1])
+def test_wall_bound_with_the_perturbation_outside_the_dual_cone(r):
+    # D' is 1 on a ray of sigma, so u'_sigma pairs to -1 with it
+    inst = projective_space(2, 4)
+    ray = inst.fan.max_cones[0][0]
+    dprime = Divisor(tuple(int(i == ray) for i in range(len(inst.fan.rays))))
+    rep = check_wall_bound(Instance(inst.fan, inst.d, dprime, "outside"), 0, r)
+    assert rep.status == "not_applicable"
+    assert rep.conclusion is None
+    assert rep.failures == ()
+    assert rep.cone_data[0].lambda_min_dual is None
+    th = hyp(rep, "threshold")
+    assert not th.holds
+    assert th.detail == "perturbation's local point lies outside the dual cone"
 
 
 def test_corner_containment_on_generation_examples():
@@ -386,7 +402,6 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(cones, "integer_left_inverse")
-    counted(semigroups, "integer_left_inverse")
     counted(divisors, "local_offsets")
     counted(intersections, "local_offsets")
     counted(intersections, "wall_value")

@@ -128,3 +128,39 @@ def test_the_guard_sees_an_unused_definition():
         ),
     }
     assert _dead(sources, {"public"}) == ["m.UNUSED", "m.recursive", "m.Box.unused"]
+
+
+def _names(tree, name: str) -> bool:
+    """Whether the module defines, imports, reads or takes as an attribute
+    `name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return True
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name == name for alias in node.names):
+                return True
+    return False
+
+
+def test_only_linalg_and_cones_eliminate_a_cone_matrix():
+    # every other layer reads the inverse a cone carries
+    users = sorted(
+        p.stem
+        for p in SRC.glob("*.py")
+        if _names(ast.parse(p.read_text(encoding="utf-8")), "integer_left_inverse")
+    )
+    assert users == ["cones", "linalg"]
+
+
+def test_the_guard_sees_each_way_of_naming_a_function():
+    for text in (
+        "from .linalg import integer_left_inverse as inv\n",
+        "from . import linalg\nf = linalg.integer_left_inverse\n",
+        "def f(m):\n    return integer_left_inverse(m)\n",
+    ):
+        assert _names(ast.parse(text), "integer_left_inverse"), text
+    assert not _names(ast.parse("from .linalg import lattice_index\n"), "integer_left_inverse")

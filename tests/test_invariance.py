@@ -1,4 +1,5 @@
-"""Reports do not depend on coordinates: two transforms checked without an oracle.
+"""Reports do not depend on coordinates or labels: three transforms checked
+without an oracle.
 
 - GL(n, Z) on N.  Each ray v becomes A v for a unimodular A; the cone
   indices and the divisors stay.  Every report is unchanged except where it
@@ -10,12 +11,19 @@
 - A principal divisor.  D becomes D + div(chi^m) = D + (<m, v_i>)_i for an
   integral m; D' stays.  Only u_sigma moves, by -m, and every report is
   equal.
+- A relabelling.  The rays and the maximal cones are listed in another
+  order, each cone's rays shuffled too, and D and D' are permuted with the
+  rays.  Coordinates stay while every global index moves.  Once cone
+  indices are mapped back, and wall indices through the walls' ray sets,
+  every report is equal, and so are each divisor's local data, offset rows
+  and wall values.
 
 They run on the 130:30 acceptance pools and on every builtin at
-BUILTIN_ARGS.  A and m are drawn from the instance label, so a failure
-reproduces from the label alone.
+BUILTIN_ARGS.  A, m and the permutations are drawn from the instance
+label, so a failure reproduces from the label alone.
 """
 
+import dataclasses
 import random
 import re
 
@@ -29,6 +37,8 @@ from toricva.linalg import M, N, pair, vec
 
 # An M-point as failure messages print it: a tuple of integers.
 POINT = re.compile(r"\((-?\d+(?:, -?\d+)+)\)")
+# A maximal cone as hypotheses and errors name it.
+CONE = re.compile(r"\bcone (\d+)")
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +50,15 @@ def instances():
     return [(inst, reports(inst)) for inst in insts]
 
 
-def reports(inst: Instance) -> list:
-    """Every statement's report, per maximal cone for a per-cone statement at
-    its default options; a refused check gives its error type and message."""
+def reports(inst: Instance, cones=None) -> list:
+    """Every statement's report, per maximal cone (each of `cones`, in that
+    order, when given) for a per-cone statement at its default options; a
+    refused check gives its error type and message."""
+    if cones is None:
+        cones = range(len(inst.fan.max_cones))
     out = []
     for statement in STATEMENTS.values():
-        calls = [(ci,) for ci in range(len(inst.fan.max_cones))] if statement.per_cone else [()]
+        calls = [(ci,) for ci in cones] if statement.per_cone else [()]
         for call in calls:
             try:
                 out.append(statement.check(inst, *call))
@@ -144,3 +157,62 @@ def test_reports_do_not_depend_on_the_principal_divisor_added(instances):
             assert new.nef == solved.nef, inst.label
             if solved.local is not None:
                 assert new.local == tuple(u - m for u in solved.local), inst.label
+
+
+def name_cones(text: str, cone_from) -> str:
+    """The text with every cone it names as cone i renamed cone_from[i]."""
+    return CONE.sub(lambda c: f"cone {cone_from[int(c.group(1))]}", text)
+
+
+def relabelled(rep, cone_from, wall_from):
+    """The report with each cone index i mapped to cone_from[i] and each wall
+    index to wall_from's, its rows and failures in the order they then take."""
+    if isinstance(rep, tuple):
+        return rep[0], name_cones(rep[1], cone_from)
+    back = {"cone": cone_from, "wall": wall_from}
+    failures = [dataclasses.replace(f, index=back[f.kind][f.index]) for f in rep.failures]
+    rows = [dataclasses.replace(r, cone_index=cone_from[r.cone_index]) for r in rep.cone_data]
+    hyps = [dataclasses.replace(h, detail=name_cones(h.detail, cone_from)) for h in rep.hypotheses]
+    return dataclasses.replace(
+        rep,
+        hypotheses=tuple(hyps),
+        failures=tuple(sorted(failures, key=lambda f: f.index)),
+        cone_data=tuple(sorted(rows, key=lambda r: r.cone_index)),
+    )
+
+
+def test_reports_do_not_depend_on_the_order_of_rays_and_cones(instances):
+    for inst, want in instances:
+        fan = inst.fan
+        rng = random.Random(f"toricva:invariance:relabel:{inst.label}")
+        # new ray k is old ray ray_from[k], new cone j old cone cone_from[j]
+        ray_from = rng.sample(range(len(fan.rays)), len(fan.rays))
+        cone_from = rng.sample(range(len(fan.max_cones)), len(fan.max_cones))
+        ray_to = {old: new for new, old in enumerate(ray_from)}
+        cone_to = {old: new for new, old in enumerate(cone_from)}
+        max_cones = []
+        for old in cone_from:
+            idxs = [ray_to[i] for i in fan.max_cones[old]]
+            max_cones.append(rng.sample(idxs, len(idxs)))
+        d, dprime = (Divisor(tuple(x.coeffs[i] for i in ray_from)) for x in (inst.d, inst.dprime))
+        rays = [fan.rays[i] for i in ray_from]
+        moved = Instance(build_fan(rays, max_cones, fan.rank), d, dprime, inst.label)
+        walls = {frozenset(fan.rays[i] for i in w.rays): wi for wi, w in enumerate(fan.walls)}
+        wall_from = [walls[frozenset(rays[i] for i in w.rays)] for w in moved.fan.walls]
+        assert sorted(wall_from) == list(range(len(fan.walls))), inst.label
+        got = reports(moved, [cone_to[ci] for ci in range(len(fan.max_cones))])
+        assert [relabelled(r, cone_from, wall_from) for r in got] == want, inst.label
+        solves = (
+            (inst.d_solve, moved.d_solve),
+            (inst.dprime_solve, moved.dprime_solve),
+            (inst.total_solve, moved.total_solve),
+        )
+        for solved, new in solves:
+            assert new.values == tuple(solved.values[wi] for wi in wall_from), inst.label
+            assert new.nef == solved.nef, inst.label
+            if solved.local is not None:
+                assert new.local == tuple(solved.local[ci] for ci in cone_from), inst.label
+                assert new.offsets == tuple(
+                    (tuple(solved.offsets[ci][0][i] for i in ray_from), solved.offsets[ci][1])
+                    for ci in cone_from
+                ), inst.label

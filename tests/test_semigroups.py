@@ -21,7 +21,7 @@ from oracles import (
 )
 from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import Divisor
-from toricva.linalg import M, N, lattice_index, matrix_rank, pair, vec
+from toricva.linalg import M, N, integer_left_inverse, lattice_index, matrix_rank, pair, vec
 from toricva import semigroups
 from toricva.semigroups import (
     MAX_BASIS_ELEMENTS,
@@ -243,7 +243,8 @@ def test_parallelepiped_points_match_box_scan_oracle():
     kinds = {(gens[0].rank, len(gens) == gens[0].rank) for gens in sets}
     assert kinds == {(n, full) for n in (2, 3, 4) for full in (True, False)}
     for gens in sets:
-        got = _parallelepiped_points(gens)
+        inverse = integer_left_inverse(list(zip(*(g.coords for g in gens))))
+        got = _parallelepiped_points(gens, inverse)
         assert len(got) == len(set(got))
         assert set(got) == set(box_parallelepiped_points(gens)), gens
 
