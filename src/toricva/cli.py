@@ -45,7 +45,6 @@ from .harness import (
     Instance,
     Statement,
     builtin,
-    cone_table,
     generation_scan,
     random_instance,
     random_label,
@@ -82,9 +81,9 @@ class _Parser(argparse.ArgumentParser):
 def _enc_scalar(x):
     if type(x) is int:  # not bool, which encodes as 0 or 1
         return x
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     if f.denominator == 1:
-        return int(f)
+        return f.numerator
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -256,7 +255,7 @@ def _cone_json(cd: ConeData) -> dict:
 def _cones_json(inst: Instance) -> list[dict]:
     solves = (("u_sigma", inst.d_solve), ("u_sigma_perturbation", inst.dprime_solve))
     rows = []
-    for cd in cone_table(inst):
+    for cd in inst.cone_data:
         row = _cone_json(cd)
         for key, solved in solves:
             if solved.local is not None:

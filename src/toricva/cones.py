@@ -156,8 +156,8 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     if not gens:
         raise ValueError("cone needs at least one generator")
     amb = gens[0].ambient
-    rank = gens[0].rank
-    if any(g.ambient != amb or g.rank != rank for g in gens):
+    rank = len(gens[0].coords)
+    if any(g.ambient != amb or len(g.coords) != rank for g in gens):
         raise ValueError("generators must share ambient and rank")
     if any(g.is_zero for g in gens):
         raise ValueError("zero generator")
@@ -168,8 +168,13 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
         except ValueError:
             pass  # dependent generators: their span equations decide below
         else:
-            normals = (primitivize(Vec(col, dual_ambient(amb))) for col in zip(*scaled))
-            c = Cone(amb, rank, tuple(prim), _sorted_vecs(normals), ())
+            # Independent columns give distinct primitive normals.
+            normals = []
+            for col in zip(*scaled):
+                g = gcd(*col)
+                normals.append(Vec(tuple(x // g for x in col), dual_ambient(amb)))
+            normals.sort(key=lambda v: v.coords)
+            c = Cone(amb, rank, tuple(prim), tuple(normals), ())
             c.__dict__["inverse"] = (tuple(map(tuple, scaled)), den)
             return c
 
@@ -186,11 +191,13 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
 
 
 def contains(c: Cone, x: Vec) -> bool:
-    """Cone membership, boundary included."""
-    if x.ambient != c.ambient or x.rank != c.rank:
+    """Cone membership, boundary included.  The ambient and rank of x are
+    checked here once; the cone's normals and equations are its own rows."""
+    if x.ambient != c.ambient or len(x.coords) != c.rank:
         raise ValueError("point does not live in the cone's ambient lattice")
-    return all(pair(f, x) >= 0 for f in c.facet_normals) and all(
-        pair(e, x) == 0 for e in c.span_equations
+    xs = x.coords
+    return all(sum(map(mul, f.coords, xs)) >= 0 for f in c.facet_normals) and all(
+        sum(map(mul, e.coords, xs)) == 0 for e in c.span_equations
     )
 
 

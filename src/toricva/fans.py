@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
@@ -136,7 +137,9 @@ def check_rank(rank: int) -> None:
 def _refuse_overlap(rays, cones, i: int, idxs: tuple[int, ...]) -> None:
     """Reject the fan if a maximal cone other than cone i holds the sum of
     the rays idxs (a relative-interior point of the face they span)."""
-    point = sum((rays[k] for k in idxs), rays[0].scale(0))
+    rows = [rays[k].coords for k in idxs]
+    coords = tuple(sum(r[j] for r in rows) for j in range(len(rays[0].coords)))
+    point = Vec(coords, rays[0].ambient)
     for j, c in enumerate(cones):
         if j != i and contains(c, point):
             raise ValueError(f"not a fan: cones {min(i, j)} and {max(i, j)} overlap")
@@ -197,11 +200,14 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     # Facet matching: every facet of every maximal cone must be shared with
     # exactly one other maximal cone, with opposite inner normals.  Owners
     # are listed in cone order, and a cone's facets have distinct ray sets,
-    # so each wall's owners come as sigma < tau.
+    # so each wall's owners come as sigma < tau.  A normal is an integer row
+    # in the dual ambient of the rank-checked rays of its own cone, so the
+    # rows are multiplied as they are.
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
     for ci, (c, idxs) in enumerate(zip(cones, index_sets)):
         for f in c.facet_normals:
-            wall_rays = tuple(i for i in idxs if pair(f, rays[i]) == 0)
+            fc = f.coords
+            wall_rays = tuple(i for i in idxs if sum(map(mul, fc, rays[i].coords)) == 0)
             facets.setdefault(wall_rays, []).append((ci, f))
 
     walls = []

@@ -15,12 +15,13 @@ checks share their hypotheses and differ only in their threshold, the
 projective-space exclusion and the failures they read off the combined
 divisor's local data; the three per-cone checks take a cone index.  Every
 check reads D, D' and D+D' from the instance's solves
-(`intersections.solve_divisor`), and D''s coefficient sums in each dual cone
-from `Instance.dprime_sums`, each made once per instance on first use; a
-cone's wall minimum is read off the per-wall values, and the generation and
-corner scans test shifted-polytope membership against D+D''s offset table
-(`divisors.in_shifted_polytope`).  `BUILTINS` is the table of named
-instance families.
+(`intersections.solve_divisor`), D''s coefficient sums in each dual cone
+from `Instance.dprime_sums` (one evaluation on a one-cell dual, whose two
+sums agree) and the cone table from `Instance.cone_data`, each made once
+per instance on first use; a cone's wall minimum is read off the per-wall
+values, and the generation and corner scans test shifted-polytope
+membership against D+D''s offset table (`divisors.in_shifted_polytope`).
+`BUILTINS` is the table of named instance families.
 """
 
 from __future__ import annotations
@@ -77,10 +78,17 @@ class Instance:
         for ci in range(len(fan.max_cones)):
             if local is None or not contains(fan.duals[ci], local[ci]):
                 out.append((None, None))
-            else:
-                sums = fan.coefficient_sums[ci]
-                out.append((sums.minimum(local[ci]).value, sums.maximum(local[ci]).value))
+                continue
+            sums = fan.coefficient_sums[ci]
+            low = sums.minimum(local[ci]).value
+            # one cell, one piece: lambda_max is the same value
+            out.append((low, low if sums.one_cell else sums.maximum(local[ci]).value))
         return tuple(out)
+
+    @cached_property
+    def cone_data(self) -> tuple[ConeData, ...]:
+        """`cone_table` of this instance, built once."""
+        return cone_table(self)
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,8 @@ def _report(inst: Instance, statement: str, hyps, verdict, rows) -> CheckReport:
 
 
 def cone_table(inst: Instance) -> tuple[ConeData, ...]:
-    """Per cone: the wall minima t of D and m of D+D', and D''s coefficient sums."""
+    """Per cone: the wall minima t of D and m of D+D', and D''s coefficient
+    sums.  Read it through `Instance.cone_data`, which builds it once."""
     fan, d, dp = inst.fan, inst.d_solve, inst.dprime_solve
     rows = []
     for ci in range(len(fan.max_cones)):
@@ -253,7 +262,7 @@ def _global_report(
     hyps = _shared_hypotheses(inst, threshold, exclude_pspace)
     total = inst.total_solve
     verdict = None if total.local is None else conclude(inst, total)
-    return _report(inst, statement, hyps, verdict, cone_table(inst))
+    return _report(inst, statement, hyps, verdict, inst.cone_data)
 
 
 def _generation_conclusion(inst: Instance, total: DivisorSolve):

@@ -35,12 +35,13 @@ den * <phi, z> / beta.  The third is dual feasibility: every generator
 pairs with each maximal cell's phi to at least beta (at most, for a minimal
 cell), so <phi, x> / beta bounds lambda_max(x) from above (lambda_min(x)
 from below) by weak duality.  A one-cell cone's cell is both maximal and
-minimal, with every generator on it, and is checked once.  After that a
-point needs only its cell and a piece holding it: a feasible expression
-whose sum meets a feasible dual value certifies both optimal.  A point is
-written once as x = z / q with z integer, and `_certify` runs that test in
-integers for `minimum` and `maximum`, which package a `LambdaValue`; only
-the returned value and witness are divided by den * q.
+minimal, with every generator on it, and is checked once; `one_cell` says
+so, and then lambda_min and lambda_max are one value at every point.
+After that a point needs only its cell and a piece holding it: a feasible
+expression whose sum meets a feasible dual value certifies both optimal.
+A point is written once as x = z / q with z integer, and `_certify` runs
+that test in integers for `minimum` and `maximum`, which package a
+`LambdaValue`; only the returned value and witness are divided by den * q.
 `CoefficientSums(c)` builds a cone's cells once and is the only entry
 point; `Fan.coefficient_sums` keeps one per maximal cone's dual.
 
@@ -100,7 +101,8 @@ def _cell(rays, cell_cone: Cone, phi: tuple[int, ...], beta: int) -> _Cell:
 
 class CoefficientSums:
     """lambda_min and lambda_max on one full-dimensional pointed cone: the
-    facet tables are read once, then each point costs pairings only."""
+    facet tables are read once, then each point costs pairings only.
+    `one_cell` is True when one cell serves both sums, which then agree."""
 
     def __init__(self, c: Cone):
         if not c.is_full_dim:
@@ -109,7 +111,8 @@ class CoefficientSums:
         rays = c.rays
         inverse, den = c.inverse
         w = tuple(map(sum, inverse))
-        if all(_dot(w, g.coords) == den for g in rays):
+        self.one_cell = all(_dot(w, g.coords) == den for g in rays)
+        if self.one_cell:
             self._max_cells = self._min_cells = (_cell(rays, c, w, den),)
             sides = ((self._max_cells, -1),)
         else:
@@ -201,7 +204,7 @@ class CoefficientSums:
         c = self.cone
         if x.ambient != c.ambient:
             raise ValueError("point and cone live in different spaces")
-        if x.rank != c.rank:
+        if len(x.coords) != c.rank:
             raise ValueError("point does not live in the cone's ambient lattice")
         z, q = _integer_row(x.coords)
         cell, top, positions, a, den = self._certify(cells, z, sign)

@@ -4,6 +4,15 @@ Everything in this package runs on arbitrary-precision rationals; floating
 point never appears.  Vectors carry an ambient tag: "N" for the lattice
 where fan rays live, "M" for its dual, where divisor polytopes live.
 Pairing two vectors from the same ambient is a bug, so it fails loudly.
+Tags are checked in three places: at `Vec` construction (a known ambient),
+in `pair` (opposite ambients, equal ranks) and on entry to
+`cones.contains` (the cone's ambient and rank, once per point).  Rows
+already validated are multiplied as plain tuples: `fans.build_fan`'s
+facet matching and overlap test pair each cone's facet normals, made in
+the dual ambient of its rank-checked rays, with those rays.  A coordinate
+is an int, or a Fraction when it is not an integer; an int or a Fraction
+is read off its numerator and denominator, and anything else goes
+through `Fraction()`.
 
 All elimination goes through two kernels:
 
@@ -47,8 +56,9 @@ def dual_ambient(ambient: str) -> str:
 def _norm_coord(x) -> Scalar:
     if type(x) is int:
         return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class Vec:
     def _check_compatible(self, other: "Vec"):
         if self.ambient != other.ambient:
             raise ValueError("cannot combine vectors from different ambients")
-        if self.rank != other.rank:
+        if len(self.coords) != len(other.coords):
             raise ValueError("cannot combine vectors of different ranks")
 
     def __repr__(self):
@@ -113,7 +123,7 @@ def pair(u: Vec, v: Vec) -> Scalar:
     """Exact dual pairing.  Requires one vector from each of N and M."""
     if u.ambient == v.ambient:
         raise ValueError("pairing requires one vector from each of N and M")
-    if u.rank != v.rank:
+    if len(u.coords) != len(v.coords):
         raise ValueError("pairing requires vectors of equal rank")
     s = sum(map(mul, u.coords, v.coords))
     return s if type(s) is int else _norm_coord(s)
@@ -124,10 +134,10 @@ def primitivize(v: Vec) -> Vec:
 
     Sign-preserving: the result points in the same direction as the input.
     """
-    if v.is_zero:
-        raise ValueError("cannot primitivize the zero vector")
     ints, q = _integer_row(v.coords)
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("cannot primitivize the zero vector")
     if q == 1 and g == 1:
         return v
     return Vec(tuple(c // g for c in ints), v.ambient)
@@ -147,7 +157,7 @@ def _integer_row(row) -> tuple[list[int], int]:
     """(q * row, q) for q the lcm of the row's denominators."""
     if all(type(x) is int for x in row):
         return list(row), 1
-    fracs = [Fraction(x) for x in row]
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
     q = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (q // f.denominator) for f in fracs], q
 

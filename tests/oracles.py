@@ -52,12 +52,15 @@ to its cone's side, and the cone minima evaluate each there, where
 a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
 coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
 integers.
+`reference_norm_coord`, `reference_integer_row` and `reference_enc_scalar`
+pass every value through `Fraction()`, where `linalg` and `cli` read the
+numerator and denominator of an int or a Fraction as they are.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, lcm
 from operator import le
 
 from toricva.cones import (
@@ -942,3 +945,24 @@ def cone_minima(fan: Fan, d: Divisor, dp: Divisor, cone_index: int) -> ConeMinim
     t = min(wall_value(fan, local_d, w) for w in walls)
     m = min(wall_value(fan, local_sum, w) for w in walls)
     return ConeMinima(t, m)
+
+
+def reference_norm_coord(x):
+    """x as an int when it is an integer, else as a Fraction."""
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+def reference_integer_row(row) -> tuple[list[int], int]:
+    """(q * row, q) for q the lcm of the row's denominators."""
+    fracs = [Fraction(x) for x in row]
+    q = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (q // f.denominator) for f in fracs], q
+
+
+def reference_enc_scalar(x):
+    """A report scalar: an int, or a "p/q" string."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

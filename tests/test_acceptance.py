@@ -454,6 +454,34 @@ def test_closed_form_coefficient_sums_match_lp_oracle(pool2, pool3):
     _ok("lambda-oracle", f"{points} dual-cone points agree with the LP oracle")
 
 
+def test_one_cell_perturbation_sums_match_both_evaluations(pool2, pool3):
+    # D''s per-cone sums, which read a one-cell dual's lambda_max off its
+    # lambda_min, against both evaluations, value and type, on every dual
+    # holding u' in the pools, the builtins at the fixture arguments and
+    # quadric3, whose non-simplicial cone has a non-simplicial dual; every
+    # one of these duals is one cell, so each case takes the shortcut
+    quadric = quadric3_fan()
+    instances = pool2 + pool3 + [
+        builtin(name, args) for name, calls in BUILTIN_ARGS.items() for args in calls
+    ]
+    instances.append(
+        Instance(quadric, Divisor((1, 1, 0, 0, 0)), canonical_divisor(quadric), "quadric3")
+    )
+    seen = Counter()
+    for inst in instances:
+        fan, local = inst.fan, inst.dprime_solve.local
+        for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
+            if local is None or not contains(dual, local[ci]):
+                continue
+            want = (sums.minimum(local[ci]).value, sums.maximum(local[ci]).value)
+            got = inst.dprime_sums[ci]
+            assert sums.one_cell, (inst.label, ci)
+            assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want], (inst.label, ci)
+            seen["non-simplicial" if len(dual.rays) > fan.rank else "simplicial"] += 1
+    assert seen == {"simplicial": 656, "non-simplicial": 1}, seen
+    _ok("one-cell-sums", f"{dict(seen)} dual cones read both sums off one evaluation")
+
+
 def test_interior_points_match_box_filter_oracle(pool2, pool3):
     # the last coordinate's interval read off the normals, expanded line by
     # line, gives the box filter's points in the same order, and no line is

@@ -26,7 +26,7 @@ from fixtures import (
     SUSPENDED_CONES,
     SUSPENDED_RAYS,
 )
-from oracles import reference_hilbert_basis
+from oracles import reference_enc_scalar, reference_hilbert_basis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -1023,3 +1023,13 @@ def test_emitter_matches_json_dumps_on_every_benchmark_report(tmp_path, monkeypa
         "hilbert": 160,
         "examples": examples,
     }
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0, 3, -7, Fraction(4, 2), Fraction(-6, 3), Fraction(1, 3), Fraction(-5, 4), "3/6", True],
+    ids=repr,
+)
+def test_scalar_encoding_matches_the_fraction_reference(x):
+    got, want = cli._enc_scalar(x), reference_enc_scalar(x)
+    assert (got, type(got)) == (want, type(want))

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import cone_outcome, cone_path
@@ -151,10 +151,9 @@ def test_dual_pairings_nonnegative(c):
 
 
 @settings(max_examples=80, deadline=None)
-@given(pointed_cones(), st.lists(small, min_size=2, max_size=3))
-def test_membership_agrees_with_lp(c, coords):
-    assume(len(coords) == c.rank)
-    x = vec(coords, N)
+@given(pointed_cones(), st.data())
+def test_membership_agrees_with_lp(c, data):
+    x = vec(data.draw(st.lists(small, min_size=c.rank, max_size=c.rank)), N)
     via_normals = contains(c, x)
     via_lp = in_nonneg_span([r.coords for r in c.rays], x.coords)
     assert via_normals == via_lp

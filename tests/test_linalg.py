@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pivot, reference_rref, solve_exact, solve_matrix
+from oracles import (
+    pivot,
+    reference_integer_row,
+    reference_norm_coord,
+    reference_rref,
+    solve_exact,
+    solve_matrix,
+)
+from toricva.divisors import Divisor
 from toricva.linalg import (
     M,
     N,
     Vec,
     _echelon,
+    _integer_row,
     _ratio,
     dual_ambient,
     hermite_int,
@@ -331,3 +340,34 @@ def test_pair_returns_normalized_scalars():
     assert whole == 4 and type(whole) is int
     half = pair(vec([Fraction(1, 2), 0], M), vec([1, 5], N))
     assert half == Fraction(1, 2) and type(half) is Fraction
+
+
+# Ints, negative values, Fractions with denominator 1, proper Fractions, a
+# string the fallback parses, and rows mixing them.
+NUMBER_ROWS = [
+    (0, 3, -7),
+    (Fraction(4, 2), Fraction(-6, 3), 5),
+    (Fraction(1, 3), Fraction(-5, 4)),
+    (2, Fraction(-1, 6), Fraction(8, 4), -3),
+    ("3/6", 1),
+    ("-4/2", Fraction(3, 9)),
+]
+
+
+@pytest.mark.parametrize("row", NUMBER_ROWS, ids=str)
+def test_number_normalisation_matches_the_fraction_reference(row):
+    def typed(xs):
+        return [(x, type(x)) for x in xs]
+
+    ints, q = _integer_row(row)
+    ref_ints, ref_q = reference_integer_row(row)
+    assert (typed(ints), q, type(q)) == (typed(ref_ints), ref_q, type(ref_q))
+    want = typed(reference_norm_coord(x) for x in row)
+    assert typed(Vec(row, N).coords) == want
+    assert typed(Divisor(row).coeffs) == want
+
+
+def test_primitivize_refuses_every_zero_vector():
+    for zero in (vec([0, 0], N), vec([Fraction(0), 0, 0], M), Vec((), N)):
+        with pytest.raises(ValueError, match="^cannot primitivize the zero vector$"):
+            primitivize(zero)
