@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
+from fixtures import nvecs, p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
 from oracles import poly_contains, polytope, subset_vertices, wall_value
 from toricva import cones, divisors, intersections, lambdas
 from toricva.cones import classify, contains
@@ -471,6 +471,23 @@ def test_perturbation_sums_are_evaluated_once_per_cone(monkeypatch):
         (sums.minimum(u).value, sums.maximum(u).value)
         for sums, u in zip(inst.fan.coefficient_sums, inst.dprime_solve.local)
     )
+
+
+def test_a_multi_cell_dual_keeps_both_perturbation_sums():
+    # the cone over the rectangle [0, 2] x [0, 1] at height 1, completed by
+    # four simplicial cones to the apex (-1, -1, -2): the canonical divisor's
+    # u' = (0, 0, 1) lies inside its dual, whose rays (0, 1, 0), (-1, 0, 2),
+    # (0, -1, 1) and (1, 0, 0) lie on no common hyperplane, and its sums
+    # there are 1 and 2
+    rays = nvecs((0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1), (-1, -1, -2))
+    cones_ = [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
+    fan = build_fan(rays, cones_, 3)
+    inst = Instance(fan, Divisor((0,) * 5), canonical_divisor(fan), "rectangle")
+    sums, u = fan.coefficient_sums[0], inst.dprime_solve.local[0]
+    assert u == vec((0, 0, 1), M) and not sums.one_cell
+    assert inst.dprime_sums[0] == (1, 2)
+    assert inst.dprime_sums[0] == (sums.minimum(u).value, sums.maximum(u).value)
+    assert all(fan.coefficient_sums[ci].one_cell for ci in range(1, 5))
 
 
 def test_wall_bound_refuses_a_non_q_cartier_perturbation_before_its_sums():
