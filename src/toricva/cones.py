@@ -9,14 +9,16 @@ decides whether they are independent.  If they are, its columns are the
 facet normals, and the cone keeps it as `Cone.inverse`; its dual derives
 its own from it with no elimination, and so the fan's local data, the
 coefficient sums and the Hilbert bases on the dual need none.  Any other
-cone reads its facet normals off the one subset scan, `extreme_rays` (the
-dual's rays, which also decide pointedness without an LP), and its
-extreme rays off the normals tight on each generator (the tight-set
-rule).  A full-dimensional cone's dual needs no scan: `dual_cone` swaps
-the two descriptions, and an inverse derived without elimination is
-checked where it is made.  The scan suits desk scale only: it solves
-C(m, rank - 1) systems for m inequalities, and refuses more than
-`MAX_SCAN_SUBSETS` before it starts.
+cone finds its facet normals, the rays of its dual, by the double
+description method, which starts from the simplicial cone of rank many
+independent generators and adds the others one at a time.  Each normal
+comes with its tight set, the generators vanishing on it: the normals'
+rank decides pointedness without an LP, and the tight sets decide which
+generators are extreme (the tight-set rule).  A full-dimensional cone's
+dual needs no second run: `dual_cone` swaps the two descriptions, and an
+inverse derived without elimination is checked where it is made.  A run
+past `MAX_PAIR_TESTS` pair tests is refused before the step that would
+pass the cap starts.
 `triangulate` splits a cone into simplicial cones on its own rays, for
 Hilbert bases and for the witnesses of coefficient sums; `piece_inverse`
 gives each piece's inverse, the cone's own when the piece is the cone.
@@ -26,17 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import (
     Vec,
     dual_ambient,
+    independent_rows,
     integer_left_inverse,
     lattice_index,
     matrix_rank,
-    nullspace,
     pair,
     perp_basis,
     primitivize,
@@ -85,45 +86,69 @@ def _sorted_vecs(vecs) -> tuple[Vec, ...]:
     return tuple(sorted(set(vecs), key=lambda v: v.coords))
 
 
-# The most inequality subsets extreme_rays scans; a larger scan is refused
-# before it starts.  The cube [-1, 1]^5's face fan needs 1,820 per cone, its
-# rank-6 analogue 201,376.
-MAX_SCAN_SUBSETS = 20_000
+# The most (+, -) ray pairs the double description tests, summed over its
+# steps; a step that would pass it is refused before it starts.
+MAX_PAIR_TESTS = 100_000
 
 
-def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
-    """Sorted primitive extreme rays of the cone
-    {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}, x in `ambient`.
+def _double_description(rows, basis: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The extreme rays of {y : a.y >= 0 for a in rows}, primitive, each with
+    its tight set: the rows vanishing on it, as a bit mask over row indices.
 
-    Rows are vectors of one rank, paired with x by their coordinates.  An
-    extreme ray is the one-dimensional nullspace of eqs and of
-    rank - 1 - rank(eqs) inequalities tight on it, so scanning those subsets
-    finds every ray; the kernel hands it over as a primitive integer vector.
-    A cone containing a line has no extreme ray; the scan then returns
-    nothing or one vector of that line.  A scan of more than
-    MAX_SCAN_SUBSETS subsets raises ValueError.
+    The rows have full column rank d, and the rows at `basis` are d
+    independent ones, so the cone is pointed.  It starts as their simplicial
+    cone, read off one inverse, and takes the other rows one at a time
+    (double description: Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
+    and Prodon, Combinatorics and Computer Science, 1996).  A new row a
+    keeps the rays with a.y >= 0 and joins each ray with a.y > 0 to each
+    adjacent ray with a.y < 0 in one on a.y = 0.  Two extreme rays are
+    adjacent when the rows tight on both cut out a two-dimensional face:
+    those rows number at least d - 2, and no third ray is tight on all of
+    them.  More than MAX_PAIR_TESTS pairs raise ValueError.
     """
-    ineq_rows = [list(f.coords) for f in ineqs]
-    eq_rows = [list(e.coords) for e in eqs]
-    rank = len((ineq_rows or eq_rows)[0])
-    k = rank - 1 - matrix_rank(eq_rows)
-    if k < 0:
-        return ()
-    subsets = comb(len(ineq_rows), k)
-    if subsets > MAX_SCAN_SUBSETS:
-        raise ValueError(f"the facet scan needs {subsets} subsets, more than {MAX_SCAN_SUBSETS}")
-    found = set()
-    for subset in combinations(ineq_rows, k):
-        ns = nullspace(list(subset) + eq_rows, rank)
-        if len(ns) != 1:
+    d = len(basis)
+    scaled, _ = integer_left_inverse([rows[i] for i in basis])
+    # column j pairs positively with row basis[j] and to 0 with the others
+    everything = sum(1 << i for i in basis)
+    rays = [(_primitive(col), everything ^ 1 << i) for i, col in zip(basis, zip(*scaled))]
+    started = set(basis)
+    tests = 0
+    for k, a in enumerate(rows):
+        if k in started:
             continue
-        w = ns[0]
-        values = [sum(map(mul, f, w)) for f in ineq_rows]
-        if all(v >= 0 for v in values):
-            found.add(Vec(w, ambient))
-        elif all(v <= 0 for v in values):
-            found.add(Vec(tuple(-a for a in w), ambient))
-    return _sorted_vecs(found)
+        bit = 1 << k
+        pos, neg, kept = [], [], []
+        for y, t in rays:
+            v = sum(map(mul, a, y))
+            if v > 0:
+                pos.append((y, t, v))
+                kept.append((y, t))
+            elif v < 0:
+                neg.append((y, t, v))
+            else:
+                kept.append((y, t | bit))
+        tests += len(pos) * len(neg)
+        if tests > MAX_PAIR_TESTS:
+            raise ValueError(
+                f"the facet search needs at least {tests} pair tests, more than {MAX_PAIR_TESTS}"
+            )
+        masks = [t for _, t in rays]
+        for y1, t1, v1 in pos:
+            for y2, t2, v2 in neg:
+                common = t1 & t2
+                # t1 and t2 contain common; a third ray may not
+                if common.bit_count() < d - 2 or sum(common & t == common for t in masks) > 2:
+                    continue
+                z = [v1 * q - v2 * p for p, q in zip(y1, y2)]
+                kept.append((_primitive(z), common | bit))
+        rays = kept
+    return rays
+
+
+def _primitive(row) -> tuple[int, ...]:
+    """A nonzero integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row)
 
 
 class NotPointed(ValueError):
@@ -143,14 +168,17 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     and positively with g_j, so the primitive columns are the facet normals.
     The cone keeps the inverse.
 
-    Any other cone scans for its facet normals and reads extremality off
-    tight sets, tight(x) being the indices of the normals vanishing at x.
-    The normals in tight(g) cut out the smallest face through g, within the
-    span for a lower-dimensional cone (Ziegler, Lectures on Polytopes,
-    1995, section 2.2), and that face is generated by the generators it
-    holds: the h with tight(h) containing tight(g).  So it is the ray
-    through g exactly when no other generator h has tight(h) containing
-    tight(g).
+    Any other cone takes its facet normals from the double description,
+    each with its tight set, and reads extremality off tight sets, tight(x)
+    being the indices of the normals vanishing at x.  A lower-dimensional
+    cone's normals are found within the span of its generators, which the
+    `perp_basis` equations cut out, with rank many independent generators
+    as coordinates.  The normals in tight(g) cut out the smallest face
+    through g, within the span for a lower-dimensional cone (Ziegler,
+    Lectures on Polytopes, 1995, section 2.2), and that face is generated
+    by the generators it holds: the h with tight(h) containing tight(g).
+    So it is the ray through g exactly when no other generator h has
+    tight(h) containing tight(g).
     """
     gens = list(gens)
     if not gens:
@@ -169,24 +197,35 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
             pass  # dependent generators: their span equations decide below
         else:
             # Independent columns give distinct primitive normals.
-            normals = []
-            for col in zip(*scaled):
-                g = gcd(*col)
-                normals.append(Vec(tuple(x // g for x in col), dual_ambient(amb)))
-            normals.sort(key=lambda v: v.coords)
-            c = Cone(amb, rank, tuple(prim), tuple(normals), ())
+            normals = sorted(_primitive(col) for col in zip(*scaled))
+            dual = dual_ambient(amb)
+            c = Cone(amb, rank, tuple(prim), tuple(Vec(w, dual) for w in normals), ())
             c.__dict__["inverse"] = (tuple(map(tuple, scaled)), den)
             return c
 
-    eqs = perp_basis(prim)
-    # The facet normals are the rays of the dual, taken orthogonal to the
-    # span equations; the cone is pointed iff they span that complement.
-    normals = extreme_rays(prim, eqs, dual_ambient(amb))
-    if matrix_rank([list(f.coords) for f in normals]) != rank - len(eqs):
+    rows = [g.coords for g in prim]
+    basis = independent_rows(rows)
+    eqs = []
+    if len(basis) < rank:
+        # y stands for the normal sum(y_i b_i) over the basis generators b_i,
+        # which pairs with g as y pairs with (<b_i, g>)_i
+        eqs = perp_basis(prim)
+        span = [rows[i] for i in basis]
+        rows = [tuple(sum(map(mul, b, g)) for b in span) for g in rows]
+    found = _double_description(rows, basis)
+    if eqs:
+        columns = list(zip(*span))
+        found = [(_primitive([sum(map(mul, y, col)) for col in columns]), t) for y, t in found]
+    found.sort()
+    normals = tuple(Vec(w, dual_ambient(amb)) for w, _ in found)
+    # The facet normals are the rays of the dual, taken within the span;
+    # the cone is pointed iff they span it.
+    if matrix_rank([f.coords for f in normals]) != rank - len(eqs):
         raise NotPointed("not pointed")
-    tight = [{i for i, f in enumerate(normals) if pair(f, g) == 0} for g in prim]
+    # tight(g) as a bit mask over the normals
+    tight = [sum(1 << j for j, (_, t) in enumerate(found) if t >> i & 1) for i in range(len(prim))]
     # g's own tight set is the only one containing it
-    extreme = [g for g, t in zip(prim, tight) if sum(t <= u for u in tight) == 1]
+    extreme = [g for g, t in zip(prim, tight) if sum(t & u == t for u in tight) == 1]
     return Cone(amb, rank, tuple(extreme), normals, _sorted_vecs(eqs))
 
 

@@ -150,8 +150,9 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
 
     Raises ValueError("not a fan: ...") when cones overlap or fail face
     compatibility, and ValueError("fan not complete: ...") when some facet
-    has no neighbour.  A fan past MAX_RANK or MAX_RAYS, or a cone whose facet
-    scan would pass MAX_SCAN_SUBSETS, is refused before that work starts.
+    has no neighbour.  A fan past MAX_RANK or MAX_RAYS is refused before
+    any work starts, and a cone before the step of its double description
+    that would take it past `cones.MAX_PAIR_TESTS` pair tests.
     """
     rays = tuple(rays)
     check_rank(rank)

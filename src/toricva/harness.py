@@ -113,8 +113,8 @@ class ConeData:
     sums of the perturbation's local point inside the dual cone."""
 
     cone_index: int
-    t: Fraction | None
-    m: Fraction | None
+    t: Scalar | None
+    m: Scalar | None
     lambda_min_dual: Scalar | None
     lambda_max_dual: Scalar | None
 
@@ -159,7 +159,7 @@ def is_projective_space(fan: Fan) -> bool:
     return all(lattice_index([fan.rays[i].coords for i in s]) == 1 for s in subsets)
 
 
-def _cone_minimum(fan: Fan, values, sigma: int) -> Fraction:
+def _cone_minimum(fan: Fan, values, sigma: int) -> Scalar:
     """Least value over sigma's walls; a wall's value is the same from either side."""
     return min(v for v, w in zip(values, fan.walls) if sigma in (w.sigma, w.tau))
 

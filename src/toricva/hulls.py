@@ -2,7 +2,10 @@
 
 The hull of points p_1..p_k is read off the cone over the lifted points
 (1, p_i), built by the cone kernel: its rays are (1, v) for the vertices v,
-and each facet normal (-level, phi) is a facet <phi, x> >= level.
+and each facet normal (-level, phi) is a facet <phi, x> >= level.  Unless
+the points are exactly the vertices of a simplex, that cone is not
+simplicial, so its facets come from the double description and its
+vertices from the tight-set rule (`cones.cone_from_generators`).
 """
 
 from __future__ import annotations

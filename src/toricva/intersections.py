@@ -16,22 +16,22 @@ values and nef verdict off them; the other functions here, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import Divisor, NotQCartier, Offsets, local_offsets
 from .fans import Fan, Wall
-from .linalg import Vec
+from .linalg import Scalar, Vec, _ratio
 
 
-def wall_value(offsets: tuple[Offsets, ...], wall: Wall) -> Fraction:
+def wall_value(offsets: tuple[Offsets, ...], wall: Wall) -> Scalar:
     """Intersection number with the wall's curve of the divisor whose offset
-    table is `offsets`, which every ray of either cone off the wall must give."""
+    table is `offsets`, which every ray of either cone off the wall must
+    give: an int when it is integral, else a Fraction."""
     (es, qs), (et, qt) = offsets[wall.sigma], offsets[wall.tau]
     ratios = [(es[j], qs * w) for j, w in wall.far] + [(et[j], qt * w) for j, w in wall.near]
     num, den = ratios[0]
     if any(n * den != num * m for n, m in ratios[1:]):
         raise RuntimeError(f"internal: {wall}: wall value depends on the chosen outside ray")
-    return Fraction(num, den)
+    return _ratio(num, den)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class DivisorSolve:
 
     local: tuple[Vec, ...] | None
     offsets: tuple[Offsets, ...] = ()
-    values: tuple[Fraction, ...] = ()
+    values: tuple[Scalar, ...] = ()
     nef: bool | None = None
     missing: int | None = None
 
@@ -69,7 +69,7 @@ def solve_divisor(fan: Fan, d: Divisor) -> DivisorSolve:
     return DivisorSolve(local, offsets, values, nef)
 
 
-def wall_values(fan: Fan, d: Divisor) -> tuple[Fraction, ...]:
+def wall_values(fan: Fan, d: Divisor) -> tuple[Scalar, ...]:
     """One intersection number per wall, aligned with fan.walls."""
     return solve_divisor(fan, d).checked().values
 

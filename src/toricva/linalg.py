@@ -20,9 +20,9 @@ All elimination goes through two kernels:
   gcd-reduced): rows scaled to integers, then integer row operations, each
   divided by its gcd.  Row scaling leaves the reduced row echelon form,
   which is unique, unchanged: dividing each row by its pivot gives it, so
-  `matrix_rank` and `integer_left_inverse` read exactly the rational
-  answer off the integer rows, and `nullspace` reads primitive integer
-  vectors off them.  There is no general solve: every linear system the
+  `matrix_rank`, `independent_rows` and `integer_left_inverse` read
+  exactly the rational answer off the integer rows, and `nullspace` reads
+  primitive integer vectors off them.  There is no general solve: every linear system the
   package meets has a full-column-rank matrix that depends only on a cone
   of the fan, so it is answered by that matrix's `integer_left_inverse`
   and a consistency check.  The inverse is built once per simplicial cone,
@@ -223,6 +223,12 @@ def integer_left_inverse(rows) -> tuple[list[list[int]], int]:
 
 def matrix_rank(rows) -> int:
     return len(_echelon(rows)[1])
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the first maximal independent set of rows, in order: the
+    pivot columns of the transposed matrix."""
+    return _echelon(list(zip(*rows)))[1]
 
 
 def nullspace(rows: list[list], rank: int) -> list[tuple[int, ...]]:

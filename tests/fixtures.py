@@ -1,11 +1,13 @@
 """Shared hand-built fans and strategies for the test suite."""
 
+import itertools
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricva.cones import Cone, cone_from_generators
 from toricva.fans import build_fan
-from toricva.linalg import N, matrix_rank, primitivize, vec
+from toricva.linalg import M, N, matrix_rank, primitivize, vec
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -28,6 +30,20 @@ BUILTIN_ARGS = {
     "intro_simplex_3d": [(2,)],
     "ew_simplex": [(3,)],
 }
+
+# Smooth lattice polygons, and the pairs whose products have normal fans of
+# rank 4 with 16 to 36 maximal cones.
+POLYGONS = {
+    "triangle": ((0, 0), (1, 0), (0, 1)),
+    "square": ((0, 0), (1, 0), (0, 1), (1, 1)),
+    "hexagon": ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)),
+}
+PRODUCTS = (("hexagon", "hexagon"), ("square", "square"), ("hexagon", "triangle"))
+
+
+def product_vertices(a: str, b: str):
+    """The vertices of the product of the polygons named a and b."""
+    return [vec(p + q, M) for p in POLYGONS[a] for q in POLYGONS[b]]
 
 
 @st.composite
@@ -67,7 +83,8 @@ def cone_path(gens, outcome) -> str:
     """The refusal's type name, or which path of `cone_from_generators`
     built the cone: "simplicial" for rank many distinct primitive
     generators with no span equation, "scanned" for any other
-    full-dimensional cone, "lower" otherwise."""
+    full-dimensional cone, whose facets the double description finds, and
+    "lower" otherwise."""
     if not isinstance(outcome, Cone):
         return outcome[0].__name__
     if not outcome.is_full_dim:
@@ -103,3 +120,11 @@ def quadric3_fan():
     rays = nvecs((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (-1, -1, -1))
     cones = [(0, 1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4)]
     return build_fan(rays, cones, 3)
+
+
+def cube_face_fan(n: int):
+    """The face fan of [-1, 1]^n: its vertices as rays, a cone per facet,
+    each over an (n - 1)-cube with 2^(n - 1) rays."""
+    rays = list(itertools.product((-1, 1), repeat=n))
+    cones = [[j for j, v in enumerate(rays) if v[i] == s] for i in range(n) for s in (-1, 1)]
+    return build_fan(nvecs(*rays), cones, n)

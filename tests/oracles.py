@@ -14,8 +14,9 @@ fiber-polytope vertex enumeration here goes through plain subset
 enumeration and exact Gaussian solves, never through the simplex
 tableau.  The exact simplex (`lp_solve`, with `lp_feasible` and
 `in_nonneg_span`) lives here too: production code decides coefficient
-sums in closed form from hull facets and pointedness from
-`cones.extreme_rays`, so the LP is a reference, not a layer.  The box
+sums in closed form from hull facets and pointedness from the rank of the
+facet normals the double description finds, so the LP is a reference, not
+a layer.  The box
 scans enumerate every lattice point of a bounding box, which the
 production code never does: `box_interior_points` tests each point of
 the box against every facet normal, where `harness.interior_points`
@@ -41,13 +42,18 @@ vertices by one LP per point, where production code builds one cone over
 the lifted points.  The fan reference intersects every pair of maximal
 cones and asks for a common face, where `fans.build_fan` reads the
 covering degree off one point.  The dual-cone reference rebuilds each
-dual by the extreme-ray scan and checks biduality, where
+dual from the cone's facet normals and checks biduality, where
 `cones.dual_cone` swaps the two descriptions.
-`reference_cone_from_generators` scans for the facet normals of every
+`extreme_rays` is the subset scan: it solves the equations together with
+every choice of rank - 1 - rank(equations) inequalities and keeps each
+one-dimensional solution that meets all the inequalities, C(m, rank - 1)
+eliminations for m inequalities and no equation.
+`reference_cone_from_generators` runs it for the facet normals of every
 cone and asks one nullspace per generator whether it is extreme, where
-`cones.cone_from_generators` inverts a simplicial cone's generators and
-compares tight sets.  `walls_of` flips each wall
-to its cone's side, and the cone minima evaluate each there, where
+`cones.cone_from_generators` inverts a simplicial cone's generators, runs
+the double description on any other cone and compares tight sets.
+`intersect_cones` scans the two cones' joint inequalities.  `walls_of`
+flips each wall to its cone's side, and the cone minima evaluate each there, where
 `harness` reads one value per wall.  `lambda_min` and `lambda_max` build
 a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
 coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, lcm
-from operator import le
+from operator import le, mul
 
 from toricva.cones import (
     Cone,
@@ -70,7 +76,6 @@ from toricva.cones import (
     cone_from_generators,
     contains,
     dual_cone,
-    extreme_rays,
     triangulate,
 )
 from toricva.divisors import Divisor, _check_divisor, local_data
@@ -697,6 +702,39 @@ def subset_vertices(halfspaces) -> tuple[Vec, ...]:
     return tuple(sorted(verts, key=lambda v: v.coords))
 
 
+def extreme_rays(ineqs, eqs, ambient: str) -> tuple[Vec, ...]:
+    """Sorted primitive extreme rays of the cone
+    {x : f.x >= 0 for f in ineqs, e.x = 0 for e in eqs}, x in `ambient`,
+    by the subset scan.
+
+    Rows are vectors of one rank, paired with x by their coordinates.  An
+    extreme ray is the one-dimensional nullspace of eqs and of
+    rank - 1 - rank(eqs) inequalities tight on it, so scanning those subsets
+    finds every ray; the kernel hands it over as a primitive integer vector.
+    A cone containing a line has no extreme ray; the scan then returns
+    nothing or one vector of that line.  It solves C(m, rank - 1 - rank(eqs))
+    systems for m inequalities.
+    """
+    ineq_rows = [list(f.coords) for f in ineqs]
+    eq_rows = [list(e.coords) for e in eqs]
+    rank = len((ineq_rows or eq_rows)[0])
+    k = rank - 1 - matrix_rank(eq_rows)
+    if k < 0:
+        return ()
+    found = set()
+    for subset in combinations(ineq_rows, k):
+        ns = nullspace(list(subset) + eq_rows, rank)
+        if len(ns) != 1:
+            continue
+        w = ns[0]
+        values = [sum(map(mul, f, w)) for f in ineq_rows]
+        if all(v >= 0 for v in values):
+            found.add(Vec(w, ambient))
+        elif all(v <= 0 for v in values):
+            found.add(Vec(tuple(-a for a in w), ambient))
+    return _sorted_vecs(found)
+
+
 def reference_cone_from_generators(gens: list[Vec]) -> Cone:
     """Reference for `cones.cone_from_generators`: facet normals by the
     extreme-ray scan for every cone, simplicial ones included, pointedness by
@@ -727,7 +765,7 @@ def reference_cone_from_generators(gens: list[Vec]) -> Cone:
 
 def reference_dual_cone(c: Cone) -> Cone:
     """Reference for `cones.dual_cone`: the dual rebuilt from c's facet
-    normals by the extreme-ray scan, checked by biduality."""
+    normals by `cone_from_generators`, checked by biduality."""
     if not c.is_full_dim:
         raise ValueError("dual_cone requires a full-dimensional cone")
     d = cone_from_generators(list(c.facet_normals))

@@ -15,12 +15,15 @@ import pytest
 
 from fixtures import (
     BUILTIN_ARGS,
+    PRODUCTS,
     cone_outcome,
     cone_path,
+    cube_face_fan,
     p1xp1_fan,
     p2_fan,
     p3_fan,
     p112_fan,
+    product_vertices,
     quadric3_fan,
 )
 from oracles import (
@@ -73,6 +76,7 @@ from toricva.harness import (
     check_wall_bound,
     generation_scan,
     interior_points,
+    polytope_fan,
     projective_space,
     random_instance,
     weighted_112,
@@ -389,6 +393,25 @@ def test_offset_table_matches_the_rational_polytope(pool2, pool3):
     _ok("offset-oracle", f"{dict(seen)}")
 
 
+def test_wall_values_are_ints_exactly_when_integral(pool2, pool3):
+    # every wall value of D, D' and D + D' equals the reference's Fraction,
+    # as an int when its denominator is 1
+    kinds = Counter()
+    for inst in pool2 + pool3 + _series_and_fixture_builtins():
+        fan = inst.fan
+        for d in (inst.d, inst.dprime, inst.d + inst.dprime):
+            solved = solve_divisor(fan, d)
+            if solved.local is None:
+                continue
+            for w, value in zip(fan.walls, solved.values):
+                want = wall_value(fan, solved.local, w)
+                assert value == want, (inst.label, w)
+                assert type(value) is (int if want.denominator == 1 else Fraction), (inst.label, w)
+                kinds[type(value).__name__] += 1
+    assert kinds["int"] and kinds["Fraction"], kinds
+    _ok("wall-values", f"{dict(kinds)}")
+
+
 def test_criterion_08_coefficient_sum_oracle():
     rng = random.Random("acceptance:lambda")
     pairs = 0
@@ -686,14 +709,43 @@ def test_cone_kernel_matches_the_reference_on_every_cone_it_builds(monkeypatch):
     _ok("cone-oracle", f"{len(seen)} generator sets agree with the reference")
 
 
+def test_double_description_matches_the_subset_scan_on_fan_cones(pool2, pool3):
+    # every maximal cone and dual of the pools, of every builtin at the
+    # scaling-series and fixture arguments, of quadric3, of the cube face
+    # fans in ranks 3 to 5 and of the polygon products, and each product's
+    # lifted hull cone; each simplicial cone again with its ray sum added,
+    # which sends it through the double description
+    built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
+    built += [quadric3_fan()] + [cube_face_fan(n) for n in (3, 4, 5)]
+    sets = []
+    for a, b in PRODUCTS:
+        pts = product_vertices(a, b)
+        built.append(polytope_fan(pts)[0])
+        sets.append([vec((1, *p.coords), M) for p in pts])
+    for fan in built:
+        for c in fan.cones + fan.duals:
+            sets.append(list(c.rays))
+            if len(c.rays) == c.rank:
+                total = tuple(map(sum, zip(*(r.coords for r in c.rays))))
+                sets.append([*c.rays, vec(total, c.ambient)])
+    kinds = Counter()
+    for gens in sets:
+        got = cone_outcome(cone_from_generators, gens)
+        assert got == cone_outcome(reference_cone_from_generators, gens), gens
+        kinds[cone_path(gens, got)] += 1
+    assert kinds["simplicial"] > 1000 and kinds["scanned"] > 1000, kinds
+    _ok("double-description", f"{len(sets)} generator sets agree with the subset scan")
+
+
 def test_pool_and_builtin_fans_build_without_the_facet_scan(pool2, pool3, monkeypatch):
-    # every maximal cone there is simplicial, so build_fan never scans
+    # every maximal cone there is simplicial, so build_fan never runs the
+    # double description
     built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
 
     def refused(*args):
-        raise AssertionError("scanned a simplicial cone")
+        raise AssertionError("ran the double description on a simplicial cone")
 
-    monkeypatch.setattr(cones, "extreme_rays", refused)
+    monkeypatch.setattr(cones, "_double_description", refused)
     for fan in built:
         assert build_fan(fan.rays, fan.max_cones, fan.rank) == fan
     _ok("simplicial-fans", f"{len(built)} fans built without a facet scan")

@@ -821,10 +821,22 @@ def _plane_fan(m):
     return {"rank": 2, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * len(rays)}}
 
 
+def _moment_cone_doc(rank, k):
+    """A document whose cone 0 is the cone over the points (1, t, ..., t^(rank - 1))
+    for t = 1..k of the moment curve, over a cyclic polytope; it is refused
+    there, before anything else about the fan is asked."""
+    rays = [[t**i for i in range(rank)] for t in range(1, k + 1)]
+    return {"rank": rank, "rays": rays, "max_cones": [list(range(k))], "divisors": {"D": [1] * k}}
+
+
 @pytest.mark.parametrize(
     "doc, argv, message",
     [
-        (_cube_face_fan(6), ("analyze", "DOC"), "DOC: cone 0: the facet scan needs 201376 subsets"),
+        (
+            _moment_cone_doc(7, 20),
+            ("analyze", "DOC"),
+            "DOC: cone 0: the facet search needs at least 116843 pair tests, more than 100000",
+        ),
         (
             None,
             ("verify", "nef", "--builtin", "projective_space(40)"),
@@ -832,17 +844,12 @@ def _plane_fan(m):
         ),
         (_plane_fan(128), ("analyze", "DOC"), "DOC: the fan has 258 rays, more than 256"),
         (_plane_fan(128), ("hilbert", "DOC", "--sigma", "0"), "DOC: the fan has 258 rays"),
-        (
-            _pyramid_face_fan(51),
-            ("analyze", "DOC", "--json"),
-            "DOC: dual of maximal cone 0: the facet scan needs 20825 subsets, more than 20000",
-        ),
     ],
-    ids=["rank-6-cube", "rank-40", "258-rays", "258-rays-hilbert", "51-gon-dual"],
+    ids=["moment-curve-cone", "rank-40", "258-rays", "258-rays-hilbert"],
 )
 def test_work_over_a_cap_is_refused_before_it_starts(tmp_path, capsys, doc, argv, message):
-    # before the caps the rank-6 cube ran for 90 s, projective_space(40)
-    # for 8 s, and the cone table past the subset cap printed a traceback
+    # before the caps the rank-6 cube ran for 90 s and projective_space(40)
+    # for 8 s
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     start = time.monotonic()
@@ -852,6 +859,26 @@ def test_work_over_a_cap_is_refused_before_it_starts(tmp_path, capsys, doc, argv
     assert out == ""
     assert f"toricva: input error: {message.replace('DOC', str(path))}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (_cube_face_fan(6), ("analyze", "DOC")),
+        (_pyramid_face_fan(51), ("analyze", "DOC", "--json")),
+    ],
+    ids=["rank-6-cube", "51-gon-dual"],
+)
+def test_fans_past_the_old_facet_scan_cap_run(tmp_path, capsys, doc, argv):
+    # the subset scan refused both: C(32, 5) subsets for a cone of the cube,
+    # C(51, 3) for the hull of the pyramid's base cone's dual rays
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and err == ""
+    assert out
 
 
 def test_projective_space_past_the_rank_cap_builds_nothing(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import cone_outcome, cone_path
@@ -44,13 +44,18 @@ def test_zero_generator_rejected():
         cone((0, 0), (1, 0))
 
 
-def test_facet_scan_cap_admits_the_rank_5_cube_and_refuses_rank_6():
-    # the cone over a facet of [-1, 1]^n: 2^(n-1) rays, C(2^(n-1), n-1) subsets
-    five = [vec(v, N) for v in itertools.product((-1, 1), repeat=5) if v[0] == 1]
-    assert len(cone_from_generators(five).facet_normals) == 8
+def test_pair_test_cap_admits_the_rank_6_cube_and_refuses_a_moment_curve_cone():
+    # the cone over a facet of [-1, 1]^6 (32 rays) needs 98 pair tests; the
+    # cone over 20 points of the moment curve in rank 7, over a cyclic
+    # polytope with 800 facets, needs 175,643 and is refused at the first
+    # step past the cap
     six = [vec(v, N) for v in itertools.product((-1, 1), repeat=6) if v[0] == 1]
-    with pytest.raises(ValueError, match="the facet scan needs 201376 subsets, more than 20000"):
-        cone_from_generators(six)
+    assert len(cone_from_generators(six).facet_normals) == 10
+    moment = [vec([t**i for i in range(7)], N) for t in range(1, 21)]
+    with pytest.raises(
+        ValueError, match="^the facet search needs at least 116843 pair tests, more than 100000$"
+    ):
+        cone_from_generators(moment)
 
 
 def test_not_pointed_rejected():
@@ -288,6 +293,30 @@ def test_cone_from_generators_matches_the_reference_on_pointed_cones(c, extra):
     extras = [vec(e[: c.rank], N) for e in extra if any(e[: c.rank])]
     for gens in (list(c.rays), list(c.rays) + extras, list(c.facet_normals)):
         matches_reference(gens)
+
+
+@st.composite
+def generator_sets(draw):
+    """1..rank+4 nonzero generators in rank 1..4, drawn from a random span,
+    so that full-dimensional, lower-dimensional and non-pointed sets occur."""
+    rank = draw(st.integers(min_value=1, max_value=4))
+    span = draw(st.integers(min_value=1, max_value=rank))
+    row = st.lists(small, min_size=rank, max_size=rank)
+    basis = draw(st.lists(row, min_size=span, max_size=span))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=span, max_size=span)
+    rows = [
+        [sum(c * b[i] for c, b in zip(cs, basis)) for i in range(rank)]
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=rank + 4))
+    ]
+    gens = nvecs(*(r for r in rows if any(r)))
+    assume(gens)
+    return gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_double_description_matches_the_subset_scan_on_random_generators(gens):
+    matches_reference(gens)
 
 
 @pytest.mark.parametrize("rank", [3, 4, 5])

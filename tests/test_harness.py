@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import nvecs, p1xp1_fan, p2_fan, p3_fan, p112_fan, quadric3_fan
+from fixtures import (
+    POLYGONS,
+    PRODUCTS,
+    nvecs,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+    product_vertices,
+    quadric3_fan,
+)
 from oracles import poly_contains, polytope, subset_vertices, wall_value
 from toricva import cones, divisors, intersections, lambdas
 from toricva.cones import classify, contains
@@ -292,6 +302,25 @@ def test_polytope_fan_roundtrip():
     p = polytope(fan, d)
     assert set(subset_vertices(p.halfspaces)) == set(pts)
     assert is_nef(fan, d)
+
+
+@pytest.mark.parametrize("a, b", PRODUCTS)
+def test_polygon_products_build_and_pass_the_global_statements(a, b):
+    # the normal fan of a product of smooth polygons is smooth, and at 5
+    # times the support divisor every wall value is at least 5 = rank + 1;
+    # hexagon x hexagon's 36 vertices were past the subset scan's cap
+    fan, base = polytope_fan(product_vertices(a, b))
+    assert fan.rank == 4 and len(fan.rays) == len(POLYGONS[a]) + len(POLYGONS[b])
+    assert len(fan.max_cones) == len(POLYGONS[a]) * len(POLYGONS[b])
+    inst = Instance(fan, 5 * base, canonical_divisor(fan), f"{a} x {b}")
+    assert min(inst.d_solve.values) == 5
+    for check in (
+        check_generation,
+        check_nef_excluding_pspace,
+        check_nef_threshold,
+        check_corner_containment,
+    ):
+        assert check(inst).status == "pass", check.__name__
 
 
 def test_builtin_registry():

@@ -164,3 +164,23 @@ def test_the_guard_sees_each_way_of_naming_a_function():
     ):
         assert _names(ast.parse(text), "integer_left_inverse"), text
     assert not _names(ast.parse("from .linalg import lattice_index\n"), "integer_left_inverse")
+
+
+def _defined(path: Path) -> set[str]:
+    return {
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_the_subset_scan_is_only_a_test_oracle():
+    # cones finds facets by the double description; the scan over
+    # C(m, rank - 1) inequality subsets is the reference it is tested against
+    cones = ast.parse((SRC / "cones.py").read_text(encoding="utf-8"))
+    assert not any(_names(cones, name) for name in ("combinations", "comb"))
+    tests = Path(__file__).parent
+    scanners = sorted(
+        p.name for p in [*SRC.glob("*.py"), *tests.glob("*.py")] if "extreme_rays" in _defined(p)
+    )
+    assert scanners == ["oracles.py"]
