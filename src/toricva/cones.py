@@ -8,7 +8,8 @@ the cone: rank many generators cost one `integer_left_inverse`, which also
 decides whether they are independent.  If they are, its columns are the
 facet normals, and the cone keeps it as `Cone.inverse`; its dual derives
 its own from it with no elimination, and so the fan's local data, the
-coefficient sums and the Hilbert bases on the dual need none.  Any other
+coefficient sums and the Hilbert bases on the dual need none, and
+`classify` reads regularity off its denominator.  Any other
 cone finds its facet normals, the rays of its dual, by the double
 description method, which starts from the simplicial cone of rank many
 independent generators and adds the others one at a time.  Each normal
@@ -36,7 +37,6 @@ from .linalg import (
     dual_ambient,
     independent_rows,
     integer_left_inverse,
-    lattice_index,
     matrix_rank,
     pair,
     perp_basis,
@@ -304,10 +304,11 @@ def piece_inverse(c: Cone, piece: tuple[Vec, ...]) -> tuple[tuple[tuple[int, ...
 
 
 def classify(c: Cone) -> ConeClass:
+    """Whether c is simplicial, and regular: simplicial with rays a lattice
+    basis.  That is read off the inverse a simplicial cone carries: with
+    L @ R = I, |det R| = 1 makes L integral, and an integral L gives
+    det L * det R = 1, so c is regular exactly when its den is 1."""
     if not c.is_full_dim:
         raise ValueError("classify requires a full-dimensional cone")
     simplicial = len(c.rays) == c.rank
-    regular = False
-    if simplicial:
-        regular = lattice_index([r.coords for r in c.rays]) == 1
-    return ConeClass(simplicial, regular)
+    return ConeClass(simplicial, simplicial and c.inverse[1] == 1)

@@ -93,11 +93,21 @@ class Fan:
     # Derived per-cone data, built on first use and kept for the fan's
     # lifetime; cached properties are not fields, so equality and hashing
     # ignore them.  `duals` serves the statements' dual cones and what is
-    # built on them; a divisor's local data reads each cone's own inverse.
+    # built on them; a divisor's local data reads each cone's own inverse,
+    # and a cone's wall minima and neighbours read `cone_walls`.
     @cached_property
     def duals(self) -> tuple[Cone, ...]:
         """The dual of each maximal cone."""
         return tuple(dual_cone(c) for c in self.cones)
+
+    @cached_property
+    def cone_walls(self) -> tuple[tuple[int, ...], ...]:
+        """The indices in `walls` of each maximal cone's walls, ascending."""
+        out = [[] for _ in self.max_cones]
+        for wi, w in enumerate(self.walls):
+            out[w.sigma].append(wi)
+            out[w.tau].append(wi)
+        return tuple(map(tuple, out))
 
     @cached_property
     def coefficient_sums(self) -> tuple[CoefficientSums, ...]:

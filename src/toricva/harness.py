@@ -14,14 +14,18 @@ builds the `CheckReport` and concludes that nothing failed.  The four global
 checks share their hypotheses and differ only in their threshold, the
 projective-space exclusion and the failures they read off the combined
 divisor's local data; the three per-cone checks take a cone index.  Every
-check reads D, D' and D+D' from the instance's solves
-(`intersections.solve_divisor`), D''s coefficient sums in each dual cone
-from `Instance.dprime_sums` (one evaluation on a one-cell dual, whose two
-sums agree) and the cone table from `Instance.cone_data`, each made once
-per instance on first use; a cone's wall minimum is read off the per-wall
-values, and the generation and corner scans test shifted-polytope
-membership against D+D''s offset table (`divisors.in_shifted_polytope`).
-`BUILTINS` is the table of named instance families.
+check reads what belongs to the whole instance from `Instance`, where each
+table is made once on first use: D, D' and D+D' from the instance's solves
+(`intersections.solve_divisor`); each cone's wall minima of D and D+D'
+from `Instance.cone_minima`, read off the per-wall values through the
+fan's list of each cone's walls (`Fan.cone_walls`); D''s coefficient sums
+in each dual cone from `Instance.dprime_sums`, one call to
+`CoefficientSums.extremes` per cone; the coefficient range of D' and the
+projective-space test from `Instance.in_range` and `Instance.is_pspace`;
+and the cone table from `Instance.cone_data`.  The generation and corner
+scans test shifted-polytope membership against D+D''s offset table
+(`divisors.in_shifted_polytope`).  `BUILTINS` is the table of named
+instance families.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import ceil
 from operator import mul
 from typing import Callable
 
-from .cones import classify, contains
+from .cones import classify
 from .divisors import Divisor, canonical_divisor, dprime_in_range, in_shifted_polytope
 from .fans import Fan, build_fan, check_rank
 from .hulls import affine_rank, convex_hull
@@ -73,17 +77,39 @@ class Instance:
         """Per maximal cone, (lambda_min, lambda_max) of the perturbation's
         local point in the cone's dual; (None, None) without local data or
         outside the dual."""
-        fan, local = self.fan, self.dprime_solve.local
-        out = []
-        for ci in range(len(fan.max_cones)):
-            if local is None or not contains(fan.duals[ci], local[ci]):
-                out.append((None, None))
-                continue
-            sums = fan.coefficient_sums[ci]
-            low = sums.minimum(local[ci]).value
-            # one cell, one piece: lambda_max is the same value
-            out.append((low, low if sums.one_cell else sums.maximum(local[ci]).value))
-        return tuple(out)
+        local = self.dprime_solve.local
+        if local is None:
+            return ((None, None),) * len(self.fan.max_cones)
+        return tuple(
+            sums.extremes(u) or (None, None) for sums, u in zip(self.fan.coefficient_sums, local)
+        )
+
+    @cached_property
+    def cone_minima(self) -> tuple[tuple[Scalar | None, Scalar | None], ...]:
+        """Per maximal cone, the least wall value t of D and m of D+D' over
+        the cone's walls, the first least one in wall order; t is None when
+        D has no local data, and m also when D' has none."""
+        fan, d = self.fan, self.d_solve
+        n = len(fan.max_cones)
+        if d.local is None:
+            return ((None, None),) * n
+        ts = [min([d.values[wi] for wi in walls]) for walls in fan.cone_walls]
+        if self.dprime_solve.local is None:
+            return tuple((t, None) for t in ts)
+        total = self.total_solve.values
+        return tuple(
+            (t, min([total[wi] for wi in walls])) for t, walls in zip(ts, fan.cone_walls)
+        )
+
+    @cached_property
+    def in_range(self) -> bool:
+        """Whether D''s coefficients lie between zero and the canonical divisor's."""
+        return dprime_in_range(self.fan, self.dprime)
+
+    @cached_property
+    def is_pspace(self) -> bool:
+        """Whether the fan is the standard projective-space fan."""
+        return is_projective_space(self.fan)
 
     @cached_property
     def cone_data(self) -> tuple[ConeData, ...]:
@@ -159,11 +185,6 @@ def is_projective_space(fan: Fan) -> bool:
     return all(lattice_index([fan.rays[i].coords for i in s]) == 1 for s in subsets)
 
 
-def _cone_minimum(fan: Fan, values, sigma: int) -> Scalar:
-    """Least value over sigma's walls; a wall's value is the same from either side."""
-    return min(v for v, w in zip(values, fan.walls) if sigma in (w.sigma, w.tau))
-
-
 def _q_cartier(name: str, solved: DivisorSolve) -> Hypothesis:
     holds = solved.local is not None
     return Hypothesis(name, holds, "" if holds else f"no local data on cone {solved.missing}")
@@ -171,9 +192,7 @@ def _q_cartier(name: str, solved: DivisorSolve) -> Hypothesis:
 
 def _in_range(inst: Instance) -> Hypothesis:
     """The perturbation's coefficients lie between zero and the canonical divisor's."""
-    return Hypothesis(
-        "perturbation_between_zero_and_canonical", dprime_in_range(inst.fan, inst.dprime)
-    )
+    return Hypothesis("perturbation_between_zero_and_canonical", inst.in_range)
 
 
 def _perturbation_hypotheses(inst: Instance) -> list[Hypothesis]:
@@ -198,24 +217,17 @@ def _report(inst: Instance, statement: str, hyps, verdict, rows) -> CheckReport:
 def cone_table(inst: Instance) -> tuple[ConeData, ...]:
     """Per cone: the wall minima t of D and m of D+D', and D''s coefficient
     sums.  Read it through `Instance.cone_data`, which builds it once."""
-    fan, d, dp = inst.fan, inst.d_solve, inst.dprime_solve
-    rows = []
-    for ci in range(len(fan.max_cones)):
-        t = m = None
-        if d.local is not None:
-            t = _cone_minimum(fan, d.values, ci)
-            if dp.local is not None:
-                m = _cone_minimum(fan, inst.total_solve.values, ci)
-        rows.append(ConeData(ci, t, m, *inst.dprime_sums[ci]))
-    return tuple(rows)
+    return tuple(
+        ConeData(ci, t, m, *sums)
+        for ci, ((t, m), sums) in enumerate(zip(inst.cone_minima, inst.dprime_sums))
+    )
 
 
 def _shared_hypotheses(inst: Instance, threshold: int, exclude_pspace: bool):
     """Hypotheses common to the global adjoint statements."""
-    fan = inst.fan
     hyps = []
     if exclude_pspace:
-        isp = is_projective_space(fan)
+        isp = inst.is_pspace
         hyps.append(
             Hypothesis(
                 "fan_is_not_projective_space",
@@ -332,8 +344,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
     inst.dprime_solve.checked()
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
-    t = _cone_minimum(fan, d.values, sigma)
-    m = _cone_minimum(fan, inst.total_solve.values, sigma)
+    t, m = inst.cone_minima[sigma]
 
     hyps = []
     if r is None:
@@ -350,8 +361,7 @@ def check_wall_bound(inst: Instance, sigma: int, r=None) -> CheckReport:
         # Across each wall of sigma, the neighbour's rays off the wall.
         floors = all(
             any(inst.dprime.coeffs[j] >= -rr for j, _ in (w.far if w.sigma == sigma else w.near))
-            for w in fan.walls
-            if sigma in (w.sigma, w.tau)
+            for w in (fan.walls[wi] for wi in fan.cone_walls[sigma])
         )
         hyps.append(
             Hypothesis(
@@ -393,9 +403,13 @@ def interior_points(normals, rank: int, bound: int):
         for fh, fn in split:
             s = sum(map(mul, fh, head))
             if fn > 0:
-                lo = max(lo, -s // fn + 1)
+                s = -s // fn + 1
+                if s > lo:
+                    lo = s
             elif fn < 0:
-                hi = min(hi, (s - 1) // -fn)
+                s = (s - 1) // -fn
+                if s < hi:
+                    hi = s
             elif s <= 0:
                 break
         else:
@@ -409,7 +423,9 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
     The points are taken one line at a time, the last coordinate running over
     the interval the facet normals leave, and `max_below_on_line` certifies
     and compares a whole line at once, at a cost of (2 * bound + 1)^(rank - 1)
-    times the facet count, the pieces' rows and the cells."""
+    times the facet count, the pieces' rows and the cells.  The local
+    point's own lambda_max comes from `Instance.dprime_sums`, and the
+    coefficient range of D' from `Instance.in_range`."""
     fan = inst.fan
     if not 0 <= sigma < len(fan.max_cones):
         raise ValueError("no such maximal cone")
@@ -431,10 +447,10 @@ def check_interior_bound(inst: Instance, sigma: int, bound: int = 5) -> CheckRep
         checked = 0
         for head, lo, hi in interior_points(normals, fan.rank, bound):
             checked += hi - lo + 1
-            failures.extend(
-                Failure("cone", sigma, f"interior point {(*head, t)} has smaller maximum sum")
-                for t in sums.max_below_on_line(head, lo, hi, lmax)
-            )
+            for t in sums.max_below_on_line(head, lo, hi, lmax):
+                failures.append(
+                    Failure("cone", sigma, f"interior point {(*head, t)} has smaller maximum sum")
+                )
         verdict = failures, [
             f"checked {checked} interior lattice points with coordinate bound {bound}"
         ]

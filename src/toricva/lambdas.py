@@ -39,11 +39,16 @@ minimal, with every generator on it, and is checked once; `one_cell` says
 so, and then lambda_min and lambda_max are one value at every point.
 After that a point needs only its cell and a piece holding it: a feasible
 expression whose sum meets a feasible dual value certifies both optimal.
-A point is written once as x = z / q with z integer, and `_certify` runs
-that test in integers for `minimum` and `maximum`, which package a
-`LambdaValue`; only the returned value and witness are divided by den * q.
-`CoefficientSums(c)` builds a cone's cells once and is the only entry
-point; `Fan.coefficient_sums` keeps one per maximal cone's dual.
+A point is written once as x = z / q with z integer, the facet normals
+decide on z whether the cone holds it, and `_certify` runs the test in
+integers; only the returned value and witness are divided by den * q.
+`minimum` and `maximum` each return one sum with its witness, packaged as
+a `LambdaValue`.  `extremes` returns both values at once, or None for a
+point outside the cone: one membership test, one certificate on a one-cell
+cone and two on any other, and no witness, which is what the statements
+read (`harness.Instance.dprime_sums`).  `CoefficientSums(c)` builds a
+cone's cells once; `Fan.coefficient_sums` keeps one per maximal cone's
+dual.
 
 `max_below_on_line` settles a whole line of lattice points at once.  With
 all coordinates but the last fixed, a piece's coefficients and each cell's
@@ -130,17 +135,28 @@ class CoefficientSums:
         for cells, sign in sides:
             for cell in cells:
                 _check_cell(cell, rays, sign)
-            # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
-            for g in rays:
-                cell, top, _, _, _ = self._certify(cells, g.coords, sign)
-                if top != cell.beta:
-                    raise RuntimeError("internal: a generator's coefficient sums are not 1")
+        # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
+        evaluations = (self.maximum,) if self.one_cell else (self.maximum, self.minimum)
+        for g in rays:
+            if any(evaluate(g).value != 1 for evaluate in evaluations):
+                raise RuntimeError("internal: a generator's coefficient sums are not 1")
 
     def minimum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._min_cells, x, 1)
 
     def maximum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._max_cells, x, -1)
+
+    def extremes(self, x: Vec) -> tuple[Scalar, Scalar] | None:
+        """(lambda_min(x), lambda_max(x)), or None when x lies outside the
+        cone: the values `minimum` and `maximum` return, certified the same
+        way, with one membership test and no witness."""
+        point = self._held(x)
+        if point is None:
+            return None
+        z, q = point
+        low = self._value(self._min_cells, z, q, 1)
+        return low, low if self.one_cell else self._value(self._max_cells, z, q, -1)
 
     @cached_property
     def _max_lines(self):
@@ -166,19 +182,26 @@ class CoefficientSums:
             for rh, rn in rows:
                 s = _dot(rh, head)
                 if rn > 0:
-                    a = max(a, -(s // rn))
+                    s = -(s // rn)
+                    if s > a:
+                        a = s
                 elif rn < 0:
-                    b = min(b, s // -rn)
+                    s //= -rn
+                    if s < b:
+                        b = s
                 elif s < 0:
                     break
             else:
                 if a <= b:
                     spans.append((a, b))
+        if len(spans) > 1:
+            spans.sort()
         reach = lo
-        for a, b in sorted(spans):
+        for a, b in spans:
             if a > reach:
                 break
-            reach = max(reach, b + 1)
+            if b >= reach:
+                reach = b + 1
         if reach <= hi:
             raise RuntimeError(
                 f"internal: no piece of a maximal cell holds the lattice point {(*head, reach)}"
@@ -190,38 +213,56 @@ class CoefficientSums:
         for ph, pn, beta in cells:
             r, c = num * beta - den * _dot(ph, head), den * pn
             if c > 0:
-                below = max(below, (r - 1) // c)
+                r = (r - 1) // c
+                if r > below:
+                    below = r
             elif c < 0:
-                above = min(above, r // c + 1)
+                r = r // c + 1
+                if r < above:
+                    above = r
             elif r > 0:
                 return list(range(lo, hi + 1))
         if above <= below + 1:
             return list(range(lo, hi + 1))
         return [*range(lo, min(below, hi) + 1), *range(max(above, lo), hi + 1)]
 
-    def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
-        """The certified value at x = z / q and its witness, both divided by q."""
+    def _held(self, x: Vec) -> tuple[list[int], int] | None:
+        """(z, q) with x = z / q and z integer when the cone holds x, else
+        None; the cone is full-dimensional, so its facet normals alone
+        decide membership."""
         c = self.cone
         if x.ambient != c.ambient:
             raise ValueError("point and cone live in different spaces")
         if len(x.coords) != c.rank:
             raise ValueError("point does not live in the cone's ambient lattice")
         z, q = _integer_row(x.coords)
+        if any(_dot(f.coords, z) < 0 for f in c.facet_normals):
+            return None
+        return z, q
+
+    def _value(self, cells, z, q: int, sign: int) -> Scalar:
+        """The certified value at the point z / q of the cone."""
+        cell, top, _, _, _ = self._certify(cells, z, sign)
+        return _ratio(top, cell.beta * q)
+
+    def _evaluate(self, cells, x: Vec, sign: int) -> LambdaValue:
+        """The certified value at x = z / q and its witness, both divided by q."""
+        point = self._held(x)
+        if point is None:
+            raise ValueError("point outside cone")
+        z, q = point
         cell, top, positions, a, den = self._certify(cells, z, sign)
         dq = den * q
-        witness = [0] * len(c.rays)
+        witness = [0] * len(self.cone.rays)
         for i, ai in zip(positions, a):
             witness[i] = _ratio(ai, dq)
         return LambdaValue(_ratio(top, cell.beta * q), tuple(witness))
 
     def _certify(self, cells, z, sign: int):
         """<phi, z> / beta on the cell where sign times it is largest, for an
-        integer z, as (cell, <phi, z>, piece positions, piece coefficients a,
-        den): a >= 0, so by the identities `_check_cell` verified a / den is
-        an expression of z certifying the value."""
-        # c is full-dimensional, so its facet normals alone decide membership.
-        if any(_dot(f.coords, z) < 0 for f in self.cone.facet_normals):
-            raise ValueError("point outside cone")
+        integer z in the cone, as (cell, <phi, z>, piece positions, piece
+        coefficients a, den): a >= 0, so by the identities `_check_cell`
+        verified a / den is an expression of z certifying the value."""
         # Every beta is positive, so cells compare by cross-multiplying; the
         # first optimal cell wins a tie.
         cell, top = None, 0

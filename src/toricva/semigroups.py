@@ -26,9 +26,12 @@ the piece is the whole simplicial cone) reduces each into the
 parallelepiped in integer arithmetic.  The candidates are visited in order
 of their level sum on the facet normals, a positive grading, and each is
 kept unless a basis element found before it lies below it on every normal.
-A piece has as many parallelepiped points as its lattice index, so
-`hilbert_basis` sums those indices first and refuses a cone that needs
-more than `MAX_PARALLELEPIPED_POINTS`.
+A piece has as many parallelepiped points as its lattice index, the
+product of the |t_i| on the diagonal of its Hermite reduction.  So
+`hilbert_basis` reduces each piece once, sums those indices before any
+point is enumerated and refuses a cone that needs more than
+`MAX_PARALLELEPIPED_POINTS`; the points are then read off the same
+reductions.
 """
 
 from __future__ import annotations
@@ -38,10 +41,15 @@ from math import prod
 from operator import le, mul
 
 from .cones import Cone, piece_inverse, triangulate
-from .linalg import Vec, hermite_int, lattice_index
+from .linalg import Vec, hermite_int
 
 
-def _parallelepiped_points(gens: tuple[Vec, ...], inverse) -> list[Vec]:
+def _columns(gens: tuple[Vec, ...]) -> list[list[int]]:
+    """The matrix with the generators as columns."""
+    return [list(row) for row in zip(*(g.coords for g in gens))]
+
+
+def _parallelepiped_points(gens: tuple[Vec, ...], inverse, reduction) -> list[Vec]:
     """Lattice points of {sum a_i g_i : 0 <= a_i < 1} for independent g_i.
 
     With W = P @ [T; 0] (the g_i as columns, T upper triangular with
@@ -50,13 +58,13 @@ def _parallelepiped_points(gens: tuple[Vec, ...], inverse) -> list[Vec]:
     every class of Z^k modulo T Z^k once, and the points P @ (y, 0) meet
     every class modulo the g_i once.  Taking the fractional parts of each
     one's coordinates in the g_i moves it into the parallelepiped.  Full-
-    and lower-dimensional pieces go the same way.
+    and lower-dimensional pieces go the same way.  `reduction` is (P, t),
+    `hermite_int` of W.
     """
-    n = gens[0].rank
     k = len(gens)
     amb = gens[0].ambient
-    w = [[g.coords[i] for g in gens] for i in range(n)]
-    p_mat, t = hermite_int(w)
+    w = _columns(gens)
+    p_mat, t = reduction
     dets = [abs(x) for x in t]
     vol = prod(dets)
     if vol == 0:
@@ -166,16 +174,18 @@ def _rank2_basis(c: Cone) -> list[Vec]:
 
 def _reduced_basis(c: Cone) -> list[Vec]:
     """The degree-ordered reduction of the parallelepiped candidates."""
-    pieces = triangulate(c)
-    count = sum(lattice_index([g.coords for g in simplex]) for simplex in pieces)
+    # one Hermite reduction per piece: its diagonal gives the piece's
+    # lattice index, its point count, and P gives the points
+    pieces = [(simplex, hermite_int(_columns(simplex))) for simplex in triangulate(c)]
+    count = sum(abs(prod(t)) for _, (_, t) in pieces)
     if count > MAX_PARALLELEPIPED_POINTS:
         raise ValueError(
             f"the Hilbert basis needs {count} parallelepiped points, "
             f"more than {MAX_PARALLELEPIPED_POINTS}"
         )
     cands = set(c.rays)
-    for simplex in pieces:
-        points = _parallelepiped_points(simplex, piece_inverse(c, simplex))
+    for simplex, reduction in pieces:
+        points = _parallelepiped_points(simplex, piece_inverse(c, simplex), reduction)
         cands.update(x for x in points if not x.is_zero)
     # h - s lies in c exactly when s is at most h on every facet normal,
     # since both lie in c's span; then s has the smaller level sum unless

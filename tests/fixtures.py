@@ -128,3 +128,22 @@ def cube_face_fan(n: int):
     rays = list(itertools.product((-1, 1), repeat=n))
     cones = [[j for j, v in enumerate(rays) if v[i] == s] for i in range(n) for s in (-1, 1)]
     return build_fan(nvecs(*rays), cones, n)
+
+
+def cross_polytope_face_fan(n: int):
+    """The face fan of conv(+-e_i) in rank n: 2n rays and 2^n regular
+    cones, one per choice of a sign for each coordinate."""
+    rays = [tuple(s * int(j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+    cones = [
+        [2 * i + b for i, b in enumerate(bits)] for bits in itertools.product((0, 1), repeat=n)
+    ]
+    return build_fan(nvecs(*rays), cones, n)
+
+
+def rectangle_fan():
+    """The cone over the rectangle [0, 2] x [0, 1] at height 1, completed by
+    four simplicial cones to the apex (-1, -1, -2).  The dual of cone 0 has
+    rays (0, 1, 0), (-1, 0, 2), (0, -1, 1) and (1, 0, 0), on no common
+    hyperplane, so its coefficient sums have more than one cell."""
+    rays = nvecs((0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1), (-1, -1, -2))
+    return build_fan(rays, [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)], 3)

@@ -54,7 +54,9 @@ cone and asks one nullspace per generator whether it is extreme, where
 the double description on any other cone and compares tight sets.
 `intersect_cones` scans the two cones' joint inequalities.  `walls_of`
 flips each wall to its cone's side, and the cone minima evaluate each there, where
-`harness` reads one value per wall.  `lambda_min` and `lambda_max` build
+`harness` reads one value per wall; `_cone_minimum` scans every wall of the
+fan for one cone's least value, where `harness.Instance.cone_minima` reads
+each cone's walls off `Fan.cone_walls`, built in one pass over the walls.  `lambda_min` and `lambda_max` build
 a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
 coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
 integers.
@@ -89,6 +91,7 @@ from toricva.linalg import (
     Vec,
     _norm_coord,
     dual_ambient,
+    hermite_int,
     integer_left_inverse,
     is_primitive,
     matrix_rank,
@@ -604,8 +607,8 @@ def reference_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
     Its work follows the lattice index, not the basis, and it has no cap."""
     cands = set(c.rays)
     for simplex in triangulate(c):
-        inverse = integer_left_inverse(list(zip(*(g.coords for g in simplex))))
-        for x in _parallelepiped_points(simplex, inverse):
+        w = list(zip(*(g.coords for g in simplex)))
+        for x in _parallelepiped_points(simplex, integer_left_inverse(w), hermite_int(w)):
             if not x.is_zero:
                 cands.add(x)
     levels = {h: [pair(f, h) for f in c.facet_normals] for h in cands}
@@ -960,6 +963,12 @@ def walls_of(fan: Fan, cone_index: int) -> list[Wall]:
         for w in fan.walls
         if cone_index in (w.sigma, w.tau)
     ]
+
+
+def _cone_minimum(fan: Fan, values, sigma: int) -> Scalar:
+    """Least value over sigma's walls, found by scanning every wall of the
+    fan; a wall's value is the same from either side."""
+    return min(v for v, w in zip(values, fan.walls) if sigma in (w.sigma, w.tau))
 
 
 @dataclass(frozen=True)

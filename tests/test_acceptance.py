@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -18,6 +19,7 @@ from fixtures import (
     PRODUCTS,
     cone_outcome,
     cone_path,
+    cross_polytope_face_fan,
     cube_face_fan,
     p1xp1_fan,
     p2_fan,
@@ -25,8 +27,10 @@ from fixtures import (
     p112_fan,
     product_vertices,
     quadric3_fan,
+    rectangle_fan,
 )
 from oracles import (
+    _cone_minimum,
     box_interior_points,
     box_parallelepiped_points,
     box_scan_generation,
@@ -83,7 +87,7 @@ from toricva.harness import (
 )
 from toricva.intersections import is_nef, solve_divisor, wall_values
 from toricva.lambdas import CoefficientSums
-from toricva.linalg import M, N, integer_left_inverse, vec
+from toricva.linalg import M, N, hermite_int, integer_left_inverse, lattice_index, vec
 from toricva.semigroups import _parallelepiped_points, hilbert_basis
 
 
@@ -352,7 +356,8 @@ def test_parallelepiped_points_match_box_scan_on_pool_and_builtin_duals(pool2, p
     assert len(pieces) == 540
     points = 0
     for piece in pieces:
-        got = _parallelepiped_points(piece, _direct_inverse(zip(*(g.coords for g in piece))))
+        w = list(zip(*(g.coords for g in piece)))
+        got = _parallelepiped_points(piece, _direct_inverse(w), hermite_int(w))
         assert len(got) == len(set(got))
         assert set(got) == set(box_parallelepiped_points(piece)), piece
         points += len(got)
@@ -782,6 +787,100 @@ def test_carried_inverses_match_a_direct_elimination(pool2, pool3):
             kinds["simplicial" if simplicial else "other"] += 1
     assert kinds == {"simplicial": 778, "other": 1, "piece": 1560}
     _ok("carried-inverses", f"{kinds['simplicial'] + kinds['other']} cones and their duals agree")
+
+
+def test_one_pass_cone_minima_match_the_wall_scan(pool2, pool3):
+    # each cone's minima of D and D+D', read off the per-fan list of its
+    # walls, against the scan of every wall for each cone, in value and type
+    # (a tie keeps the first value in wall order): the pools, the builtins at
+    # the scaling-series and fixture arguments, quadric3, the cube face fans
+    # in ranks 3-5 and the rank-8 cross-polytope face fan, 256 cones
+    rng = random.Random("acceptance:cone-minima")
+    quadric = quadric3_fan()
+    cases = pool2 + pool3 + _series_and_fixture_builtins()
+    cases.append(Instance(quadric, Divisor((2, 1, 3, 2, 4)), canonical_divisor(quadric), "q"))
+    for n in (3, 4, 5):
+        fan = cube_face_fan(n)
+        # twice the support divisor of the cross-polytope plus a principal one
+        shift = [rng.randint(-2, 2) for _ in range(n)]
+        d = Divisor(tuple(2 + sum(map(mul, shift, r.coords)) for r in fan.rays))
+        cases.append(Instance(fan, d, canonical_divisor(fan), f"cube({n})"))
+    cross = cross_polytope_face_fan(8)
+    assert len(cross.max_cones) == 256
+    d = Divisor(tuple(rng.randint(0, 3) for _ in cross.rays))
+    dp = Divisor(tuple(Fraction(-rng.randint(0, 2), 2) for _ in cross.rays))
+    cases.append(Instance(cross, d, dp, "cross(8)"))
+    kinds = Counter()
+    for inst in cases:
+        fan, values, total = inst.fan, inst.d_solve.values, inst.total_solve.values
+        assert inst.dprime_solve.local is not None, inst.label
+        for ci, (t, m) in enumerate(inst.cone_minima):
+            walls = tuple(wi for wi, w in enumerate(fan.walls) if ci in (w.sigma, w.tau))
+            assert fan.cone_walls[ci] == walls, (inst.label, ci)
+            want = (_cone_minimum(fan, values, ci), _cone_minimum(fan, total, ci))
+            assert [(v, type(v)) for v in (t, m)] == [(v, type(v)) for v in want], (inst.label, ci)
+            assert (inst.cone_data[ci].t, inst.cone_data[ci].m) == (t, m)
+            kinds[type(m).__name__] += 1
+    assert kinds == {"Fraction": 538, "int": 521}, kinds
+    _ok("cone-minima", f"{len(cases)} instances, {dict(kinds)} cone minima m agree")
+
+
+def test_sums_entry_point_matches_both_evaluations(pool2, pool3):
+    # CoefficientSums.extremes against minimum(x).value and maximum(x).value,
+    # value and type, and None exactly where the dual misses x: every dual
+    # of the pools, of the builtins at the scaling-series and fixture
+    # arguments, of quadric3 and of the rectangle fan, whose first dual is
+    # multi-cell, at the local points of D, D' and D+D', every dual ray, its
+    # negative, the ray sum, half of it and seeded box points
+    rng = random.Random("acceptance:sums-entry-point")
+    quadric, rectangle = quadric3_fan(), rectangle_fan()
+    cases = pool2 + pool3 + _series_and_fixture_builtins() + [
+        Instance(quadric, Divisor((2, 1, 3, 2, 4)), canonical_divisor(quadric), "q"),
+        Instance(rectangle, Divisor((0,) * 5), canonical_divisor(rectangle), "rectangle"),
+    ]
+    seen = Counter()
+    for inst in cases:
+        fan = inst.fan
+        solves = [s.local for s in (inst.d_solve, inst.dprime_solve, inst.total_solve)]
+        for ci, (dual, sums) in enumerate(zip(fan.duals, fan.coefficient_sums)):
+            ray_sum = sum(dual.rays[1:], dual.rays[0])
+            points = [local[ci] for local in solves if local is not None]
+            points += [*dual.rays, *(-g for g in dual.rays), ray_sum, ray_sum.scale(Fraction(1, 2))]
+            points += [
+                vec(tuple(rng.randint(-2, 2) for _ in range(fan.rank)), M) for _ in range(4)
+            ]
+            for x in points:
+                got = sums.extremes(x)
+                if not contains(dual, x):
+                    assert got is None, (inst.label, ci, x)
+                    seen["outside"] += 1
+                    continue
+                want = (sums.minimum(x).value, sums.maximum(x).value)
+                assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want], (inst.label, x)
+                seen["inside" if sums.one_cell else "inside a multi-cell dual"] += 1
+    assert seen == {"outside": 5612, "inside": 5038, "inside a multi-cell dual": 10}, seen
+    _ok("sums-entry-point", f"{dict(seen)} points agree with both evaluations")
+
+
+def test_regularity_read_off_the_carried_inverse_matches_the_lattice_index(pool2, pool3):
+    # classify calls a simplicial cone regular when its inverse's den is 1,
+    # against |det| = 1 from the Hermite reduction, on every simplicial
+    # maximal cone and dual of the pools, the builtins at the scaling-series
+    # and fixture arguments and quadric3; quadric3's other cone is not regular
+    fans = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
+    fans.append(quadric3_fan())
+    kinds = Counter()
+    for fan in fans:
+        for c in fan.cones + fan.duals:
+            cls = classify(c)
+            if not cls.simplicial:
+                assert not cls.regular, c
+                kinds["non-simplicial"] += 1
+                continue
+            assert cls.regular == (lattice_index([r.coords for r in c.rays]) == 1), c
+            kinds["regular" if cls.regular else "singular"] += 1
+    assert kinds == {"regular": 388, "singular": 1168, "non-simplicial": 2}, kinds
+    _ok("regular-cones", f"{dict(kinds)} cones and duals agree with the lattice index")
 
 
 def test_cone_minima_match_flipped_wall_oracle(pool2, pool3):

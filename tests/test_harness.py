@@ -1,5 +1,6 @@
 """Statement checks on frozen instances plus seeded random ones."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 from fixtures import (
     POLYGONS,
     PRODUCTS,
-    nvecs,
     p1xp1_fan,
     p2_fan,
     p3_fan,
     p112_fan,
     product_vertices,
     quadric3_fan,
+    rectangle_fan,
 )
 from oracles import poly_contains, polytope, subset_vertices, wall_value
-from toricva import cones, divisors, intersections, lambdas
+from toricva import cones, divisors, harness, intersections, lambdas
 from toricva.cones import classify, contains
 from toricva.divisors import (
     Divisor,
@@ -447,6 +448,28 @@ def test_each_divisor_is_solved_once_per_instance(monkeypatch):
     assert counts == {"integer_left_inverse": m, "local_offsets": 3, "wall_value": 3 * walls}
 
 
+def test_each_hypothesis_is_evaluated_once_per_instance(monkeypatch):
+    # all seven statements on every cone read the coefficient range of D'
+    # and the projective-space test from the instance's tables
+    counts = Counter()
+    for name in ("dprime_in_range", "is_projective_space"):
+
+        def counted(*args, name=name, real=getattr(harness, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    for inst in (random_instance(3, 1), projective_space(2)):
+        counts.clear()
+        for statement in STATEMENTS.values():
+            if statement.per_cone:
+                for ci in range(len(inst.fan.max_cones)):
+                    statement.check(inst, ci)
+            else:
+                statement.check(inst)
+        assert counts == {"dprime_in_range": 1, "is_projective_space": 1}, inst.label
+
+
 def test_cached_solves_leave_equality_and_hash_alone():
     inst, twin = weighted_112(), weighted_112()
     before = hash(inst)
@@ -473,8 +496,9 @@ def test_solve_names_the_first_cone_without_local_data():
 
 def test_perturbation_sums_are_evaluated_once_per_cone(monkeypatch):
     # all seven statements on every cone read D''s coefficient sums from one
-    # per-instance table: lambda_min runs once per cone whose dual holds the
-    # local point (interior-bound's box points need lambda_max only)
+    # per-instance table: the one entry point for both sums runs once per
+    # cone whose dual holds the local point (interior-bound's box points
+    # need lambda_max only)
     inst = random_instance(3, 1)
     m = len(inst.fan.max_cones)
     held = [i for i, (dual, u) in enumerate(zip(inst.fan.duals, inst.dprime_solve.local))
@@ -482,13 +506,13 @@ def test_perturbation_sums_are_evaluated_once_per_cone(monkeypatch):
     assert len(held) == m
     inst.fan.coefficient_sums  # the constructors' own self-checks run first
     calls = []
-    real = lambdas.CoefficientSums.minimum
+    real = lambdas.CoefficientSums.extremes
 
     def counted(self, x):
         calls.append(x)
         return real(self, x)
 
-    monkeypatch.setattr(lambdas.CoefficientSums, "minimum", counted)
+    monkeypatch.setattr(lambdas.CoefficientSums, "extremes", counted)
     for statement in STATEMENTS.values():
         if statement.per_cone:
             for ci in range(m):
@@ -503,14 +527,10 @@ def test_perturbation_sums_are_evaluated_once_per_cone(monkeypatch):
 
 
 def test_a_multi_cell_dual_keeps_both_perturbation_sums():
-    # the cone over the rectangle [0, 2] x [0, 1] at height 1, completed by
-    # four simplicial cones to the apex (-1, -1, -2): the canonical divisor's
-    # u' = (0, 0, 1) lies inside its dual, whose rays (0, 1, 0), (-1, 0, 2),
-    # (0, -1, 1) and (1, 0, 0) lie on no common hyperplane, and its sums
-    # there are 1 and 2
-    rays = nvecs((0, 0, 1), (2, 0, 1), (2, 1, 1), (0, 1, 1), (-1, -1, -2))
-    cones_ = [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
-    fan = build_fan(rays, cones_, 3)
+    # the rectangle fan: the canonical divisor's u' = (0, 0, 1) lies inside
+    # the dual of the cone over the rectangle, whose rays lie on no common
+    # hyperplane, and its sums there are 1 and 2
+    fan = rectangle_fan()
     inst = Instance(fan, Divisor((0,) * 5), canonical_divisor(fan), "rectangle")
     sums, u = fan.coefficient_sums[0], inst.dprime_solve.local[0]
     assert u == vec((0, 0, 1), M) and not sums.one_cell

@@ -184,3 +184,49 @@ def test_the_subset_scan_is_only_a_test_oracle():
         p.name for p in [*SRC.glob("*.py"), *tests.glob("*.py")] if "extreme_rays" in _defined(p)
     )
     assert scanners == ["oracles.py"]
+
+
+def test_the_wall_scan_for_cone_minima_is_only_a_test_oracle():
+    # harness reads each cone's minima off the fan's per-cone wall lists; the
+    # scan of every wall for one cone is the reference they are tested against
+    tests = Path(__file__).parent
+    scanners = sorted(
+        p.name for p in [*SRC.glob("*.py"), *tests.glob("*.py")] if "_cone_minimum" in _defined(p)
+    )
+    assert scanners == ["oracles.py"]
+
+
+def _named_outside(tree, names, owner: str) -> set[str]:
+    """The top-level statements, imports and the class `owner` aside, that
+    read or take as an attribute one of `names`, by name or line."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "name", "") == owner:
+            continue
+        if any(_references(node)[name] for name in names):
+            found.add(getattr(node, "name", f"line {node.lineno}"))
+    return found
+
+
+_HYPOTHESIS_TESTS = {"dprime_in_range", "is_projective_space"}
+
+
+def test_statement_checks_read_the_instance_wide_hypotheses_from_the_instance():
+    # the coefficient range of D' and the projective-space test are
+    # evaluated once per instance, by Instance's cached tables
+    harness = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    assert _named_outside(harness, _HYPOTHESIS_TESTS, "Instance") == set()
+    instance = next(n for n in harness.body if getattr(n, "name", None) == "Instance")
+    assert all(_names(instance, name) for name in _HYPOTHESIS_TESTS)
+
+
+def test_the_guard_sees_a_check_that_evaluates_a_hypothesis_itself():
+    tree = ast.parse(
+        "from .divisors import dprime_in_range\n"
+        "class Instance:\n    def in_range(self):\n        return dprime_in_range(self)\n"
+        "def is_projective_space(fan):\n    return True\n"
+        "def check(inst):\n    return dprime_in_range(inst) and inst.in_range\n"
+        "def other(inst):\n    return harness.is_projective_space(inst.fan)\n"
+        "TEST = dprime_in_range\n"
+    )
+    assert _named_outside(tree, _HYPOTHESIS_TESTS, "Instance") == {"check", "other", "line 11"}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import p2_fan, pointed_cones
+from fixtures import p2_fan, pointed_cones, quadric3_fan
 from oracles import (
     box_parallelepiped_points,
     generates,
@@ -21,8 +21,17 @@ from oracles import (
 )
 from toricva.cones import cone_from_generators, contains, dual_cone, triangulate
 from toricva.divisors import Divisor
-from toricva.linalg import M, N, integer_left_inverse, lattice_index, matrix_rank, pair, vec
-from toricva import semigroups
+from toricva.linalg import (
+    M,
+    N,
+    hermite_int,
+    integer_left_inverse,
+    lattice_index,
+    matrix_rank,
+    pair,
+    vec,
+)
+from toricva import linalg, semigroups
 from toricva.semigroups import (
     MAX_BASIS_ELEMENTS,
     MAX_PARALLELEPIPED_POINTS,
@@ -243,8 +252,8 @@ def test_parallelepiped_points_match_box_scan_oracle():
     kinds = {(gens[0].rank, len(gens) == gens[0].rank) for gens in sets}
     assert kinds == {(n, full) for n in (2, 3, 4) for full in (True, False)}
     for gens in sets:
-        inverse = integer_left_inverse(list(zip(*(g.coords for g in gens))))
-        got = _parallelepiped_points(gens, inverse)
+        w = list(zip(*(g.coords for g in gens)))
+        got = _parallelepiped_points(gens, integer_left_inverse(w), hermite_int(w))
         assert len(got) == len(set(got))
         assert set(got) == set(box_parallelepiped_points(gens)), gens
 
@@ -335,3 +344,24 @@ def test_degree_ordered_reduction_matches_the_reference_up_to_the_cap():
     assert max(map(parallelepiped_count, kept)) == MAX_PARALLELEPIPED_POINTS
     for c in kept:
         assert hilbert_basis(c) == reference_hilbert_basis(c), c
+
+
+def test_each_piece_is_reduced_once(monkeypatch):
+    # the point count checked against the cap and the points themselves
+    # come from one Hermite reduction per simplicial piece
+    calls = []
+    real = linalg.hermite_int
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    # lattice_index reaches the kernel through linalg's own binding
+    monkeypatch.setattr(linalg, "hermite_int", counted)
+    monkeypatch.setattr(semigroups, "hermite_int", counted)
+    fan = quadric3_fan()
+    for c in [*fan.cones, *fan.duals]:
+        calls.clear()
+        basis = hilbert_basis(c)
+        assert len(calls) == len(triangulate(c)), c
+        assert basis == reference_hilbert_basis(c), c
