@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+from .cones import dual_cone
 from .divisors import Divisor, NotQCartier, canonical_divisor, in_shifted_polytope
 from .fans import Fan, build_fan
 from .harness import (
@@ -530,7 +531,7 @@ def cmd_hilbert(args, out) -> int:
     fan, divisors = load_document(args.input)
     if not 0 <= args.sigma < len(fan.max_cones):
         raise InputError(f"no maximal cone with index {args.sigma}")
-    dual = fan.duals[args.sigma]
+    dual = dual_cone(fan.cones[args.sigma])
     with _labelled(f"{args.input}: dual of maximal cone {args.sigma}"):
         basis = hilbert_basis(dual)
     doc = {

@@ -17,7 +17,9 @@ comes with its tight set, the generators vanishing on it: the normals'
 rank decides pointedness without an LP, and the tight sets decide which
 generators are extreme (the tight-set rule).  A full-dimensional cone's
 dual needs no second run: `dual_cone` swaps the two descriptions, and an
-inverse derived without elimination is checked where it is made.  A run
+inverse derived without elimination is checked where it is made.  A
+non-simplicial cone has no single inverse: on first use it reads a left
+inverse off rank independent rays, which is all its users need.  A run
 past `MAX_PAIR_TESTS` pair tests is refused before the step that would
 pass the cap starts.
 `triangulate` splits a cone into simplicial cones on its own rays, for
@@ -66,10 +68,19 @@ class Cone:
         """(den * L, den) with L @ R = I for R the matrix with the rays as
         rows: an integer matrix and its least common denominator.  Defined
         for full-dimensional cones.  `cone_from_generators` and `dual_cone`
-        fill it in for a simplicial cone from the elimination that built it;
-        any other cone runs one `integer_left_inverse` on first use."""
-        scaled, den = integer_left_inverse([r.coords for r in self.rays])
-        return tuple(map(tuple, scaled)), den
+        fill it in for a simplicial cone from the elimination that built it.
+        Any other cone reads a left inverse off rank independent rays on
+        first use: the columns of B^-1, for B the matrix of those rays, go
+        to those rays' positions, and every other column is zero.  A
+        non-simplicial cone has many left inverses, and its users need only
+        L @ R = I: `local_offsets` checks every ray after it solves, and
+        `CoefficientSums` needs only L 1, which is w whenever R w = 1."""
+        rows = [r.coords for r in self.rays]
+        basis = independent_rows(rows)
+        scaled, den = integer_left_inverse([rows[i] for i in basis])
+        placed = dict(zip(basis, zip(*scaled)))
+        zero = (0,) * len(scaled)
+        return tuple(zip(*(placed.get(i, zero) for i in range(len(rows))))), den
 
     def __repr__(self):
         rays = ", ".join(repr(r) for r in self.rays)
@@ -240,14 +251,14 @@ def contains(c: Cone, x: Vec) -> bool:
     )
 
 
-def check_inverse(inverse, den: int, rays, name: str) -> None:
-    """Raise RuntimeError naming `name` unless inverse @ R = den * I, for R
-    the matrix with the rays as rows."""
+def _inverts(inverse, den: int, rays) -> bool:
+    """Whether inverse @ R = den * I, for R the matrix with the rays as rows."""
     columns = list(zip(*(r.coords for r in rays)))
     for i, row in enumerate(inverse):
         for j, col in enumerate(columns):
             if sum(map(mul, row, col)) != (den if i == j else 0):
-                raise RuntimeError(f"internal: {name}: the inverse does not invert the rays")
+                return False
+    return True
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -272,7 +283,8 @@ def dual_cone(c: Cone) -> Cone:
         columns.sort(key=lambda entry: entry[0])
         d_den = lcm(*(den // gcd(den, g) for _, g, _ in columns))
         inverse = tuple(zip(*([x * (g * d_den // den) for x in r] for _, g, r in columns)))
-        check_inverse(inverse, d_den, d.rays, f"the dual of {c!r}")
+        if not _inverts(inverse, d_den, d.rays):
+            raise RuntimeError(f"internal: the dual of {c!r}: the inverse does not invert the rays")
         d.__dict__["inverse"] = (inverse, d_den)
     return d
 

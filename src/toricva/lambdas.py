@@ -16,11 +16,12 @@ beta < 0, so
 
 When every generator lies on one hyperplane <w, g> = 1 (a simplicial cone,
 for one), sum a_i = <w, x> for every expression and both sums are <w, x>.
-The generators as rows have full column rank, so such a w can only be L 1
-for L their left inverse: the cone's `inverse` gives den * L (for the dual
-of a simplicial maximal cone, carried over from the cone with no
-elimination), its row sums give den * w, and the cone is one cell exactly
-when every generator pairs with it to den.
+With the generators as the rows of R, R w = 1, so such a w is L 1 for
+every left inverse L of R.  The cone's `inverse` gives den * L (for the
+dual of a simplicial maximal cone, carried over from the cone with no
+elimination; for any other cone, read off rank independent generators),
+its row sums give den * w, and the cone is one cell exactly when every
+generator pairs with it to den.
 
 By complementary slackness an optimal expression uses only generators on
 an optimal facet, so x lies in the cone over them, that facet's cell.  Each
@@ -36,7 +37,11 @@ pairs with each maximal cell's phi to at least beta (at most, for a minimal
 cell), so <phi, x> / beta bounds lambda_max(x) from above (lambda_min(x)
 from below) by weak duality.  A one-cell cone's cell is both maximal and
 minimal, with every generator on it, and is checked once; `one_cell` says
-so, and then lambda_min and lambda_max are one value at every point.
+so, and then lambda_min and lambda_max are one value at every point.  A
+cone that is not simplicial also evaluates both sums on each generator,
+where they must be 1: only that shows its cells' pieces cover every
+generator.  A simplicial cone skips it, since its one piece is its own
+inverse and the identities and `one_cell` already show it.
 After that a point needs only its cell and a piece holding it: a feasible
 expression whose sum meets a feasible dual value certifies both optimal.
 A point is written once as x = z / q with z integer, the facet normals
@@ -135,11 +140,18 @@ class CoefficientSums:
         for cells, sign in sides:
             for cell in cells:
                 _check_cell(cell, rays, sign)
-        # An extreme ray's only expression is 1 * g, so both sums are 1 on it.
-        evaluations = (self.maximum,) if self.one_cell else (self.maximum, self.minimum)
-        for g in rays:
-            if any(evaluate(g).value != 1 for evaluate in evaluations):
-                raise RuntimeError("internal: a generator's coefficient sums are not 1")
+        # An extreme ray's only expression is 1 * g, so both sums are 1 on
+        # it.  A simplicial cone needs no evaluation to see that: its one
+        # cell is one piece, its own inverse transposed, on which
+        # `_check_cell` verified generators times inverse = den * I, so g_j's
+        # piece coefficients are den * e_j >= 0 and its value <w, g_j> / den
+        # is the 1 that `one_cell` tested.  Any other cone evaluates each
+        # generator: only that shows the cells' pieces cover every one.
+        if len(rays) > c.rank:
+            evaluations = (self.maximum,) if self.one_cell else (self.maximum, self.minimum)
+            for g in rays:
+                if any(evaluate(g).value != 1 for evaluate in evaluations):
+                    raise RuntimeError("internal: a generator's coefficient sums are not 1")
 
     def minimum(self, x: Vec) -> LambdaValue:
         return self._evaluate(self._min_cells, x, 1)

@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -761,11 +762,24 @@ def _direct_inverse(rows):
     return tuple(map(tuple, scaled)), den
 
 
+def _check_left_inverse(cone):
+    # a non-simplicial cone has many left inverses: the one it carries must
+    # be an integer matrix with L @ R = den * I, den its least denominator
+    scaled, den = cone.inverse
+    assert all(type(x) is int for row in scaled for x in row), cone
+    rows = [r.coords for r in cone.rays]
+    for i, row in enumerate(scaled):
+        for j, col in enumerate(zip(*rows)):
+            assert sum(map(mul, row, col)) == (den if i == j else 0), cone
+    assert den > 0 and gcd(den, *(x for row in scaled for x in row)) == 1, cone
+
+
 def test_carried_inverses_match_a_direct_elimination(pool2, pool3):
     # every maximal cone of the pools, of every builtin at the scaling-series
-    # and fixture arguments and of quadric3: the inverse each cone carries,
-    # its dual's and each coefficient-sum piece's, against
-    # integer_left_inverse of the same matrix
+    # and fixture arguments and of quadric3: the inverse each simplicial cone
+    # carries, its dual's and each coefficient-sum piece's, against
+    # integer_left_inverse of the same matrix; a non-simplicial cone's and
+    # its dual's, against L @ R = den * I
     built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
     built.append(quadric3_fan())
     kinds = Counter()
@@ -775,10 +789,14 @@ def test_carried_inverses_match_a_direct_elimination(pool2, pool3):
             simplicial = len(c.rays) == c.rank
             # a simplicial cone is handed its inverse by its own elimination
             assert ("inverse" in c.__dict__) == simplicial, c
-            assert c.inverse == _direct_inverse(r.coords for r in c.rays), c
             dual = dual_cone(c)
             assert ("inverse" in dual.__dict__) == simplicial, c
-            assert dual.inverse == _direct_inverse(r.coords for r in dual.rays), c
+            if simplicial:
+                assert c.inverse == _direct_inverse(r.coords for r in c.rays), c
+                assert dual.inverse == _direct_inverse(r.coords for r in dual.rays), c
+            else:
+                _check_left_inverse(c)
+                _check_left_inverse(dual)
             sums = fresh.coefficient_sums[ci]
             for cell in sums._min_cells + sums._max_cells:
                 for _, gens, inverse, den in cell.pieces:
@@ -787,6 +805,30 @@ def test_carried_inverses_match_a_direct_elimination(pool2, pool3):
             kinds["simplicial" if simplicial else "other"] += 1
     assert kinds == {"simplicial": 778, "other": 1, "piece": 1560}
     _ok("carried-inverses", f"{kinds['simplicial'] + kinds['other']} cones and their duals agree")
+
+
+def test_simplicial_duals_build_their_sums_without_evaluating(pool2, pool3, monkeypatch):
+    # every dual of the pools and of the builtins is simplicial, and its
+    # one-cell test and piece identities already show that each generator's
+    # sums are 1; quadric3's non-simplicial dual still evaluates each one
+    calls = []
+    real = CoefficientSums._evaluate
+
+    def counted(self, cells, x, sign):
+        calls.append(x)
+        return real(self, cells, x, sign)
+
+    monkeypatch.setattr(CoefficientSums, "_evaluate", counted)
+    duals = 0
+    for inst in pool2 + pool3 + _series_and_fixture_builtins():
+        fan = inst.fan
+        duals += len(build_fan(fan.rays, fan.max_cones, fan.rank).coefficient_sums)
+    assert calls == [] and duals == 774
+    quadric = quadric3_fan()
+    [c] = [c for c in quadric.cones if len(c.rays) > c.rank]
+    sums = CoefficientSums(dual_cone(c))
+    assert len(calls) == len(sums.cone.rays) * (1 if sums.one_cell else 2)
+    _ok("sums-without-evaluating", f"{duals} simplicial duals, 0 generator evaluations")
 
 
 def test_one_pass_cone_minima_match_the_wall_scan(pool2, pool3):

@@ -10,12 +10,13 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import toricva
-from toricva import cli, divisors, fans, harness, intersections, lambdas, linalg, semigroups
+from toricva import cli, cones, divisors, fans, harness, intersections, lambdas, linalg, semigroups
 from toricva.harness import STATEMENTS, CheckReport, Hypothesis
 from toricva.semigroups import MAX_BASIS_ELEMENTS
 
@@ -879,6 +880,70 @@ def test_fans_past_the_old_facet_scan_cap_run(tmp_path, capsys, doc, argv):
     assert time.monotonic() - start < 1.0
     assert code == 0 and err == ""
     assert out
+
+
+def _counted_inverse(monkeypatch, sizes):
+    # record the shape of every matrix integer_left_inverse is given,
+    # through both of its bindings
+    real = linalg.integer_left_inverse
+
+    def wrapper(rows):
+        sizes.append((len(rows), len(rows[0])))
+        return real(rows)
+
+    monkeypatch.setattr(cones, "integer_left_inverse", wrapper)
+    monkeypatch.setattr(linalg, "integer_left_inverse", wrapper)
+
+
+def test_a_non_simplicial_cone_inverts_only_rank_rays(tmp_path, capsys, monkeypatch):
+    # the 101-gon base cone and its dual are read off rank independent rays:
+    # no matrix handed to integer_left_inverse has more rows than columns
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(_pyramid_face_fan(101)))
+    sizes = []
+    _counted_inverse(monkeypatch, sizes)
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and err == ""
+    assert sizes and all(rows == columns for rows, columns in sizes)
+
+
+def test_a_left_inverse_off_independent_rays_keeps_the_report(tmp_path, capsys, monkeypatch):
+    # the 101-gon fan's --json report with the direct elimination of every
+    # ray patched back into Cone.inverse, byte for byte
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(_pyramid_face_fan(101)))
+    code, fast, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and err == ""
+
+    def direct(self):
+        scaled, den = linalg.integer_left_inverse([r.coords for r in self.rays])
+        return tuple(map(tuple, scaled)), den
+
+    inverse = cached_property(direct)
+    inverse.__set_name__(cones.Cone, "inverse")
+    monkeypatch.setattr(cones.Cone, "inverse", inverse)
+    sizes = []
+    _counted_inverse(monkeypatch, sizes)
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and err == ""
+    assert (101, 3) in sizes
+    assert out == fast
+
+
+@pytest.mark.parametrize("argv", [("--sigma", "1"), ("--sigma", "1", "--d", "D", "--json")])
+def test_hilbert_builds_only_the_dual_it_prints(weighted_input, capsys, monkeypatch, argv):
+    calls = []
+    real = cones.dual_cone
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(cli, "dual_cone", counted)
+    monkeypatch.setattr(fans, "dual_cone", counted)
+    code, out, err = run(capsys, "hilbert", weighted_input, *argv)
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_projective_space_past_the_rank_cap_builds_nothing(capsys, monkeypatch):

@@ -281,3 +281,40 @@ def test_a_line_leaving_the_cone_is_an_internal_error():
     for lo, hi, point in ((-1, 2, r"\(1, -1\)"), (0, 3, r"\(1, 3\)")):
         with pytest.raises(RuntimeError, match=f"holds the lattice point {point}"):
             sums.max_below_on_line((1,), lo, hi, 2)
+
+
+def test_a_multi_cell_cone_missing_a_maximal_facet_is_refused(monkeypatch):
+    # with one beta > 0 facet of the hull dropped, every remaining cell still
+    # passes its identities and dual feasibility; only evaluating each
+    # generator shows that no piece of the optimal cell holds one of them
+    rays = BENT_CONES[2]
+    real = lambdas.convex_hull
+
+    def lossy(points):
+        facets, vertices = real(points)
+        drop = next(i for i, (_, beta) in enumerate(facets) if beta > 0)
+        return facets[:drop] + facets[drop + 1 :], vertices
+
+    assert not CoefficientSums(ncone(*rays)).one_cell
+    monkeypatch.setattr(lambdas, "convex_hull", lossy)
+    with pytest.raises(RuntimeError, match="no piece of the optimal cell holds the point"):
+        CoefficientSums(ncone(*rays))
+
+
+def test_nested_piece_spans_cover_the_line():
+    # triangulate pulls from one ray order on every cell, so the pieces of
+    # two cells meet face to face and a real cone's spans never nest; these
+    # pieces are crafted on the line (1, t): [0, 10], [2, 5] inside it, then
+    # [11, 20], and the same with a gap at 11 and 12
+    sums = CoefficientSums(ncone((1, 0), (0, 1)))
+    cells, _ = sums._max_lines
+
+    def piece(a, b):
+        # coefficients t - a >= 0 and b - t >= 0 at head (1,)
+        return (((-a,), 1), ((b,), -1))
+
+    sums.__dict__["_max_lines"] = (cells, (piece(0, 10), piece(2, 5), piece(11, 20)))
+    assert sums.max_below_on_line((1,), 0, 20, 3) == [0, 1]
+    sums.__dict__["_max_lines"] = (cells, (piece(0, 10), piece(2, 5), piece(13, 20)))
+    with pytest.raises(RuntimeError, match=r"holds the lattice point \(1, 11\)"):
+        sums.max_below_on_line((1,), 0, 20, 3)
