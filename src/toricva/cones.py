@@ -15,13 +15,19 @@ description method, which starts from the simplicial cone of rank many
 independent generators and adds the others one at a time.  Each normal
 comes with its tight set, the generators vanishing on it: the normals'
 rank decides pointedness without an LP, and the tight sets decide which
-generators are extreme (the tight-set rule).  A full-dimensional cone's
-dual needs no second run: `dual_cone` swaps the two descriptions, and an
-inverse derived without elimination is checked where it is made.  A
-non-simplicial cone has no single inverse: on first use it reads a left
+generators are extreme (the tight-set rule).  Either way the cone keeps
+its incidence, the rays on each facet, as `Cone.incidence`: facet j of a
+simplicial cone holds every ray but ray j, and any other cone reads it off
+the tight sets, so `fans.build_fan` and `hulls.convex_hull` pair no facet
+with a ray to find it.  A full-dimensional cone's dual needs no second
+run: `dual_cone` swaps the two descriptions, and an inverse derived
+without elimination is checked where it is made (`Cone.inverse_checked`).
+A non-simplicial cone has no single inverse: on first use it reads a left
 inverse off rank independent rays, which is all its users need.  A run
 past `MAX_PAIR_TESTS` pair tests is refused before the step that would
-pass the cap starts.
+pass the cap starts.  Generators that are already distinct, primitive,
+of one ambient and sorted, such as a validated fan's rays, come as
+`Generators` and are not checked again.
 `triangulate` splits a cone into simplicial cones on its own rays, for
 Hilbert bases and for the witnesses of coefficient sums; `piece_inverse`
 gives each piece's inverse, the cone's own when the piece is the cone.
@@ -30,7 +36,7 @@ gives each piece's inverse, the cone's own when the piece is the cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -81,6 +87,24 @@ class Cone:
         placed = dict(zip(basis, zip(*scaled)))
         zero = (0,) * len(scaled)
         return tuple(zip(*(placed.get(i, zero) for i in range(len(rows))))), den
+
+    # Not a field either.
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """For each facet normal, the positions in `rays` of the rays on its
+        facet, ascending.  `cone_from_generators` fills it in from the work
+        that found the normals: facet j of a simplicial cone holds every ray
+        but ray j, and the double description tags each normal with its
+        tight set.  Any other cone pairs each normal with each ray on first
+        use."""
+        return tuple(
+            tuple(i for i, r in enumerate(self.rays) if pair(f, r) == 0)
+            for f in self.facet_normals
+        )
+
+    # Set by `dual_cone` on the dual it hands an inverse: that inverse has
+    # passed `_inverts` against the dual's rays.  Not a field.
+    inverse_checked = False
 
     def __repr__(self):
         rays = ", ".join(repr(r) for r in self.rays)
@@ -162,22 +186,37 @@ def _primitive(row) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
+@cache
+def _all_but(rank: int) -> tuple[tuple[int, ...], ...]:
+    """For each j < rank, the positions 0..rank - 1 other than j."""
+    return tuple(tuple(i for i in range(rank) if i != j) for j in range(rank))
+
+
 class NotPointed(ValueError):
     """Raised when generators span a cone that contains a line."""
 
 
-def cone_from_generators(gens: list[Vec]) -> Cone:
+class Generators(tuple):
+    """Distinct primitive lattice vectors of one ambient and rank, sorted by
+    coordinates, which `cone_from_generators` takes as they are.  A
+    validated fan's rays come this way (`fans.build_fan`)."""
+
+
+def cone_from_generators(gens) -> Cone:
     """Build a pointed cone, discarding redundant generators.
 
-    Raises ValueError on an empty list or a zero generator, and NotPointed
-    on a non-pointed generating set.
+    Raises ValueError on an empty list, on generators of different ambients
+    or ranks and on a zero generator, and NotPointed on a non-pointed
+    generating set.  Any input but `Generators` is first brought to that
+    form: the distinct primitive vectors on its rays, sorted.
 
     Rank many distinct primitive generators are inverted first, and the
     inversion fails exactly when they are dependent.  Otherwise they are a
     basis: each is extreme, the cone is pointed, and column j of the
     inverse of the matrix with rows g_i pairs to 0 with every g_i but g_j
-    and positively with g_j, so the primitive columns are the facet normals.
-    The cone keeps the inverse.
+    and positively with g_j, so the primitive columns are the facet normals,
+    and the facet of column j's normal holds every g_i but g_j.  The cone
+    keeps the inverse and that incidence.
 
     Any other cone takes its facet normals from the double description,
     each with its tight set, and reads extremality off tight sets, tight(x)
@@ -189,18 +228,23 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     Lectures on Polytopes, 1995, section 2.2), and that face is generated
     by the generators it holds: the h with tight(h) containing tight(g).
     So it is the ray through g exactly when no other generator h has
-    tight(h) containing tight(g).
+    tight(h) containing tight(g).  The normals' tight sets, read on the
+    extreme generators, are the cone's incidence.
     """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("cone needs at least one generator")
-    amb = gens[0].ambient
-    rank = len(gens[0].coords)
-    if any(g.ambient != amb or len(g.coords) != rank for g in gens):
-        raise ValueError("generators must share ambient and rank")
-    if any(g.is_zero for g in gens):
-        raise ValueError("zero generator")
-    prim = sorted({primitivize(g) for g in gens}, key=lambda v: v.coords)
+    prim = gens
+    if type(prim) is not Generators:
+        gens = list(gens)
+        if not gens:
+            raise ValueError("cone needs at least one generator")
+        amb = gens[0].ambient
+        rank = len(gens[0].coords)
+        if any(g.ambient != amb or len(g.coords) != rank for g in gens):
+            raise ValueError("generators must share ambient and rank")
+        if any(g.is_zero for g in gens):
+            raise ValueError("zero generator")
+        prim = Generators(sorted({primitivize(g) for g in gens}, key=lambda v: v.coords))
+    amb = prim[0].ambient
+    rank = len(prim[0].coords)
     if len(prim) == rank:
         try:
             scaled, den = integer_left_inverse([g.coords for g in prim])
@@ -208,10 +252,12 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
             pass  # dependent generators: their span equations decide below
         else:
             # Independent columns give distinct primitive normals.
-            normals = sorted(_primitive(col) for col in zip(*scaled))
+            found = sorted((_primitive(col), j) for j, col in enumerate(zip(*scaled)))
             dual = dual_ambient(amb)
-            c = Cone(amb, rank, tuple(prim), tuple(Vec(w, dual) for w in normals), ())
+            c = Cone(amb, rank, tuple(prim), tuple(Vec(w, dual) for w, _ in found), ())
             c.__dict__["inverse"] = (tuple(map(tuple, scaled)), den)
+            all_but = _all_but(rank)
+            c.__dict__["incidence"] = tuple(all_but[j] for _, j in found)
             return c
 
     rows = [g.coords for g in prim]
@@ -236,8 +282,12 @@ def cone_from_generators(gens: list[Vec]) -> Cone:
     # tight(g) as a bit mask over the normals
     tight = [sum(1 << j for j, (_, t) in enumerate(found) if t >> i & 1) for i in range(len(prim))]
     # g's own tight set is the only one containing it
-    extreme = [g for g, t in zip(prim, tight) if sum(t & u == t for u in tight) == 1]
-    return Cone(amb, rank, tuple(extreme), normals, _sorted_vecs(eqs))
+    extreme = [i for i, t in enumerate(tight) if sum(t & u == t for u in tight) == 1]
+    c = Cone(amb, rank, tuple(prim[i] for i in extreme), normals, _sorted_vecs(eqs))
+    c.__dict__["incidence"] = tuple(
+        tuple(k for k, i in enumerate(extreme) if t >> i & 1) for _, t in found
+    )
+    return c
 
 
 def contains(c: Cone, x: Vec) -> bool:
@@ -270,7 +320,10 @@ def dual_cone(c: Cone) -> Cone:
     g_j = gcd of the column, and it pairs to den with r_j and to 0 with every
     other ray of c.  So g_j r_j / den pairs to 1 with n_j and to 0 with every
     other dual ray: these are the columns of the dual's inverse, in the
-    dual's ray order, brought to their least common denominator."""
+    dual's ray order, brought to their least common denominator.  It is
+    checked against the dual's rays here, and the dual records that in
+    `inverse_checked`.  The dual pairs its normals with its rays for its
+    incidence on first use."""
     if not c.is_full_dim:
         raise ValueError("dual_cone requires a full-dimensional cone")
     d = Cone(dual_ambient(c.ambient), c.rank, c.facet_normals, c.rays, ())
@@ -286,6 +339,7 @@ def dual_cone(c: Cone) -> Cone:
         if not _inverts(inverse, d_den, d.rays):
             raise RuntimeError(f"internal: the dual of {c!r}: the inverse does not invert the rays")
         d.__dict__["inverse"] = (inverse, d_den)
+        d.__dict__["inverse_checked"] = True
     return d
 
 

@@ -5,14 +5,20 @@ cone's extreme rays.  Construction validates everything the rest of the
 package relies on: cones are full-dimensional and pointed, each facet of a
 maximal cone is a whole facet of exactly one neighbour on its other side,
 and the cones cover space exactly once, which makes them meet face to face.
+The rays are checked once for the whole fan, and each maximal cone's go
+to the cone kernel as `cones.Generators`, which it takes as they are; a
+simplicial cone costs one elimination.  Facets are matched by their
+rays, read off each cone's incidence (`Cone.incidence`), so no facet
+normal is paired with a ray on its facet.
 
 Each shared facet becomes a Wall.  Viewed from the cone sigma, a wall
 carries the primitive vector u in the dual lattice that vanishes on the
 wall, is nonnegative on sigma, and is strictly negative on the rays of the
 neighbour tau that are not on the wall.  Every ray of either cone off the
-wall is a test ray for wall-crossing computations; `build_fan` checks the
-sign of u on each of them once and keeps |<u, v_j>| with the wall, so a
-divisor's wall values are read off its offsets without pairing again.
+wall is a test ray for wall-crossing computations; `build_fan` pairs u
+with each of them once, checks the sign and keeps |<u, v_j>| with the
+wall, so a divisor's wall values are read off its offsets without pairing
+again.
 
 One point decides the covering: the pseudo-manifold characterisation of
 triangulations (De Loera, Rambau, Santos, *Triangulations*, 2010).  Let the
@@ -57,9 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import add
 
-from .cones import Cone, NotPointed, cone_from_generators, contains, dual_cone
+from .cones import Cone, Generators, NotPointed, cone_from_generators, contains, dual_cone
 from .lambdas import CoefficientSums
 from .linalg import Vec, is_primitive, pair
 from .semigroups import hilbert_basis
@@ -178,26 +184,37 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
     if len(set(rays)) != len(rays):
         raise ValueError("not a fan: duplicate rays")
 
+    # The rays are distinct primitive lattice vectors of one rank; when they
+    # share one ambient too, each cone's rays go to the cone kernel as
+    # `Generators`, in coordinate order, and are not checked again.  A cone
+    # keeps its rays in that order: orders[ci] lists cone ci's ray indices
+    # in it, so its incidence names them.
+    checked = Generators if len({r.ambient for r in rays}) == 1 else list
+    place = {i: k for k, i in enumerate(sorted(range(len(rays)), key=lambda i: rays[i].coords))}
     index_sets = []
+    orders = []
     cones = []
     used = set()
     for ci, idxs in enumerate(max_cones):
         idxs = tuple(sorted(set(idxs)))
         if not idxs:
             raise ValueError(f"not a fan: cone {ci} has no rays")
-        if any(i < 0 or i >= len(rays) for i in idxs):
+        if idxs[0] < 0 or idxs[-1] >= len(rays):
             raise ValueError(f"not a fan: cone {ci} names an unknown ray")
+        order = sorted(idxs, key=place.__getitem__)
         try:
-            c = cone_from_generators([rays[i] for i in idxs])
+            c = cone_from_generators(checked([rays[i] for i in order]))
         except NotPointed:
             raise ValueError(f"not a fan: cone {ci} is not pointed") from None
         except ValueError as exc:
             raise ValueError(f"cone {ci}: {exc}") from None
         if not c.is_full_dim:
             raise ValueError(f"not a fan: cone {ci} is not full-dimensional")
-        if set(c.rays) != {rays[i] for i in idxs}:
+        # its rays are the extreme ones among its generators, in their order
+        if len(c.rays) != len(idxs):
             raise ValueError(f"not a fan: cone {ci} lists a non-extreme ray")
         index_sets.append(idxs)
+        orders.append(order)
         cones.append(c)
         used.update(idxs)
     if not cones:
@@ -209,17 +226,15 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         raise ValueError("not a fan: duplicate maximal cones")
 
     # Facet matching: every facet of every maximal cone must be shared with
-    # exactly one other maximal cone, with opposite inner normals.  Owners
-    # are listed in cone order, and a cone's facets have distinct ray sets,
-    # so each wall's owners come as sigma < tau.  A normal is an integer row
-    # in the dual ambient of the rank-checked rays of its own cone, so the
-    # rows are multiplied as they are.
+    # exactly one other maximal cone, with opposite inner normals.  Each
+    # facet's rays come from the cone's incidence.  Owners are listed in
+    # cone order, and a cone's facets have distinct ray sets, so each wall's
+    # owners come as sigma < tau.  Each normal is paired only with the rays
+    # of either cone off its wall, once, for the wall's weights.
     facets: dict[tuple[int, ...], list[tuple[int, Vec]]] = {}
-    for ci, (c, idxs) in enumerate(zip(cones, index_sets)):
-        for f in c.facet_normals:
-            fc = f.coords
-            wall_rays = tuple(i for i in idxs if sum(map(mul, fc, rays[i].coords)) == 0)
-            facets.setdefault(wall_rays, []).append((ci, f))
+    for ci, (c, order) in enumerate(zip(cones, orders)):
+        for f, on in zip(c.facet_normals, c.incidence):
+            facets.setdefault(tuple(sorted(order[k] for k in on)), []).append((ci, f))
 
     walls = []
     for wall_rays, owners in sorted(facets.items()):
@@ -229,7 +244,8 @@ def build_fan(rays, max_cones, rank: int) -> Fan:
         if len(owners) > 2:
             raise ValueError("not a fan: a facet is shared by more than two cones")
         (ci, fi), (cj, fj) = owners
-        if fj != -fi:
+        # fj == -fi, without building -fi
+        if fj.ambient != fi.ambient or any(map(add, fi.coords, fj.coords)):
             raise ValueError("not a fan: shared facet normals are not opposite")
         near = tuple((k, pair(fi, rays[k])) for k in index_sets[ci] if k not in wall_rays)
         far = tuple((k, -pair(fi, rays[k])) for k in index_sets[cj] if k not in wall_rays)

@@ -42,9 +42,9 @@ from typing import Callable
 from .cones import classify
 from .divisors import Divisor, canonical_divisor, dprime_in_range, in_shifted_polytope
 from .fans import Fan, build_fan, check_rank
-from .hulls import affine_rank, convex_hull
+from .hulls import FlatPoints, convex_hull
 from .intersections import DivisorSolve, solve_divisor
-from .linalg import M, N, Scalar, Vec, lattice_index, pair, vec
+from .linalg import M, N, Scalar, Vec, lattice_index, vec
 
 
 @dataclass(frozen=True)
@@ -517,12 +517,10 @@ STATEMENTS = {
 
 def _normal_fan_data(pts: list[Vec]) -> tuple[list[Vec], list[tuple[int, ...]], Divisor]:
     """Rays, sorted maximal-cone index sets and support divisor of the normal
-    fan of conv(pts), read off one hull without building the fan."""
-    facets, vertices = convex_hull(pts)
-    cones = [
-        tuple(i for i, (phi, lvl) in enumerate(facets) if pair(phi, v) == lvl) for v in vertices
-    ]
-    return [phi for phi, _ in facets], sorted(cones), Divisor(tuple(-lvl for _, lvl in facets))
+    fan of conv(pts), read off one hull without building the fan: the
+    maximal cone of a vertex is spanned by the facets through it."""
+    facets, _, through = convex_hull(pts)
+    return [phi for phi, _ in facets], sorted(through), Divisor(tuple(-lvl for _, lvl in facets))
 
 
 def polytope_fan(points) -> tuple[Fan, Divisor]:
@@ -623,7 +621,11 @@ def random_instance(dim: int, seed: int) -> Instance:
 
     Samples are rejected until every maximal cone is simplicial, so the random
     perturbation always has local data; a cone is simplicial when its vertex
-    lies on dim facets, so draws are judged before their fan is built.
+    lies on dim facets, so draws are judged on their hull, before their fan
+    is built.  A draw that does not span the space is rejected by the hull
+    itself (`hulls.FlatPoints`).  The base divisor is solved once, for its
+    least wall value, and D = scale * base keeps that solve scaled
+    (`DivisorSolve.scaled`) as its own.
     """
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
@@ -634,22 +636,27 @@ def random_instance(dim: int, seed: int) -> Instance:
         count = rng.randint(dim + 1, max(dim + 1, _MAX_POINTS))
         raw = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(count)]
         pts = [vec(p, M) for p in sorted(set(raw))]
-        if len(pts) <= dim or affine_rank(pts) < dim:
+        if len(pts) <= dim:
             continue
-        rays, cones, base = _normal_fan_data(pts)
+        try:
+            rays, cones, base = _normal_fan_data(pts)
+        except FlatPoints:
+            continue
         if all(len(c) == dim for c in cones):
             fan = build_fan(rays, cones, dim)
             break
     if fan is None:
         raise ValueError(f"no full-dimensional sample after {_RETRIES} retries")
-    minv = min(solve_divisor(fan, base).values)
-    scale = max(1, ceil(Fraction(dim + 1) / minv))
+    solved = solve_divisor(fan, base)
+    scale = max(1, ceil(Fraction(dim + 1) / min(solved.values)))
     coeffs = []
     for _ in fan.rays:
         den = rng.randint(1, _MAX_DENOMINATOR)
         num = rng.randint(-den, 0)
         coeffs.append(Fraction(num, den))
-    return Instance(fan, scale * base, Divisor(tuple(coeffs)), random_label(dim, seed))
+    inst = Instance(fan, scale * base, Divisor(tuple(coeffs)), random_label(dim, seed))
+    inst.__dict__["d_solve"] = solved.scaled(scale)
+    return inst
 
 
 @dataclass(frozen=True)

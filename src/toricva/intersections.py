@@ -16,10 +16,11 @@ values and nef verdict off them; the other functions here, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .divisors import Divisor, NotQCartier, Offsets, local_offsets
 from .fans import Fan, Wall
-from .linalg import Scalar, Vec, _ratio
+from .linalg import Scalar, Vec, _norm_coord, _ratio
 
 
 def wall_value(offsets: tuple[Offsets, ...], wall: Wall) -> Scalar:
@@ -52,6 +53,21 @@ class DivisorSolve:
         if self.local is None:
             raise NotQCartier(self.missing)
         return self
+
+    def scaled(self, k: int) -> DivisorSolve:
+        """The solve of k * D, for a positive integer k and this solve of D:
+        the local data and wall values times k, each offset row over its
+        least denominator again, and the same nef verdict."""
+        if self.local is None:
+            return self
+        local = tuple(Vec(tuple(k * x for x in u.coords), u.ambient) for u in self.local)
+        offsets = []
+        for es, q in self.offsets:
+            es = [k * e for e in es]
+            g = gcd(q, *es)
+            offsets.append((tuple(e // g for e in es), q // g))
+        values = tuple(_norm_coord(k * v) for v in self.values)
+        return DivisorSolve(local, tuple(offsets), values, self.nef)
 
 
 def solve_divisor(fan: Fan, d: Divisor) -> DivisorSolve:

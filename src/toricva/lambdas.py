@@ -35,7 +35,9 @@ times the inverse's column sums is den * phi, so a sums to
 den * <phi, z> / beta.  The third is dual feasibility: every generator
 pairs with each maximal cell's phi to at least beta (at most, for a minimal
 cell), so <phi, x> / beta bounds lambda_max(x) from above (lambda_min(x)
-from below) by weak duality.  A one-cell cone's cell is both maximal and
+from below) by weak duality.  On the dual of a simplicial cone the first
+identity is the check `dual_cone` ran on the inverse it derived, entry
+for entry, and it is not run twice.  A one-cell cone's cell is both maximal and
 minimal, with every generator on it, and is checked once; `one_cell` says
 so, and then lambda_min and lambda_max are one value at every point.  A
 cone that is not simplicial also evaluates both sums on each generator,
@@ -137,16 +139,22 @@ class CoefficientSums:
                     )
             self._min_cells, self._max_cells = tuple(min_cells), tuple(max_cells)
             sides = ((self._max_cells, -1), (self._min_cells, 1))
+        # A simplicial dual's one piece is its inverse transposed, and
+        # `dual_cone`, which derived that inverse, checked it against the
+        # dual's rays entry for entry (`Cone.inverse_checked`): that is the
+        # piece's first identity, so it is not checked again.
+        checked = len(rays) == c.rank and c.inverse_checked
         for cells, sign in sides:
             for cell in cells:
-                _check_cell(cell, rays, sign)
+                _check_cell(cell, rays, sign, checked)
         # An extreme ray's only expression is 1 * g, so both sums are 1 on
         # it.  A simplicial cone needs no evaluation to see that: its one
         # cell is one piece, its own inverse transposed, on which
-        # `_check_cell` verified generators times inverse = den * I, so g_j's
-        # piece coefficients are den * e_j >= 0 and its value <w, g_j> / den
-        # is the 1 that `one_cell` tested.  Any other cone evaluates each
-        # generator: only that shows the cells' pieces cover every one.
+        # `_check_cell` (or, for a dual, `dual_cone`) verified generators
+        # times inverse = den * I, so g_j's piece coefficients are
+        # den * e_j >= 0 and its value <w, g_j> / den is the 1 that
+        # `one_cell` tested.  Any other cone evaluates each generator: only
+        # that shows the cells' pieces cover every one.
         if len(rays) > c.rank:
             evaluations = (self.maximum,) if self.one_cell else (self.maximum, self.minimum)
             for g in rays:
@@ -289,19 +297,24 @@ class CoefficientSums:
         raise RuntimeError("internal: no piece of the optimal cell holds the point")
 
 
-def _check_cell(cell: _Cell, rays, sign: int) -> None:
+def _check_cell(cell: _Cell, rays, sign: int, inverts: bool = False) -> None:
     """The identities that make a nonnegative piece coefficient vector a
     certificate at every point: each piece's generators times its scaled
     inverse are den * I and beta times the inverse's column sums is
     den * phi; and <phi, g> / beta is dual feasible, at least 1 on every
-    generator for a maximal cell (sign -1), at most 1 for a minimal one."""
+    generator for a maximal cell (sign -1), at most 1 for a minimal one.
+    `inverts` says the first identity was checked where the pieces'
+    inverse was made."""
     phi, beta = cell.phi, cell.beta
     for _, gens, inverse, den in cell.pieces:
         columns = list(zip(*inverse))
-        for i, g_row in enumerate(zip(*gens)):
-            for j, col in enumerate(columns):
-                if _dot(g_row, col) != (den if i == j else 0):
-                    raise RuntimeError("internal: a piece's inverse does not reproduce the point")
+        if not inverts:
+            for i, g_row in enumerate(zip(*gens)):
+                for j, col in enumerate(columns):
+                    if _dot(g_row, col) != (den if i == j else 0):
+                        raise RuntimeError(
+                            "internal: a piece's inverse does not reproduce the point"
+                        )
         if [beta * sum(col) for col in columns] != [den * v for v in phi]:
             raise RuntimeError("internal: a piece's coefficients do not sum to the cell's value")
     if any(sign * _dot(phi, g.coords) > sign * beta for g in rays):

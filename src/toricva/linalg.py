@@ -7,9 +7,10 @@ Pairing two vectors from the same ambient is a bug, so it fails loudly.
 Tags are checked in three places: at `Vec` construction (a known ambient),
 in `pair` (opposite ambients, equal ranks) and on entry to
 `cones.contains` (the cone's ambient and rank, once per point).  Rows
-already validated are multiplied as plain tuples: `fans.build_fan`'s
-facet matching and overlap test pair each cone's facet normals, made in
-the dual ambient of its rank-checked rays, with those rays.  A coordinate
+already validated are multiplied as plain tuples: `contains` pairs a
+cone's own facet normals with the point it has checked.  `fans.build_fan`
+reads each facet's rays off the cone's incidence and pairs, through
+`pair`, only each wall's normal with the rays off the wall.  A coordinate
 is an int, or a Fraction when it is not an integer; an int or a Fraction
 is read off its numerator and denominator, and anything else goes
 through `Fraction()`.

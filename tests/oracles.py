@@ -60,17 +60,27 @@ each cone's walls off `Fan.cone_walls`, built in one pass over the walls.  `lamb
 a `CoefficientSums` per call; `rational_coefficient_sum` evaluates a
 coefficient sum in Fraction arithmetic, where `CoefficientSums` works in
 integers.
+`pairing_incidence` pairs every facet normal with every ray, where a cone
+carries its incidence from the work that found its normals.
+`affine_rank` is one elimination of the points' differences, where
+`hulls.convex_hull` refuses a flat point set by the dimension of its
+lifted cone; `reference_normal_fan_data` pairs every hull facet with
+every vertex, where `harness._normal_fan_data` reads the facets through
+each vertex off the hull; and `reference_random_instance` draws as
+`random_instance` does with both, and solves D on its own.
 `reference_norm_coord`, `reference_integer_row` and `reference_enc_scalar`
 pass every value through `Fraction()`, where `linalg` and `cli` read the
 numerator and denominator of an int or a Fraction as they are.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, lcm
 from operator import le, mul
 
+from toricva import harness
 from toricva.cones import (
     Cone,
     NotPointed,
@@ -82,11 +92,12 @@ from toricva.cones import (
 )
 from toricva.divisors import Divisor, _check_divisor, local_data
 from toricva.fans import Fan, Wall
-from toricva.harness import Failure
-from toricva.hulls import affine_rank
+from toricva.harness import Failure, Instance
+from toricva.hulls import convex_hull
 from toricva.intersections import solve_divisor
 from toricva.lambdas import CoefficientSums, LambdaValue
 from toricva.linalg import (
+    M,
     Scalar,
     Vec,
     _norm_coord,
@@ -619,6 +630,57 @@ def reference_hilbert_basis(c: Cone) -> tuple[Vec, ...]:
         if not reducible:
             basis.append(h)
     return tuple(basis)
+
+
+def affine_rank(points: list[Vec]) -> int:
+    """Dimension of the affine hull of the given points."""
+    if not points:
+        raise ValueError("no points")
+    base = points[0]
+    return matrix_rank([(p - base).coords for p in points[1:]])
+
+
+def pairing_incidence(c: Cone) -> tuple[tuple[int, ...], ...]:
+    """Reference for `Cone.incidence`: each facet normal paired with each ray."""
+    return tuple(
+        tuple(i for i, r in enumerate(c.rays) if pair(f, r) == 0) for f in c.facet_normals
+    )
+
+
+def reference_normal_fan_data(pts: list[Vec]):
+    """Reference for `harness._normal_fan_data`: each vertex's maximal cone
+    found by pairing every hull facet with it."""
+    facets, vertices, _ = convex_hull(pts)
+    cones = [
+        tuple(i for i, (phi, lvl) in enumerate(facets) if pair(phi, v) == lvl) for v in vertices
+    ]
+    return [phi for phi, _ in facets], sorted(cones), Divisor(tuple(-lvl for _, lvl in facets))
+
+
+def reference_random_instance(dim: int, seed: int) -> Instance:
+    """Reference for `harness.random_instance`: the same draws, a flat draw
+    rejected by `affine_rank` before its hull, each vertex's cone found by
+    pairing, and D solved on its own."""
+    rng = random.Random(f"toricva:{dim}:{seed}")
+    box = harness._BOX[dim]
+    for _ in range(harness._RETRIES):
+        count = rng.randint(dim + 1, max(dim + 1, harness._MAX_POINTS))
+        raw = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(count)]
+        pts = [vec(p, M) for p in sorted(set(raw))]
+        if len(pts) <= dim or affine_rank(pts) < dim:
+            continue
+        rays, cones, base = reference_normal_fan_data(pts)
+        if all(len(c) == dim for c in cones):
+            fan = harness.build_fan(rays, cones, dim)
+            break
+    else:
+        raise ValueError(f"no full-dimensional sample after {harness._RETRIES} retries")
+    scale = max(1, ceil(Fraction(dim + 1) / min(solve_divisor(fan, base).values)))
+    coeffs = []
+    for _ in fan.rays:
+        den = rng.randint(1, harness._MAX_DENOMINATOR)
+        coeffs.append(Fraction(rng.randint(-den, 0), den))
+    return Instance(fan, scale * base, Divisor(tuple(coeffs)), harness.random_label(dim, seed))
 
 
 def subset_hull_facets(points: list[Vec]) -> list[tuple[Vec, Fraction]]:

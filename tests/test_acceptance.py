@@ -42,6 +42,7 @@ from oracles import (
     lambda_max,
     lambda_min,
     matches_lp_oracle,
+    pairing_incidence,
     max_value,
     poly_contains,
     polytope,
@@ -715,12 +716,13 @@ def test_cone_kernel_matches_the_reference_on_every_cone_it_builds(monkeypatch):
     _ok("cone-oracle", f"{len(seen)} generator sets agree with the reference")
 
 
-def test_double_description_matches_the_subset_scan_on_fan_cones(pool2, pool3):
-    # every maximal cone and dual of the pools, of every builtin at the
-    # scaling-series and fixture arguments, of quadric3, of the cube face
-    # fans in ranks 3 to 5 and of the polygon products, and each product's
-    # lifted hull cone; each simplicial cone again with its ray sum added,
-    # which sends it through the double description
+def _fans_and_generator_sets(pool2, pool3):
+    """The fans of the pools, of every builtin at the scaling-series and
+    fixture arguments, of quadric3, of the cube face fans in ranks 3 to 5
+    and of the polygon products; and the generator sets of each product's
+    lifted hull cone and of every maximal cone and dual of those fans, each
+    simplicial cone again with its ray sum added, which sends it through
+    the double description."""
     built = [inst.fan for inst in pool2 + pool3 + _series_and_fixture_builtins()]
     built += [quadric3_fan()] + [cube_face_fan(n) for n in (3, 4, 5)]
     sets = []
@@ -734,6 +736,12 @@ def test_double_description_matches_the_subset_scan_on_fan_cones(pool2, pool3):
             if len(c.rays) == c.rank:
                 total = tuple(map(sum, zip(*(r.coords for r in c.rays))))
                 sets.append([*c.rays, vec(total, c.ambient)])
+    return built, sets
+
+
+def test_double_description_matches_the_subset_scan_on_fan_cones(pool2, pool3):
+    # every generator set of _fans_and_generator_sets
+    _, sets = _fans_and_generator_sets(pool2, pool3)
     kinds = Counter()
     for gens in sets:
         got = cone_outcome(cone_from_generators, gens)
@@ -741,6 +749,26 @@ def test_double_description_matches_the_subset_scan_on_fan_cones(pool2, pool3):
         kinds[cone_path(gens, got)] += 1
     assert kinds["simplicial"] > 1000 and kinds["scanned"] > 1000, kinds
     _ok("double-description", f"{len(sets)} generator sets agree with the subset scan")
+
+
+def test_carried_incidence_matches_the_pairings(pool2, pool3):
+    # every maximal cone and dual of _fans_and_generator_sets' fans and the
+    # cone each of its generator sets builds: the rays of each facet as the
+    # cone carries them, from its elimination or its double description,
+    # equal those found by pairing each normal with each ray; a dual, and a
+    # cone rebuilt field by field, pair on first use
+    built, sets = _fans_and_generator_sets(pool2, pool3)
+    maximal = [c for fan in built for c in fan.cones]
+    assert all("incidence" in c.__dict__ for c in maximal)
+    made = [cone_from_generators(gens) for gens in sets]
+    assert all("incidence" in c.__dict__ for c in made)
+    duals = [d for fan in built for d in fan.duals]
+    rebuilt = [dataclasses.replace(c) for c in maximal[:50]]
+    for c in maximal + made + duals + rebuilt:
+        assert c.incidence == pairing_incidence(c), c
+    # more generators than the rank: the double description ran
+    assert sum(len(gens) > c.rank for gens, c in zip(sets, made)) > 1000
+    _ok("incidence", f"{len(maximal) + len(made)} carried incidences agree with pairing")
 
 
 def test_pool_and_builtin_fans_build_without_the_facet_scan(pool2, pool3, monkeypatch):

@@ -813,6 +813,13 @@ def _pyramid_face_fan(k):
     return {"rank": 3, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * (k + 1)}}
 
 
+def _cross_polytope_face_fan(n):
+    """The face fan of conv(+-e_i) in rank n: 2n rays and 2^n regular cones."""
+    rays = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in itertools.product((0, 1), repeat=n)]
+    return {"rank": n, "rays": rays, "max_cones": cones, "divisors": {"D": [1] * len(rays)}}
+
+
 def _plane_fan(m):
     """A complete plane fan on 2m + 2 rays: (1, 0), then (i, 1) for i from
     m - 1 down to 0, then (-1, 0), then the negatives of the (i, 1)."""
@@ -880,6 +887,23 @@ def test_fans_past_the_old_facet_scan_cap_run(tmp_path, capsys, doc, argv):
     assert time.monotonic() - start < 1.0
     assert code == 0 and err == ""
     assert out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_cross_polytope_face_fan(10), _pyramid_face_fan(255)],
+    ids=["cross-polytope-10", "255-gon-pyramid"],
+)
+def test_cap_edge_fans_analyze_in_time(tmp_path, capsys, doc):
+    # the cheap part of the cap-edge corpus: 1,024 maximal cones in rank 10,
+    # and 256 rays (MAX_RAYS) with a 255-ray base cone and dual
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert time.monotonic() - start < 1.5
+    assert code == 0 and err == ""
+    assert json.loads(out)
 
 
 def _counted_inverse(monkeypatch, sizes):

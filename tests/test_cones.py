@@ -13,6 +13,7 @@ from oracles import (
     intersect_cones,
     is_face,
     lp_pointed,
+    pairing_incidence,
     reference_cone_from_generators,
     strictly_inside,
 )
@@ -255,9 +256,13 @@ def test_intersect_cones_matches_membership(rank):
 
 def matches_reference(gens):
     """The kernel's Cone (rays, facet normals and span equations, in order)
-    or refusal equals the reference's; returns it."""
+    or refusal equals the reference's, and the incidence the cone carries
+    equals the pairings; returns it."""
     got = cone_outcome(cone_from_generators, gens)
     assert got == cone_outcome(reference_cone_from_generators, gens), gens
+    if isinstance(got, Cone):
+        assert "incidence" in got.__dict__
+        assert got.incidence == pairing_incidence(got), gens
     return got
 
 

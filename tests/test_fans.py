@@ -9,7 +9,7 @@ from toricva import fans
 from toricva.cones import cone_from_generators, dual_cone
 from toricva.fans import build_fan
 from toricva.harness import BUILTINS, builtin, random_instance
-from toricva.linalg import N, pair, primitivize, vec
+from toricva.linalg import M, N, pair, primitivize, vec
 
 from fixtures import (
     BUILTIN_ARGS,
@@ -118,6 +118,26 @@ def test_empty_cone_named():
         build_fan(rays, [[]], 2)
     with pytest.raises(ValueError, match="not a fan: cone 2 has no rays"):
         build_fan(rays, [(0, 1), (1, 2), ()], 2)
+
+
+def test_rays_from_both_ambients_are_refused_naming_the_cone():
+    # build_fan checks ranks, primitivity and duplicates on the whole ray
+    # list; the first cone whose rays mix N and M is refused by the cone
+    # kernel, named by its index
+    plane = [(0, 1), (1, 2), (2, 0)]
+    for ambients, message in (("NMN", "cone 0"), ("NNM", "cone 1")):
+        rays = [vec(r, a) for r, a in zip([(1, 0), (0, 1), (-1, -1)], ambients)]
+        with pytest.raises(ValueError, match=f"^{message}: generators must share ambient and rank$"):
+            build_fan(rays, plane, 2)
+    # in rank 1 no cone mixes them, and the one wall's normals do not match
+    with pytest.raises(ValueError, match="^not a fan: shared facet normals are not opposite$"):
+        build_fan([vec((1,), N), vec((-1,), M)], [(0,), (1,)], 1)
+
+
+def test_same_side_facets_are_refused():
+    rays = nvecs((1, 0), (0, 1), (1, 1))
+    with pytest.raises(ValueError, match="^not a fan: shared facet normals are not opposite$"):
+        build_fan(rays, [(0, 1), (0, 2)], 2)
 
 
 def test_cached_duals_leave_equality_and_hash_alone():

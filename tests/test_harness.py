@@ -18,7 +18,13 @@ from fixtures import (
     quadric3_fan,
     rectangle_fan,
 )
-from oracles import poly_contains, polytope, subset_vertices, wall_value
+from oracles import (
+    poly_contains,
+    polytope,
+    reference_random_instance,
+    subset_vertices,
+    wall_value,
+)
 from toricva import cones, divisors, harness, intersections, lambdas
 from toricva.cones import classify, contains
 from toricva.divisors import (
@@ -56,8 +62,8 @@ from toricva.harness import (
     weighted_112,
 )
 from toricva.fans import build_fan
-from toricva.intersections import is_nef
-from toricva.linalg import M, vec
+from toricva.intersections import is_nef, solve_divisor
+from toricva.linalg import M, Vec, vec
 
 
 def hyp(report, name):
@@ -394,6 +400,62 @@ def test_random_instance_contract(seed, dim):
     ok = {h.name for h in rep.hypotheses if not h.holds}
     assert ok == set()
     assert rep.status == "pass"
+
+
+def test_random_instances_match_the_pairing_reference():
+    # the hull's own refusal of flat draws and its vertex-facet incidence
+    # give the same label, fan and divisors as the affine-rank test and the
+    # facet-vertex pairing of the reference, seeds 0 to 299 in both dimensions
+    for dim in (2, 3):
+        for seed in range(300):
+            inst, ref = random_instance(dim, seed), reference_random_instance(dim, seed)
+            assert inst.label == ref.label
+            assert inst.fan.rays == ref.fan.rays and inst.fan.max_cones == ref.fan.max_cones
+            assert inst.fan.cones == ref.fan.cones
+            assert (inst.d, inst.dprime) == (ref.d, ref.dprime), inst.label
+
+
+def _typed(x):
+    """x with the type of every scalar beside it, so that equal records
+    agree in type too."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_typed, x))
+    if isinstance(x, Vec):
+        return x.ambient, _typed(x.coords)
+    return type(x), x
+
+
+def test_the_carried_solve_of_d_is_the_solve_of_d(monkeypatch):
+    # random_instance solves its base divisor for the scale, and D keeps that
+    # solve scaled: local data, offsets, wall values and the nef verdict
+    # equal a fresh solve of D, in value and type, on all 160 pool instances
+    calls = Counter()
+    real = intersections.local_offsets
+    monkeypatch.setattr(intersections, "local_offsets", lambda *a: calls.update("x") or real(*a))
+    instances = [random_instance(2, s) for s in range(130)]
+    instances += [random_instance(3, s) for s in range(30)]
+    carried = [inst.d_solve for inst in instances]
+    assert calls["x"] == 160
+    fields = ("local", "offsets", "values", "nef", "missing")
+    for inst, solve in zip(instances, carried):
+        fresh = solve_divisor(inst.fan, inst.d)
+        for name in fields:
+            assert _typed(getattr(solve, name)) == _typed(getattr(fresh, name)), inst.label
+
+
+def test_a_scaled_solve_is_the_solve_of_the_multiple():
+    # the pool's D are Cartier; here the local data, the offsets and the
+    # wall values start as Fractions, and k = 6 makes them integral; a
+    # divisor without local data stays without
+    cases = [(i.fan, i.d) for i in (weighted_112(1), hirzebruch(2, (1, 0, Fraction(1, 3), 0)))]
+    cases.append((quadric3_fan(), Divisor((1, 0, 0, 0, 0))))
+    for fan, d in cases:
+        solve = solve_divisor(fan, d)
+        for k in (1, 2, 3, 6):
+            scaled, fresh = solve.scaled(k), solve_divisor(fan, k * d)
+            for name in ("local", "offsets", "values", "nef", "missing"):
+                assert _typed(getattr(scaled, name)) == _typed(getattr(fresh, name)), (d, k)
+    assert solve.missing == 0
 
 
 def test_interior_bound_rejects_nonpositive_bound():

@@ -186,6 +186,55 @@ def test_the_subset_scan_is_only_a_test_oracle():
     assert scanners == ["oracles.py"]
 
 
+def _definers(paths, name: str) -> list[str]:
+    """The names of the files among `paths` that define a function `name`."""
+    return sorted(p.name for p in paths if name in _defined(p))
+
+
+def test_the_affine_rank_test_is_only_a_test_oracle():
+    # the hull refuses a flat point set itself; the affine rank of the
+    # points is the reference that refusal is tested against
+    tests = Path(__file__).parent
+    assert _definers([*SRC.glob("*.py"), *tests.glob("*.py")], "affine_rank") == ["oracles.py"]
+
+
+def test_the_definer_guard_sees_a_second_definition(tmp_path):
+    (tmp_path / "hulls.py").write_text("def affine_rank(points):\n    return 0\n")
+    (tmp_path / "oracles.py").write_text("class Hull:\n    def affine_rank(self):\n        return 0\n")
+    (tmp_path / "other.py").write_text("affine_rank = None\n")
+    assert _definers(sorted(tmp_path.glob("*.py")), "affine_rank") == ["hulls.py", "oracles.py"]
+
+
+def _imports(tree) -> set[str]:
+    """The names the module imports, under their own names."""
+    return {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+_PAIRINGS = {"pair", "affine_rank"}
+
+
+def test_harness_imports_no_pairing():
+    # harness reads each vertex's facets off the hull's incidence, and the
+    # hull refuses flat draws; it pairs no facet with a vertex
+    harness = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    assert _imports(harness) & _PAIRINGS == set()
+
+
+def test_the_import_guard_sees_each_way_of_importing():
+    for text in (
+        "from .linalg import M, pair as dot\n",
+        "from .hulls import convex_hull, affine_rank\n",
+        "from toricva.linalg import pair\n",
+    ):
+        assert _imports(ast.parse(text)) & _PAIRINGS, text
+    assert not _imports(ast.parse("from .linalg import M, pairs\nimport pairing\n")) & _PAIRINGS
+
+
 def test_the_wall_scan_for_cone_minima_is_only_a_test_oracle():
     # harness reads each cone's minima off the fan's per-cone wall lists; the
     # scan of every wall for one cone is the reference they are tested against

@@ -19,7 +19,7 @@ from oracles import (
     sum_range,
 )
 from toricva import lambdas
-from toricva.cones import cone_from_generators
+from toricva.cones import cone_from_generators, dual_cone
 from toricva.harness import interior_points
 from toricva.lambdas import CoefficientSums
 from toricva.linalg import M, N, vec
@@ -99,6 +99,27 @@ def test_a_bent_inverse_entry_is_refused_at_construction(monkeypatch, rays):
     _bend_cells(monkeypatch, bend)
     with pytest.raises(RuntimeError, match="inverse does not reproduce the point"):
         CoefficientSums(ncone(*rays))
+
+
+def test_a_simplicial_dual_leaves_its_inverse_check_to_dual_cone(monkeypatch):
+    # dual_cone checked the inverse it derived against the dual's rays,
+    # which is the first identity entry for entry, so the dual's one piece
+    # is not checked again: a bent entry there is refused by the second
+    # identity; the same dual rebuilt by elimination runs the first one
+    d = dual_cone(ncone((1, 0, 0), (1, 2, 0), (1, 1, 5)))
+    rebuilt = mcone(*(r.coords for r in d.rays))
+    assert rebuilt == d and d.inverse_checked and not rebuilt.inverse_checked
+
+    def bend(cell):
+        positions, gens, inverse, den = cell.pieces[-1]
+        row = (inverse[0][0] + 1, *inverse[0][1:])
+        return dataclasses.replace(cell, pieces=((positions, gens, (row, *inverse[1:]), den),))
+
+    _bend_cells(monkeypatch, bend)
+    with pytest.raises(RuntimeError, match="inverse does not reproduce the point"):
+        CoefficientSums(rebuilt)
+    with pytest.raises(RuntimeError, match="do not sum to the cell's value"):
+        CoefficientSums(d)
 
 
 @pytest.mark.parametrize("rays", BENT_CONES)
@@ -291,9 +312,9 @@ def test_a_multi_cell_cone_missing_a_maximal_facet_is_refused(monkeypatch):
     real = lambdas.convex_hull
 
     def lossy(points):
-        facets, vertices = real(points)
+        facets, *rest = real(points)
         drop = next(i for i, (_, beta) in enumerate(facets) if beta > 0)
-        return facets[:drop] + facets[drop + 1 :], vertices
+        return facets[:drop] + facets[drop + 1 :], *rest
 
     assert not CoefficientSums(ncone(*rays)).one_cell
     monkeypatch.setattr(lambdas, "convex_hull", lossy)

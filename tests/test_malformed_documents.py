@@ -8,9 +8,9 @@ import math
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import affine_rank
 from toricva import cli
 from toricva.harness import polytope_fan
-from toricva.hulls import affine_rank
 from toricva.linalg import M, vec
 
 COMMANDS = (
